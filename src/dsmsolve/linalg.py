@@ -64,6 +64,12 @@ class SpdFactorization:
     solve() runs two passes of residual correction against the stored
     matrix; a bare triangular solve loses too many digits once the
     condition number gets near 1e12.
+
+    The triangular solves hand LAPACK the transposed view L^T as an upper
+    factor. numpy returns L in row-major order, so L^T is already
+    column-major and is passed through without a copy, whereas L itself
+    would be copied in full, n^2 entries, on every solve. Upper solves with
+    L^T give the same bits as lower solves with L.
     """
 
     lower: np.ndarray
@@ -74,7 +80,13 @@ class SpdFactorization:
         return self.lower.shape[0]
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
+        return scipy.linalg.cho_solve((self.lower.T, False), b, check_finite=False)
+
+    def _refined_solve(self, b: np.ndarray) -> np.ndarray:
+        x = self._raw_solve(b)
+        for _ in range(2):
+            x = x + self._raw_solve(b - self.original @ x)
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = as_vector(b)
@@ -83,10 +95,7 @@ class SpdFactorization:
                 f"dimension mismatch: factor is {self.dimension}x{self.dimension}, "
                 f"right-hand side has length {b.shape[0]}"
             )
-        x = self._raw_solve(b)
-        for _ in range(2):
-            x = x + self._raw_solve(b - self.original @ x)
-        return x
+        return self._refined_solve(b)
 
     def solve_matrix(self, B: np.ndarray) -> np.ndarray:
         B = as_matrix(B)
@@ -95,14 +104,19 @@ class SpdFactorization:
                 f"dimension mismatch: factor is {self.dimension}x{self.dimension}, "
                 f"block has {B.shape[0]} rows"
             )
-        X = self._raw_solve(B)
-        for _ in range(2):
-            X = X + self._raw_solve(B - self.original @ X)
-        return X
+        return self._refined_solve(B)
 
     def matrix(self) -> np.ndarray:
         """Re-multiply the factor, recovering the original matrix."""
         return self.lower @ self.lower.T
+
+
+def _cholesky(S: np.ndarray) -> SpdFactorization:
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise ValueError("spd_factor: matrix is not positive definite") from None
+    return SpdFactorization(lower=L, original=S)
 
 
 def spd_factor(M: np.ndarray) -> SpdFactorization:
@@ -112,12 +126,20 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
     positive definite to working precision.
     """
     M = as_matrix(M)
-    S = _require_symmetric(M, "spd_factor")
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise ValueError("spd_factor: matrix is not positive definite") from None
-    return SpdFactorization(lower=L, original=S)
+    return _cholesky(_require_symmetric(M, "spd_factor"))
+
+
+def _factor_shifted(G: np.ndarray, a: float) -> SpdFactorization:
+    """Factor G + a I for a Gram matrix G from gram().
+
+    G is exactly symmetric by construction, so spd_factor's symmetry check
+    and symmetrization, a bitwise no-op here, are skipped. G is not modified.
+    Raises spd_factor's errors on non-finite entries and on matrices that
+    are not positive definite.
+    """
+    S = G.copy()
+    S[np.diag_indices_from(S)] += a
+    return _cholesky(as_matrix(S))
 
 
 def spd_solve(factorization: SpdFactorization, b: np.ndarray) -> np.ndarray:
@@ -166,11 +188,17 @@ def op_norm(M: np.ndarray) -> float:
     Power iteration on the Gram matrix with a fixed all-ones start vector,
     so repeated calls on the same input give the same value.
     """
-    M = as_matrix(M)
-    if M.size == 0:
-        return 0.0
-    G = gram(M)
+    return _gram_norm(gram(M))
+
+
+def _gram_norm(G: np.ndarray) -> float:
+    """op_norm(M) given G = gram(M): square root of G's largest eigenvalue.
+
+    Zero for an empty or zero G.
+    """
     n = G.shape[0]
+    if n == 0:
+        return 0.0
     v = np.full(n, 1.0 / np.sqrt(n))
     rayleigh = 0.0
     previous = -np.inf

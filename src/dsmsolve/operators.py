@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import SpdFactorization, as_matrix, as_vector, gram, op_norm, spd_factor
+from .linalg import SpdFactorization, _factor_shifted, as_matrix, as_vector, gram, op_norm
+
+
+def _damped_factor(G: np.ndarray, a: float) -> SpdFactorization:
+    """Factor G + a I for the Gram matrix G = A^T A of an operator.
+
+    Preconditioner builds on it, and the parameter searches call it directly
+    to evaluate many dampings against one Gram matrix.
+    """
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"damping parameter must be positive and finite, got {a}")
+    try:
+        return _factor_shifted(G, a)
+    except ValueError:
+        raise ValueError(
+            f"damped Gram matrix could not be factored; a={a} is too small "
+            "for this operator at working precision"
+        ) from None
 
 
 class Preconditioner:
@@ -21,20 +39,9 @@ class Preconditioner:
     def __init__(self, A, a: float):
         A = as_matrix(A)
         a = float(a)
-        if a <= 0.0:
-            raise ValueError(f"damping parameter must be positive, got {a}")
-        G = gram(A)
-        G[np.diag_indices_from(G)] += a
-        try:
-            factor = spd_factor(G)
-        except ValueError:
-            raise ValueError(
-                f"damped Gram matrix could not be factored; a={a} is too small "
-                "for this operator at working precision"
-            ) from None
+        self.gram_factor: SpdFactorization = _damped_factor(gram(A), a)
         self.A = A
         self.a = a
-        self.gram_factor: SpdFactorization = factor
 
     @property
     def rows(self) -> int:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, gram, op_norm, spd_factor
-from .operators import Preconditioner
+from .linalg import _factor_shifted, _gram_norm, as_matrix, as_vector, gram
+from .operators import Preconditioner, _damped_factor
 
 MAX_EVALUATIONS = 100
 
@@ -51,6 +51,11 @@ def phi(A, f_delta, a: float) -> float:
     return float(np.linalg.norm(A @ u - f_delta))
 
 
+def _damped_solution(A: np.ndarray, G: np.ndarray, f_delta: np.ndarray, a: float) -> np.ndarray:
+    """vr_solve(A, f_delta, a) given the Gram matrix G = gram(A)."""
+    return _damped_factor(G, a).solve(A.T @ f_delta)
+
+
 def choose_a(A, f_delta, delta: float) -> ParamTrace:
     """Pick a damping parameter whose misfit lands in [delta, 2 delta].
 
@@ -66,18 +71,25 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
     f_delta = as_vector(f_delta)
     if not delta > 0.0:
         raise ValueError("needs delta > 0")
+    if A.shape[0] != f_delta.shape[0]:
+        raise ValueError(f"dimension mismatch: operator is {A.shape}, data has length {f_delta.shape[0]}")
     norm_f = float(np.linalg.norm(f_delta))
     if norm_f == 0.0:
         raise ValueError("data vector is zero; no damping parameter to select")
-    s2 = op_norm(A) ** 2
+    # One Gram matrix serves the norm and every misfit evaluation.
+    G = gram(A)
+    s2 = _gram_norm(G) ** 2
     if s2 == 0.0:
         raise ValueError("operator norm is zero; the misfit does not depend on a")
+
+    def misfit(a: float) -> float:
+        return float(np.linalg.norm(A @ _damped_solution(A, G, f_delta, a) - f_delta))
 
     a = delta * s2 / (3.0 * norm_f)
     undershot_before = False
     steps: list[ParamStep] = []
     for _ in range(MAX_EVALUATIONS):
-        value = phi(A, f_delta, a)
+        value = misfit(a)
         c = value / delta
         if delta <= value <= 2.0 * delta:
             steps.append(ParamStep(a, value, c, "accept"))
@@ -89,17 +101,11 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
             if undershot_before:
                 steps.append(ParamStep(a, value, c, "fallback_triple"))
                 chosen = 3.0 * a
-                return ParamTrace(chosen, phi(A, f_delta, chosen), tuple(steps))
+                return ParamTrace(chosen, misfit(chosen), tuple(steps))
             steps.append(ParamStep(a, value, c, "triple"))
             undershot_before = True
             a = 3.0 * a
     raise ValueError(f"no damping parameter found within {MAX_EVALUATIONS} misfit evaluations")
-
-
-def _factor_shifted(G: np.ndarray, a: float):
-    S = G.copy()
-    S[np.diag_indices_from(S)] += a
-    return spd_factor(S)
 
 
 def vr_newton(A, f_delta, delta: float, C: float = 1.01,
@@ -133,7 +139,9 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
         raise ValueError(
             f"no root: C*delta = {target:.6g} is not below ||f_delta|| = {norm_f:.6g}"
         )
-    s2 = op_norm(A) ** 2
+    # A^T A serves the norm and the final damped solve; A A^T the misfits.
+    G_left = gram(A)
+    s2 = _gram_norm(G_left) ** 2
     if s2 == 0.0:
         raise ValueError("no root: operator is zero, the misfit is constant")
 
@@ -174,13 +182,13 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     for iteration in range(1, max_iter + 1):
         value, z, factor = misfit_parts(a)
         if abs(value - target) <= 1e-8 * target:
-            return a, vr_solve(A, f_delta, a), iteration
+            return a, _damped_solution(A, G_left, f_delta, a), iteration
         if value < target:
             lo = a
         else:
             hi = a
         if hi <= np.nextafter(lo, np.inf):
-            return a, vr_solve(A, f_delta, a), iteration
+            return a, _damped_solution(A, G_left, f_delta, a), iteration
         zz = float(z @ z)
         w = factor.solve(z)
         g = a * a * zz - target * target

@@ -156,11 +156,13 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
         raise ValueError(
             f"preconditioner was built for a {precond.rows}x{precond.cols} operator, got {A.shape}"
         )
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if config.stopping == "discrepancy" and delta == 0.0:
         raise ValueError("discrepancy stopping needs delta > 0")
-    if config.h * precond.t_norm >= 2.0:
+    # ||T|| = s^2 / (s^2 + a) <= 1 also in floating point, so only h >= 2
+    # can violate the bound, and the norm is needed only then.
+    if config.h >= 2.0 and config.h * precond.t_norm >= 2.0:
         raise ValueError(
             f"step size too large: h * ||T|| = {config.h * precond.t_norm:.6g} >= 2"
         )
@@ -189,7 +191,7 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     m, n = A.shape
     if f_delta.shape[0] != m:
         raise ValueError(f"dimension mismatch: operator is {A.shape}, data has length {f_delta.shape[0]}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if config.stopping == "discrepancy" and delta == 0.0:
         raise ValueError("discrepancy stopping needs delta > 0")

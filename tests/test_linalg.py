@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsmsolve import cond_estimate, gram, matvec, op_norm, spd_factor, spd_solve, sym_eigen
 from dsmsolve.linalg import as_matrix, as_vector
@@ -109,6 +110,27 @@ def test_spd_solve_matrix_matches_column_solves():
     X = factor.solve_matrix(B)
     for k in range(4):
         assert np.allclose(X[:, k], factor.solve(B[:, k]), rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
+    """The transposed-view solves reproduce lower-factor cho_solve with two refinements."""
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n + 2, n))
+    M = B.T @ B + 1e-3 * np.eye(n)
+    M = 0.5 * (M + M.T)
+    factor = spd_factor(M)
+
+    def reference(b):
+        x = scipy.linalg.cho_solve((factor.lower, True), b, check_finite=False)
+        for _ in range(2):
+            x = x + scipy.linalg.cho_solve((factor.lower, True), b - M @ x, check_finite=False)
+        return x
+
+    b = rng.standard_normal(n)
+    assert np.array_equal(factor.solve(b), reference(b))
+    block = rng.standard_normal((n, 5))
+    assert np.array_equal(factor.solve_matrix(block), reference(block))
 
 
 def test_sym_eigen_reconstructs_and_sorts():

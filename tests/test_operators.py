@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dsmsolve import Preconditioner, build_preconditioner, op_norm, sym_eigen
+from dsmsolve import Preconditioner, build_preconditioner, op_norm, phi, sym_eigen, vr_solve
 
 
 def random_operator(seed, m, n):
@@ -15,6 +15,16 @@ def test_rejects_nonpositive_damping():
     for a in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             Preconditioner(A, a)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, -1.0])
+def test_rejects_nonfinite_or_negative_damping_as_such(a):
+    A = np.eye(3)
+    f = np.ones(3)
+    for build in (Preconditioner, build_preconditioner,
+                  lambda A, a: vr_solve(A, f, a), lambda A, a: phi(A, f, a)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build(A, a)
 
 
 def test_apply_p_matches_direct_normal_equations():

@@ -211,6 +211,19 @@ def test_newton_solves_heat_instances_quickly():
         assert np.allclose(u, vr_solve(inst.A, inst.b_noisy, a), rtol=1e-12, atol=1e-15)
 
 
+def test_searches_reproduce_public_misfit_and_solution_bit_for_bit():
+    """choose_a and vr_newton share one Gram matrix per call; results must not move."""
+    for seed in range(3):
+        inst = heat_instance(30, 0.05, seed)
+        A, f = inst.A, inst.b_noisy
+        trace = choose_a(A, f, inst.delta)
+        for step in trace.steps:
+            assert step.phi == phi(A, f, step.a)
+        assert trace.phi_at_chosen == phi(A, f, trace.chosen_a)
+        a, u, _ = vr_newton(A, f, inst.delta)
+        assert np.array_equal(u, vr_solve(A, f, a))
+
+
 def test_newton_iterates_stay_in_bracket():
     import dsmsolve
 

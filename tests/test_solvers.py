@@ -144,6 +144,21 @@ def test_step_size_guard_for_damped_iteration():
         solve_dsm(A, f, 0.01, precond, SolveConfig(h=4.0))
     result = solve_dsm(A, f, 0.01, precond, SolveConfig(h=3.5))
     assert result.stop_reason == "discrepancy_met"
+    # Damping so small that ||T|| = 1 / (1 + a) rounds to exactly 1.
+    A, f, precond = identity_setup(a=1e-20)
+    assert precond.t_norm == 1.0
+    with pytest.raises(ValueError, match="step size too large"):
+        solve_dsm(A, f, 0.01, precond, SolveConfig(h=2.0))
+    result = solve_dsm(A, f, 0.01, precond, SolveConfig(h=1.999))
+    assert result.stop_reason == "discrepancy_met"
+
+
+def test_nan_noise_level_is_rejected_before_iterating():
+    A, f, precond = identity_setup()
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        solve_dsm(A, f, float("nan"), precond)
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        landweber_solve(A, f, float("nan"), SolveConfig(h=0.5))
 
 
 def test_landweber_identity_run():
