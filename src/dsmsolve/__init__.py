@@ -2,14 +2,13 @@
 
 from .continuous import SpectralOperator, find_t_delta, propagate, residual_t, spectral_q, spectral_t
 from .linalg import (
+    DenseOperator,
     EigenDecomposition,
     SpdFactorization,
     cond_estimate,
     gram,
-    matvec,
     op_norm,
     spd_factor,
-    spd_solve,
     sym_eigen,
 )
 from .operators import Preconditioner, build_preconditioner
@@ -39,6 +38,7 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "DenseOperator",
     "EigenDecomposition",
     "ParamStep",
     "ParamTrace",
@@ -63,7 +63,6 @@ __all__ = [
     "landweber_solve",
     "load_matrix",
     "load_vector",
-    "matvec",
     "op_norm",
     "phi",
     "propagate",
@@ -73,7 +72,6 @@ __all__ = [
     "save_vector",
     "solve_dsm",
     "spd_factor",
-    "spd_solve",
     "spectral_q",
     "spectral_t",
     "sym_eigen",

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import cond_estimate, op_norm
+from .linalg import DenseOperator, cond_estimate
 from .operators import build_preconditioner
-from .params import choose_a, vr_newton, vr_solve
+from .params import choose_a, start_damping, vr_newton, vr_solve
 from .problems import heat_instance, heat_matrix, load_matrix, load_vector, save_vector
-from .solvers import SolveConfig, landweber_solve, residuals_nonincreasing, solve_dsm
+from .solvers import SolveConfig, SolveResult, landweber_solve, residuals_nonincreasing, solve_dsm
 
 METHODS = ("dsm", "vr_i", "vr_n", "landweber")
 
@@ -104,30 +104,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_history(result, label: str, enabled: bool) -> None:
-    if enabled and not residuals_nonincreasing(result.residual_history):
-        raise ValueError(f"invariant violated: residual norms increased during {label}")
+def _run_method(method, op, f, delta, config, a) -> SolveResult:
+    """Run one method on one system; a is the damping that dsm and vr_i use.
 
-
-def _bench_cell(inst, method, config, trace, use_a0, assert_invariants):
-    """One (instance, method) run. Returns (n_iter, rel_error, a_used)."""
+    The direct methods vr_i and vr_n record their final residual as a
+    one-entry history.
+    """
     if method == "dsm":
-        precond = build_preconditioner(inst.A, trace.chosen_a)
-        result = solve_dsm(inst.A, inst.b_noisy, inst.delta, precond, config)
-        _check_history(result, f"dsm n={inst.n} seed={inst.seed}", assert_invariants)
-        return result.iterations, result.solution, trace.chosen_a
+        return solve_dsm(op.A, f, delta, build_preconditioner(op, a), config)
+    if method == "landweber":
+        return landweber_solve(op.A, f, delta, config)
     if method == "vr_i":
-        if use_a0:
-            a = inst.delta * op_norm(inst.A) ** 2 / (3.0 * float(np.linalg.norm(inst.b_noisy)))
-        else:
-            a = trace.chosen_a
-        return 1, vr_solve(inst.A, inst.b_noisy, a), a
-    if method == "vr_n":
-        a, u, iterations = vr_newton(inst.A, inst.b_noisy, inst.delta, C=config.C)
-        return iterations, u, a
-    result = landweber_solve(inst.A, inst.b_noisy, inst.delta, config)
-    _check_history(result, f"landweber n={inst.n} seed={inst.seed}", assert_invariants)
-    return result.iterations, result.solution, None
+        u, iterations, reason = vr_solve(op, f, a), 1, "direct"
+    else:
+        a, u, iterations = vr_newton(op, f, delta, C=config.C)
+        reason = "discrepancy_root"
+    return SolveResult(u, iterations, [float(np.linalg.norm(op.A @ u - f))], reason, a)
 
 
 def cmd_bench(args) -> int:
@@ -143,24 +135,33 @@ def cmd_bench(args) -> int:
     for n in args.n_list:
         for seed in range(args.seed, args.seed + args.seeds):
             inst = heat_instance(n, args.delta_rel, seed)
+            op = DenseOperator(inst.A)
             try:
-                trace = choose_a(inst.A, inst.b_noisy, inst.delta) if needs_trace else None
+                trace = choose_a(op, inst.b_noisy, inst.delta) if needs_trace else None
             except ValueError as exc:
                 print(f"error: n={n} seed={seed}: parameter selection failed: {exc}", file=sys.stderr)
                 failed = True
                 continue
             for method in args.methods:
                 started = time.perf_counter()
+                if method == "vr_i" and args.vr_i_a0:
+                    a = start_damping(inst.delta, op.norm, float(np.linalg.norm(inst.b_noisy)))
+                else:
+                    a = trace.chosen_a if trace else None
                 try:
-                    n_iter, u, a_used = _bench_cell(inst, method, config, trace,
-                                                    args.vr_i_a0, args.assert_invariants)
+                    result = _run_method(method, op, inst.b_noisy, inst.delta, config, a)
+                    if args.assert_invariants and not residuals_nonincreasing(result.residual_history):
+                        raise ValueError(
+                            f"invariant violated: residual norms increased during {method} n={n} seed={seed}"
+                        )
                 except ValueError as exc:
                     print(f"error: n={n} seed={seed} method={method}: {exc}", file=sys.stderr)
                     failed = True
                     continue
                 elapsed = time.perf_counter() - started
+                u, n_iter = result.solution, result.iterations
                 rel_error = float(np.linalg.norm(u - inst.u_exact) / np.linalg.norm(inst.u_exact))
-                rows.append((n, method, n_iter, rel_error, seed, args.delta_rel, a_used))
+                rows.append((n, method, n_iter, rel_error, seed, args.delta_rel, result.a_used))
                 cells.setdefault((n, method), []).append((n_iter, rel_error))
                 wall[(n, method)] = wall.get((n, method), 0.0) + elapsed
 
@@ -203,38 +204,21 @@ def cmd_solve(args) -> int:
             f"right-hand side {args.rhs} has length {f.shape[0]}"
         )
 
-    def pick_a() -> float:
-        if args.a is not None:
-            if args.a <= 0.0:
-                raise ValueError(f"--a must be positive, got {args.a}")
-            return args.a
-        return choose_a(A, f, args.delta).chosen_a
+    op = DenseOperator(A)
+    a = args.a
+    if args.method in ("dsm", "vr_i"):
+        if a is None:
+            a = choose_a(op, f, args.delta).chosen_a
+        elif a <= 0.0:
+            raise ValueError(f"--a must be positive, got {a}")
+    result = _run_method(args.method, op, f, args.delta, config, a)
 
-    if args.method == "dsm":
-        a = pick_a()
-        result = solve_dsm(A, f, args.delta, build_preconditioner(A, a), config)
-        u, n_iter, residual = result.solution, result.iterations, result.residual_history[-1]
-        a_used, stop_reason = a, result.stop_reason
-    elif args.method == "vr_i":
-        a = pick_a()
-        u = vr_solve(A, f, a)
-        n_iter, residual = 1, float(np.linalg.norm(A @ u - f))
-        a_used, stop_reason = a, "direct"
-    elif args.method == "vr_n":
-        a, u, n_iter = vr_newton(A, f, args.delta, C=args.C)
-        residual = float(np.linalg.norm(A @ u - f))
-        a_used, stop_reason = a, "discrepancy_root"
-    else:
-        result = landweber_solve(A, f, args.delta, config)
-        u, n_iter, residual = result.solution, result.iterations, result.residual_history[-1]
-        a_used, stop_reason = None, result.stop_reason
-
-    save_vector(args.out, u)
+    save_vector(args.out, result.solution)
     print(f"method={args.method}")
-    print(f"iterations={n_iter}")
-    print(f"residual={residual:.10e}")
-    print(f"a_used={'' if a_used is None else format(a_used, '.10e')}")
-    print(f"stop_reason={stop_reason}")
+    print(f"iterations={result.iterations}")
+    print(f"residual={result.residual_history[-1]:.10e}")
+    print(f"a_used={'' if result.a_used is None else format(result.a_used, '.10e')}")
+    print(f"stop_reason={result.stop_reason}")
     print(f"solution written to {args.out}")
     return 0
 
@@ -253,10 +237,10 @@ def cmd_plot_data(args) -> int:
         print("error: n must be at least 1", file=sys.stderr)
         return 2
     inst = heat_instance(args.n, args.delta_rel, args.seed)
-    trace = choose_a(inst.A, inst.b_noisy, inst.delta)
-    dsm = solve_dsm(inst.A, inst.b_noisy, inst.delta,
-                    build_preconditioner(inst.A, trace.chosen_a))
-    _, u_newton, _ = vr_newton(inst.A, inst.b_noisy, inst.delta)
+    op = DenseOperator(inst.A)
+    trace = choose_a(op, inst.b_noisy, inst.delta)
+    dsm = _run_method("dsm", op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
+    u_newton = _run_method("vr_n", op, inst.b_noisy, inst.delta, SolveConfig(), None).solution
     t = (np.arange(1, args.n + 1) - 0.5) / args.n
     lines = ["t,u_exact,u_dsm,u_vr_n"]
     for k in range(args.n):

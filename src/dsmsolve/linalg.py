@@ -6,6 +6,7 @@ Everything is float64. Matrices are 2-d numpy arrays, vectors 1-d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -29,15 +30,6 @@ def as_vector(values) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check."""
-    M = as_matrix(M)
-    x = as_vector(x)
-    if M.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {M.shape}, vector has length {x.shape[0]}")
-    return M @ x
 
 
 def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
@@ -129,24 +121,6 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
     return _cholesky(_require_symmetric(M, "spd_factor"))
 
 
-def _factor_shifted(G: np.ndarray, a: float) -> SpdFactorization:
-    """Factor G + a I for a Gram matrix G from gram().
-
-    G is exactly symmetric by construction, so spd_factor's symmetry check
-    and symmetrization, a bitwise no-op here, are skipped. G is not modified.
-    Raises spd_factor's errors on non-finite entries and on matrices that
-    are not positive definite.
-    """
-    S = G.copy()
-    S[np.diag_indices_from(S)] += a
-    return _cholesky(as_matrix(S))
-
-
-def spd_solve(factorization: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b given a factorization of M."""
-    return factorization.solve(b)
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral decomposition M = V diag(eigenvalues) V^T.
@@ -213,6 +187,47 @@ def _gram_norm(G: np.ndarray) -> float:
             return 0.0
         v = w / norm_w
     return float(np.sqrt(max(rayleigh, 0.0)))
+
+
+class DenseOperator:
+    """Dense A with A^T A, A A^T and ||A|| each formed once, on first use.
+
+    gram, gram_right and norm carry the bits of gram(A), gram(A, right=True)
+    and op_norm(A). A is validated and used as given, flags untouched; it must
+    not change while the operator is in use.
+    """
+
+    def __init__(self, A):
+        self.A = as_matrix(A)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return gram(self.A)
+
+    @cached_property
+    def gram_right(self) -> np.ndarray:
+        return gram(self.A, right=True)
+
+    @cached_property
+    def norm(self) -> float:
+        return _gram_norm(self.gram)
+
+    def factor_shifted(self, a: float, right: bool = False) -> SpdFactorization:
+        """Cholesky factor of A^T A + a I, or of A A^T + a I when right=True.
+
+        The Gram matrix is exactly symmetric by construction, so spd_factor's
+        symmetry check and symmetrization, a bitwise no-op here, are skipped.
+        The cached Gram matrix is not modified. Raises spd_factor's errors on
+        non-finite entries and on matrices that are not positive definite.
+        """
+        S = (self.gram_right if right else self.gram).copy()
+        S[np.diag_indices_from(S)] += a
+        return _cholesky(as_matrix(S))
+
+
+def as_operator(A) -> DenseOperator:
+    """A itself if it is a DenseOperator, else a fresh one for this call."""
+    return A if isinstance(A, DenseOperator) else DenseOperator(A)
 
 
 def cond_estimate(M: np.ndarray) -> float:

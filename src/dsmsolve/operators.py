@@ -7,24 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SpdFactorization, _factor_shifted, as_matrix, as_vector, gram, op_norm
-
-
-def _damped_factor(G: np.ndarray, a: float) -> SpdFactorization:
-    """Factor G + a I for the Gram matrix G = A^T A of an operator.
-
-    Preconditioner builds on it, and the parameter searches call it directly
-    to evaluate many dampings against one Gram matrix.
-    """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"damping parameter must be positive and finite, got {a}")
-    try:
-        return _factor_shifted(G, a)
-    except ValueError:
-        raise ValueError(
-            f"damped Gram matrix could not be factored; a={a} is too small "
-            "for this operator at working precision"
-        ) from None
+from .linalg import SpdFactorization, as_operator, as_vector, gram, op_norm
 
 
 class Preconditioner:
@@ -34,13 +17,24 @@ class Preconditioner:
     reused by every apply. T and Q are symmetric positive semidefinite with
     spectral norm strictly below 1, which is what makes the damped iteration
     stable for unit step size.
+
+    A is an array or a DenseOperator. Only the matrix is kept, not the
+    operator, so an array argument's A^T A is freed after construction.
     """
 
     def __init__(self, A, a: float):
-        A = as_matrix(A)
+        op = as_operator(A)
         a = float(a)
-        self.gram_factor: SpdFactorization = _damped_factor(gram(A), a)
-        self.A = A
+        if not (math.isfinite(a) and a > 0.0):
+            raise ValueError(f"damping parameter must be positive and finite, got {a}")
+        try:
+            self.gram_factor: SpdFactorization = op.factor_shifted(a)
+        except ValueError:
+            raise ValueError(
+                f"damped Gram matrix could not be factored; a={a} is too small "
+                "for this operator at working precision"
+            ) from None
+        self.A = op.A
         self.a = a
 
     @property

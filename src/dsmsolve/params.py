@@ -1,4 +1,7 @@
-"""Selection of the damping parameter from the noise level."""
+"""Selection of the damping parameter from the noise level.
+
+Every function here takes A as an array or as a DenseOperator.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _factor_shifted, _gram_norm, as_matrix, as_vector, gram
-from .operators import Preconditioner, _damped_factor
+from .linalg import as_operator, as_vector
+from .operators import Preconditioner
 
 MAX_EVALUATIONS = 100
 
@@ -35,6 +38,11 @@ class ParamTrace:
         return len(self.steps)
 
 
+def start_damping(delta: float, norm_a: float, norm_f: float) -> float:
+    """Untuned damping delta ||A||^2 / (3 ||f_delta||), where choose_a starts."""
+    return delta * norm_a**2 / (3.0 * norm_f)
+
+
 def vr_solve(A, f_delta, a: float) -> np.ndarray:
     """Damped least-squares solution (A^T A + a I)^{-1} A^T f_delta."""
     return Preconditioner(A, a).apply_p(f_delta)
@@ -45,21 +53,16 @@ def phi(A, f_delta, a: float) -> float:
 
     Increasing in a; analytically equal to a * ||(A A^T + a I)^{-1} f_delta||.
     """
-    A = as_matrix(A)
+    op = as_operator(A)
     f_delta = as_vector(f_delta)
-    u = vr_solve(A, f_delta, a)
-    return float(np.linalg.norm(A @ u - f_delta))
-
-
-def _damped_solution(A: np.ndarray, G: np.ndarray, f_delta: np.ndarray, a: float) -> np.ndarray:
-    """vr_solve(A, f_delta, a) given the Gram matrix G = gram(A)."""
-    return _damped_factor(G, a).solve(A.T @ f_delta)
+    u = vr_solve(op, f_delta, a)
+    return float(np.linalg.norm(op.A @ u - f_delta))
 
 
 def choose_a(A, f_delta, delta: float) -> ParamTrace:
     """Pick a damping parameter whose misfit lands in [delta, 2 delta].
 
-    Starting from a = delta ||A||^2 / (3 ||f_delta||), each trial evaluates
+    Starting from start_damping(delta, ||A||, ||f_delta||), each trial evaluates
     c = phi(a) / delta and then either accepts (1 <= c <= 2), shrinks
     (c > 2, a <- a / (2 (c - 1))) or triples (c < 1, a <- 3 a). A second
     undershoot ends the search with 3 a, recorded as fallback_triple; the
@@ -67,29 +70,23 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
 
     Raises ValueError on zero data, a zero operator, or after 100 trials.
     """
-    A = as_matrix(A)
+    op = as_operator(A)
     f_delta = as_vector(f_delta)
     if not delta > 0.0:
         raise ValueError("needs delta > 0")
-    if A.shape[0] != f_delta.shape[0]:
-        raise ValueError(f"dimension mismatch: operator is {A.shape}, data has length {f_delta.shape[0]}")
+    if op.A.shape[0] != f_delta.shape[0]:
+        raise ValueError(f"dimension mismatch: operator is {op.A.shape}, data has length {f_delta.shape[0]}")
     norm_f = float(np.linalg.norm(f_delta))
     if norm_f == 0.0:
         raise ValueError("data vector is zero; no damping parameter to select")
-    # One Gram matrix serves the norm and every misfit evaluation.
-    G = gram(A)
-    s2 = _gram_norm(G) ** 2
-    if s2 == 0.0:
+    if op.norm**2 == 0.0:
         raise ValueError("operator norm is zero; the misfit does not depend on a")
 
-    def misfit(a: float) -> float:
-        return float(np.linalg.norm(A @ _damped_solution(A, G, f_delta, a) - f_delta))
-
-    a = delta * s2 / (3.0 * norm_f)
+    a = start_damping(delta, op.norm, norm_f)
     undershot_before = False
     steps: list[ParamStep] = []
     for _ in range(MAX_EVALUATIONS):
-        value = misfit(a)
+        value = phi(op, f_delta, a)
         c = value / delta
         if delta <= value <= 2.0 * delta:
             steps.append(ParamStep(a, value, c, "accept"))
@@ -101,7 +98,7 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
             if undershot_before:
                 steps.append(ParamStep(a, value, c, "fallback_triple"))
                 chosen = 3.0 * a
-                return ParamTrace(chosen, misfit(chosen), tuple(steps))
+                return ParamTrace(chosen, phi(op, f_delta, chosen), tuple(steps))
             steps.append(ParamStep(a, value, c, "triple"))
             undershot_before = True
             a = 3.0 * a
@@ -125,30 +122,26 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     bracket point once no interior float is left, which is the root at
     working precision.
     """
-    A = as_matrix(A)
+    op = as_operator(A)
     f_delta = as_vector(f_delta)
     if not delta > 0.0:
         raise ValueError("needs delta > 0")
     if not C > 0.0:
         raise ValueError(f"C must be positive, got {C}")
-    if A.shape[0] != f_delta.shape[0]:
-        raise ValueError(f"dimension mismatch: operator is {A.shape}, data has length {f_delta.shape[0]}")
+    if op.A.shape[0] != f_delta.shape[0]:
+        raise ValueError(f"dimension mismatch: operator is {op.A.shape}, data has length {f_delta.shape[0]}")
     target = C * delta
     norm_f = float(np.linalg.norm(f_delta))
     if target >= norm_f:
         raise ValueError(
             f"no root: C*delta = {target:.6g} is not below ||f_delta|| = {norm_f:.6g}"
         )
-    # A^T A serves the norm and the final damped solve; A A^T the misfits.
-    G_left = gram(A)
-    s2 = _gram_norm(G_left) ** 2
+    s2 = op.norm**2
     if s2 == 0.0:
         raise ValueError("no root: operator is zero, the misfit is constant")
 
-    G = gram(A, right=True)
-
     def misfit_parts(a: float):
-        factor = _factor_shifted(G, a)
+        factor = op.factor_shifted(a, right=True)
         z = factor.solve(f_delta)
         return a * float(np.linalg.norm(z)), z, factor
 
@@ -178,17 +171,17 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     else:
         raise ValueError("no root: the misfit stays below C*delta for every tried damping")
 
-    a = min(max(delta * s2 / (3.0 * norm_f), lo), hi)
+    a = min(max(start_damping(delta, op.norm, norm_f), lo), hi)
     for iteration in range(1, max_iter + 1):
         value, z, factor = misfit_parts(a)
         if abs(value - target) <= 1e-8 * target:
-            return a, _damped_solution(A, G_left, f_delta, a), iteration
+            return a, vr_solve(op, f_delta, a), iteration
         if value < target:
             lo = a
         else:
             hi = a
         if hi <= np.nextafter(lo, np.inf):
-            return a, _damped_solution(A, G_left, f_delta, a), iteration
+            return a, vr_solve(op, f_delta, a), iteration
         zz = float(z @ z)
         w = factor.solve(z)
         g = a * a * zz - target * target

@@ -86,9 +86,13 @@ def dsm_step(precond: Preconditioner, h: float, u: np.ndarray, f_delta: np.ndarr
 
 
 def _run_iteration(step, A, f_delta, delta, config, u0, a_used):
-    """Shared stopping logic: first discrepancy crossing, or a fixed step count."""
+    """Shared stopping logic: first discrepancy crossing, or a fixed step count.
+
+    step(u, r) gets r = A u - f_delta, the residual the history records.
+    """
     u = u0
-    residual = float(np.linalg.norm(A @ u - f_delta))
+    r = A @ u - f_delta
+    residual = float(np.linalg.norm(r))
     history = [residual]
 
     if config.stopping == "discrepancy":
@@ -96,8 +100,9 @@ def _run_iteration(step, A, f_delta, delta, config, u0, a_used):
         if residual <= threshold:
             return SolveResult(u, 0, history, "initial_already_small", a_used)
         for n in range(1, config.max_iter + 1):
-            u = step(u)
-            residual = float(np.linalg.norm(A @ u - f_delta))
+            u = step(u, r)
+            r = A @ u - f_delta
+            residual = float(np.linalg.norm(r))
             history.append(residual)
             if residual <= threshold:
                 return SolveResult(u, n, history, "discrepancy_met", a_used)
@@ -106,8 +111,9 @@ def _run_iteration(step, A, f_delta, delta, config, u0, a_used):
     target = apriori_steps(delta, config.h, config.apriori_C, config.gamma)
     steps = min(target, config.max_iter)
     for _ in range(steps):
-        u = step(u)
-        history.append(float(np.linalg.norm(A @ u - f_delta)))
+        u = step(u, r)
+        r = A @ u - f_delta
+        history.append(float(np.linalg.norm(r)))
     reason = "apriori_reached" if target <= config.max_iter else "max_iter"
     return SolveResult(u, steps, history, reason, a_used)
 
@@ -170,8 +176,8 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     if u.shape[0] != n:
         raise ValueError(f"initial guess has length {u.shape[0]}, expected {n}")
 
-    def step(current):
-        return dsm_step(precond, config.h, current, f_delta)
+    def step(current, residual):
+        return current - config.h * precond.apply_p(residual)
 
     return _run_iteration(step, A, f_delta, delta, config, u, precond.a)
 
@@ -197,13 +203,16 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
         raise ValueError("discrepancy stopping needs delta > 0")
     s2 = op_norm(A) ** 2
     if config.h * s2 >= 2.0:
-        raise ValueError(f"step size too large: h * ||A||^2 = {config.h * s2:.6g} >= 2")
+        raise ValueError(
+            f"step size too large: h * ||A||^2 = {config.h * s2:.6g} >= 2; "
+            f"use h < 2/||A||^2 = {2.0 / s2:.6g}"
+        )
     u = np.zeros(n) if u0 is None else as_vector(u0).copy()
     if u.shape[0] != n:
         raise ValueError(f"initial guess has length {u.shape[0]}, expected {n}")
 
-    def step(current):
-        return current - config.h * (A.T @ (A @ current - f_delta))
+    def step(current, residual):
+        return current - config.h * (A.T @ residual)
 
     return _run_iteration(step, A, f_delta, delta, config, u, None)
 

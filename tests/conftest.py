@@ -1,6 +1,13 @@
-"""Shared pytest plumbing: collect acceptance verdicts for the terminal summary."""
+"""Shared pytest plumbing: the hypothesis profile, and acceptance verdicts for
+the terminal summary."""
 
 import pytest
+from hypothesis import settings
+
+# Derandomized, so every run draws the same examples; few of them, so the
+# property tests stay a small part of the suite's runtime.
+settings.register_profile("dsmsolve", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("dsmsolve")
 
 VERDICTS: list[str] = []
 

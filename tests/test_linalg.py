@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsmsolve import cond_estimate, gram, matvec, op_norm, spd_factor, spd_solve, sym_eigen
+from dsmsolve import cond_estimate, gram, op_norm, spd_factor, sym_eigen
 from dsmsolve.linalg import as_matrix, as_vector
 
 
@@ -41,15 +41,6 @@ def test_as_vector_rejects_wrong_rank_and_nonfinite():
         as_vector([1.0, np.nan])
 
 
-def test_matvec_matches_numpy_and_checks_shapes():
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((4, 6))
-    x = rng.standard_normal(6)
-    assert np.allclose(matvec(M, x), M @ x, rtol=0, atol=0)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matvec(M, np.ones(5))
-
-
 def test_gram_left_and_right():
     rng = np.random.default_rng(1)
     M = rng.standard_normal((5, 3))
@@ -63,6 +54,14 @@ def test_gram_is_exactly_symmetric():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         G = gram(rng.standard_normal((17, 11)))
+        assert np.array_equal(G, G.T)
+    # Doubly strided views: here the raw products M^T M and M M^T come back
+    # a few ulp from symmetric, so only gram's symmetrization makes them exact.
+    rng = np.random.default_rng(10)
+    wide = rng.standard_normal((400, 900))[::2, ::3]
+    tall = rng.standard_normal((600, 600))[::2, ::3]
+    for G in (gram(wide), gram(tall, right=True)):
+        assert G.shape == (300, 300)
         assert np.array_equal(G, G.T)
 
 
@@ -88,7 +87,6 @@ def test_spd_solve_consistent_systems_across_conditioning():
         x = factor.solve(b)
         residual = np.linalg.norm(M @ x - b) / np.linalg.norm(b)
         assert residual <= 1e-8, f"cond={cond:.0e}: relative residual {residual:.3e}"
-        assert spd_solve(factor, b) == pytest.approx(x, rel=0, abs=0)
 
 
 def test_spd_factor_roundtrip_and_dimension_guard():

@@ -1,9 +1,24 @@
-"""Tests for the damped preconditioner and the smoothed operators T and Q."""
+"""Tests for the damped preconditioner, the smoothed operators T and Q, and
+the shared DenseOperator."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dsmsolve import Preconditioner, build_preconditioner, op_norm, phi, sym_eigen, vr_solve
+from dsmsolve import (
+    DenseOperator,
+    Preconditioner,
+    build_preconditioner,
+    choose_a,
+    linalg,
+    op_norm,
+    phi,
+    sym_eigen,
+    vr_newton,
+    vr_solve,
+)
+from dsmsolve.problems import heat_instance
 
 
 def random_operator(seed, m, n):
@@ -99,3 +114,61 @@ def test_factory_builds_equivalent_object():
     built = build_preconditioner(A, 0.05)
     r = np.arange(6, dtype=float)
     assert np.array_equal(direct.apply_p(r), built.apply_p(r))
+
+
+def _outcome(call):
+    """The result of call() with arrays as raw bytes, or the error it raises."""
+    try:
+        value = call()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    parts = value if isinstance(value, tuple) else (value,)
+    return tuple(p.tobytes() if isinstance(p, np.ndarray) else p for p in parts)
+
+
+@given(
+    shape=st.sampled_from(("tall", "wide", "rank_deficient")),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-3, 1.0, 1e3)),
+)
+def test_operator_and_array_give_the_same_bits(shape, seed, scale):
+    """One DenseOperator shared by every call gives the bits of passing the array."""
+    rng = np.random.default_rng(seed)
+    m, n = {"tall": (9, 5), "wide": (5, 9), "rank_deficient": (8, 8)}[shape]
+    if shape == "rank_deficient":
+        A = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    else:
+        A = rng.standard_normal((m, n))
+    A *= scale
+    clean = A @ rng.standard_normal(n)
+    noise = rng.standard_normal(m)
+    noise *= 0.01 * np.linalg.norm(clean) / np.linalg.norm(noise)
+    f, delta = clean + noise, float(np.linalg.norm(noise))
+    a = choose_a(A, f, delta).chosen_a
+    op = DenseOperator(A)
+    for call in (
+        lambda A: choose_a(A, f, delta),
+        lambda A: phi(A, f, a),
+        lambda A: vr_solve(A, f, a),
+        lambda A: vr_newton(A, f, delta),
+        lambda A: build_preconditioner(A, a).apply_p(f),
+    ):
+        assert _outcome(lambda: call(op)) == _outcome(lambda: call(A))
+
+
+def test_one_operator_forms_each_gram_once(monkeypatch):
+    formed = []
+    real_gram = linalg.gram
+
+    def counting_gram(M, right=False):
+        formed.append("A A^T" if right else "A^T A")
+        return real_gram(M, right)
+
+    monkeypatch.setattr(linalg, "gram", counting_gram)
+    inst = heat_instance(30, 0.05, 0)
+    op = DenseOperator(inst.A)
+    a = choose_a(op, inst.b_noisy, inst.delta).chosen_a
+    build_preconditioner(op, a)
+    vr_solve(op, inst.b_noisy, a)
+    vr_newton(op, inst.b_noisy, inst.delta)
+    assert sorted(formed) == ["A A^T", "A^T A"]

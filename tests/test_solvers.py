@@ -177,6 +177,8 @@ def test_landweber_step_size_guard():
     f = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="step size too large"):
         landweber_solve(A, f, 0.01, SolveConfig(h=2.0))
+    with pytest.raises(ValueError, match=r">= 2; use h < 2/\|\|A\|\|\^2 = 0\.5$"):
+        landweber_solve(2.0 * A, f, 0.01)
     with pytest.raises(ValueError, match="dimension mismatch"):
         landweber_solve(A, np.ones(3), 0.01)
 
@@ -189,6 +191,20 @@ def test_dsm_step_is_one_damped_update():
     precond = build_preconditioner(A, 0.2)
     expected = u - 0.8 * precond.apply_p(A @ u - f)
     assert np.allclose(dsm_step(precond, 0.8, u, f), expected, rtol=0, atol=0)
+
+    # A discrepancy run of solve_dsm is a hand loop of dsm_step, bit for bit.
+    inst = heat_instance(40, 0.01, 3)
+    precond = build_preconditioner(inst.A, 1e-4)
+    config = SolveConfig(h=0.5)
+    result = solve_dsm(inst.A, inst.b_noisy, inst.delta, precond, config)
+    assert result.stop_reason == "discrepancy_met" and result.iterations > 3
+    u = np.zeros(inst.n)
+    history = [float(np.linalg.norm(inst.A @ u - inst.b_noisy))]
+    for _ in range(result.iterations):
+        u = dsm_step(precond, config.h, u, inst.b_noisy)
+        history.append(float(np.linalg.norm(inst.A @ u - inst.b_noisy)))
+    assert np.array_equal(result.solution, u)
+    assert result.residual_history == history
 
 
 def test_residual_histories_never_increase():
