@@ -1,6 +1,6 @@
 """Stable solvers for ill-conditioned linear systems with noisy right-hand sides."""
 
-from .continuous import SpectralOperator, find_t_delta, propagate, residual_t, spectral_q, spectral_t
+from .continuous import find_t_delta, propagate, residual_t, spectral_q, spectral_t
 from .linalg import (
     DenseOperator,
     EigenDecomposition,
@@ -47,7 +47,6 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "SpdFactorization",
-    "SpectralOperator",
     "add_noise",
     "apriori_steps",
     "build_preconditioner",

@@ -111,9 +111,9 @@ def _run_method(method, op, f, delta, config, a) -> SolveResult:
     one-entry history.
     """
     if method == "dsm":
-        return solve_dsm(op.A, f, delta, build_preconditioner(op, a), config)
+        return solve_dsm(op, f, delta, build_preconditioner(op, a), config)
     if method == "landweber":
-        return landweber_solve(op.A, f, delta, config)
+        return landweber_solve(op, f, delta, config)
     if method == "vr_i":
         u, iterations, reason = vr_solve(op, f, a), 1, "direct"
     else:

@@ -10,41 +10,20 @@ propagate coefficients. Intended for moderate dimensions (a few hundred).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import EigenDecomposition, as_vector, sym_eigen
 from .operators import Preconditioner
 
 
-@dataclass(frozen=True)
-class SpectralOperator:
-    """Symmetric PSD operator held as its spectral decomposition."""
-
-    eigen: EigenDecomposition
-
-    @property
-    def dimension(self) -> int:
-        return self.eigen.dimension
-
-    @property
-    def lam_max(self) -> float:
-        return float(self.eigen.eigenvalues[-1])
-
-    @classmethod
-    def from_matrix(cls, M) -> "SpectralOperator":
-        return cls(sym_eigen(M))
-
-
-def spectral_t(precond: Preconditioner) -> SpectralOperator:
+def spectral_t(precond: Preconditioner) -> EigenDecomposition:
     """Diagonalized T = P A of a damped preconditioner."""
-    return SpectralOperator.from_matrix(precond.assemble_t())
+    return sym_eigen(precond.assemble_t())
 
 
-def spectral_q(precond: Preconditioner) -> SpectralOperator:
+def spectral_q(precond: Preconditioner) -> EigenDecomposition:
     """Diagonalized Q = A P of a damped preconditioner."""
-    return SpectralOperator.from_matrix(precond.assemble_q())
+    return sym_eigen(precond.assemble_q())
 
 
 def _source_weight(eigenvalues: np.ndarray, t: float) -> np.ndarray:
@@ -59,7 +38,7 @@ def _source_weight(eigenvalues: np.ndarray, t: float) -> np.ndarray:
     return np.where(eigenvalues > cutoff, weight, t)
 
 
-def propagate(operator: SpectralOperator, u0, pf, t: float) -> np.ndarray:
+def propagate(operator: EigenDecomposition, u0, pf, t: float) -> np.ndarray:
     """Solution of the flow at time t from initial state u0 with source pf."""
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -71,14 +50,14 @@ def propagate(operator: SpectralOperator, u0, pf, t: float) -> np.ndarray:
             f"dimension mismatch: operator is {n}-dimensional, "
             f"got state of length {u0.shape[0]} and source of length {pf.shape[0]}"
         )
-    lam = operator.eigen.eigenvalues
-    c0 = operator.eigen.to_basis(u0)
-    cp = operator.eigen.to_basis(pf)
+    lam = operator.eigenvalues
+    c0 = operator.to_basis(u0)
+    cp = operator.to_basis(pf)
     out = np.exp(-t * lam) * c0 + _source_weight(lam, t) * cp
-    return operator.eigen.from_basis(out)
+    return operator.from_basis(out)
 
 
-def residual_t(operator: SpectralOperator, r0, t: float) -> float:
+def residual_t(operator: EigenDecomposition, r0, t: float) -> float:
     """Norm of exp(-t Q) r0, the data misfit of the flow at time t."""
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -88,11 +67,11 @@ def residual_t(operator: SpectralOperator, r0, t: float) -> float:
             f"dimension mismatch: operator is {operator.dimension}-dimensional, "
             f"residual has length {r0.shape[0]}"
         )
-    c = operator.eigen.to_basis(r0)
-    return float(np.linalg.norm(np.exp(-t * operator.eigen.eigenvalues) * c))
+    c = operator.to_basis(r0)
+    return float(np.linalg.norm(np.exp(-t * operator.eigenvalues) * c))
 
 
-def find_t_delta(operator: SpectralOperator, r0, C: float, delta: float,
+def find_t_delta(operator: EigenDecomposition, r0, C: float, delta: float,
                  value_rtol: float = 1e-10) -> float:
     """First time the flow's residual norm reaches C * delta.
 
@@ -110,7 +89,7 @@ def find_t_delta(operator: SpectralOperator, r0, C: float, delta: float,
         raise ValueError(
             f"initial residual {initial:.6g} is already at or below C*delta = {target:.6g}"
         )
-    lam_max = operator.lam_max
+    lam_max = float(operator.eigenvalues[-1])
     if lam_max <= 0.0:
         raise ValueError("residual never decays: operator has no positive eigenvalues")
 

@@ -33,11 +33,17 @@ def as_vector(values) -> np.ndarray:
 
 
 def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
-    """Gram matrix M^T M (or M M^T when right=True), symmetrized exactly."""
+    """Gram matrix M^T M (or M M^T when right=True), symmetrized exactly.
+
+    Raises ValueError, rather than return inf, when an entry overflows.
+    """
     M = as_matrix(M)
     G = M @ M.T if right else M.T @ M
     # BLAS accumulation order can leave the two triangles a few ulp apart.
-    return 0.5 * (G + G.T)
+    G = 0.5 * (G + G.T)
+    if not np.all(np.isfinite(G)):
+        raise ValueError("Gram matrix overflows float64; scale A, f_delta and delta down by a common factor")
+    return G
 
 
 def _require_symmetric(M: np.ndarray, context: str) -> np.ndarray:
@@ -157,44 +163,17 @@ def sym_eigen(M: np.ndarray) -> EigenDecomposition:
 
 
 def op_norm(M: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of a rectangular matrix.
-
-    Power iteration on the Gram matrix with a fixed all-ones start vector,
-    so repeated calls on the same input give the same value.
-    """
-    return _gram_norm(gram(M))
-
-
-def _gram_norm(G: np.ndarray) -> float:
-    """op_norm(M) given G = gram(M): square root of G's largest eigenvalue.
-
-    Zero for an empty or zero G.
-    """
-    n = G.shape[0]
-    if n == 0:
-        return 0.0
-    v = np.full(n, 1.0 / np.sqrt(n))
-    rayleigh = 0.0
-    previous = -np.inf
-    for _ in range(10_000):
-        w = G @ v
-        rayleigh = float(v @ w)
-        if abs(rayleigh - previous) <= 1e-10 * max(abs(rayleigh), 1e-300):
-            break
-        previous = rayleigh
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-    return float(np.sqrt(max(rayleigh, 0.0)))
+    """Spectral norm (largest singular value) of a rectangular matrix."""
+    return DenseOperator(M).norm
 
 
 class DenseOperator:
     """Dense A with A^T A, A A^T and ||A|| each formed once, on first use.
 
     gram, gram_right and norm carry the bits of gram(A), gram(A, right=True)
-    and op_norm(A). A is validated and used as given, flags untouched; it must
-    not change while the operator is in use.
+    and op_norm(A); norm is the one place ||A|| is computed. A is validated
+    and used as given, flags untouched; it must not change while the operator
+    is in use.
     """
 
     def __init__(self, A):
@@ -210,19 +189,58 @@ class DenseOperator:
 
     @cached_property
     def norm(self) -> float:
-        return _gram_norm(self.gram)
+        """||A|| by power iteration on A^T A from a fixed all-ones start vector,
+        so repeated calls give the same value. Zero for an empty or zero A."""
+        G = self.gram
+        n = G.shape[0]
+        if n == 0:
+            return 0.0
+        v = np.full(n, 1.0 / np.sqrt(n))
+        rayleigh = 0.0
+        previous = -np.inf
+        for _ in range(10_000):
+            w = G @ v
+            rayleigh = float(v @ w)
+            if abs(rayleigh - previous) <= 1e-10 * max(abs(rayleigh), 1e-300):
+                break
+            previous = rayleigh
+            norm_w = float(np.linalg.norm(w))
+            if norm_w == 0.0:
+                return 0.0
+            v = w / norm_w
+        return float(np.sqrt(max(rayleigh, 0.0)))
+
+    def t_norm(self, a: float) -> float:
+        """Spectral norm of T = (A^T A + a I)^{-1} A^T A: s^2 / (s^2 + a), s = ||A||."""
+        s2 = self.norm**2
+        return s2 / (s2 + a)
+
+    def check_data(self, f_delta) -> np.ndarray:
+        """f_delta as a vector, checked to have one entry per row of A."""
+        f_delta = as_vector(f_delta)
+        if f_delta.shape[0] != self.A.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: operator is {self.A.shape}, data has length {f_delta.shape[0]}"
+            )
+        return f_delta
 
     def factor_shifted(self, a: float, right: bool = False) -> SpdFactorization:
         """Cholesky factor of A^T A + a I, or of A A^T + a I when right=True.
 
         The Gram matrix is exactly symmetric by construction, so spd_factor's
         symmetry check and symmetrization, a bitwise no-op here, are skipped.
-        The cached Gram matrix is not modified. Raises spd_factor's errors on
-        non-finite entries and on matrices that are not positive definite.
+        The cached Gram matrix is not modified. Raises ValueError when the
+        shifted matrix is not finite or not positive definite.
         """
         S = (self.gram_right if right else self.gram).copy()
         S[np.diag_indices_from(S)] += a
-        return _cholesky(as_matrix(S))
+        try:
+            return _cholesky(as_matrix(S))
+        except ValueError:
+            raise ValueError(
+                f"damped Gram matrix could not be factored; a={a} is too small "
+                "for this operator at working precision"
+            ) from None
 
 
 def as_operator(A) -> DenseOperator:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SpdFactorization, as_operator, as_vector, gram, op_norm
+from .linalg import DenseOperator, SpdFactorization, as_operator, as_vector, gram
 
 
 class Preconditioner:
@@ -27,13 +27,7 @@ class Preconditioner:
         a = float(a)
         if not (math.isfinite(a) and a > 0.0):
             raise ValueError(f"damping parameter must be positive and finite, got {a}")
-        try:
-            self.gram_factor: SpdFactorization = op.factor_shifted(a)
-        except ValueError:
-            raise ValueError(
-                f"damped Gram matrix could not be factored; a={a} is too small "
-                "for this operator at working precision"
-            ) from None
+        self.gram_factor: SpdFactorization = op.factor_shifted(a)
         self.A = op.A
         self.a = a
 
@@ -46,14 +40,9 @@ class Preconditioner:
         return self.A.shape[1]
 
     @cached_property
-    def operator_norm(self) -> float:
-        return op_norm(self.A)
-
-    @property
     def t_norm(self) -> float:
         """Spectral norm of T = P A, equal to s^2 / (s^2 + a) for s = ||A||."""
-        s2 = self.operator_norm**2
-        return s2 / (s2 + self.a)
+        return DenseOperator(self.A).t_norm(self.a)
 
     def apply_p(self, r) -> np.ndarray:
         r = as_vector(r)

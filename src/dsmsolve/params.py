@@ -5,6 +5,7 @@ Every function here takes A as an array or as a DenseOperator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,9 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
     Raises ValueError on zero data, a zero operator, or after 100 trials.
     """
     op = as_operator(A)
-    f_delta = as_vector(f_delta)
-    if not delta > 0.0:
-        raise ValueError("needs delta > 0")
-    if op.A.shape[0] != f_delta.shape[0]:
-        raise ValueError(f"dimension mismatch: operator is {op.A.shape}, data has length {f_delta.shape[0]}")
+    f_delta = op.check_data(f_delta)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"needs a finite delta > 0, got {delta}")
     norm_f = float(np.linalg.norm(f_delta))
     if norm_f == 0.0:
         raise ValueError("data vector is zero; no damping parameter to select")
@@ -123,13 +122,11 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     working precision.
     """
     op = as_operator(A)
-    f_delta = as_vector(f_delta)
+    f_delta = op.check_data(f_delta)
     if not delta > 0.0:
         raise ValueError("needs delta > 0")
     if not C > 0.0:
         raise ValueError(f"C must be positive, got {C}")
-    if op.A.shape[0] != f_delta.shape[0]:
-        raise ValueError(f"dimension mismatch: operator is {op.A.shape}, data has length {f_delta.shape[0]}")
     target = C * delta
     norm_f = float(np.linalg.norm(f_delta))
     if target >= norm_f:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, op_norm
+from .linalg import as_operator, as_vector
 from .operators import Preconditioner
 
 STOPPING_MODES = ("discrepancy", "apriori")
@@ -35,8 +36,8 @@ class SolveConfig:
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"step size h must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"step size h must be positive and finite, got {self.h}")
         if not 1.0 < self.C < 2.0:
             raise ValueError(f"discrepancy constant C must lie in (1, 2), got {self.C}")
         if not 0.0 < self.gamma < 1.0:
@@ -45,6 +46,8 @@ class SolveConfig:
             raise ValueError(f"apriori_C must be positive, got {self.apriori_C}")
         if self.stopping not in STOPPING_MODES:
             raise ValueError(f"stopping must be one of {STOPPING_MODES}, got {self.stopping!r}")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -66,7 +69,11 @@ class SolveResult:
 
 
 def apriori_steps(delta: float, h: float, apriori_C: float, gamma: float) -> int:
-    """Step count ceil(apriori_C / (h * delta**gamma)) of the a-priori rule."""
+    """Step count ceil(apriori_C / (h * delta**gamma)) of the a-priori rule.
+
+    Raises ValueError when that budget is not finite, as when h * delta**gamma
+    underflows to zero.
+    """
     if not delta > 0.0:
         raise ValueError("a-priori rule needs delta > 0")
     if not h > 0.0:
@@ -75,7 +82,14 @@ def apriori_steps(delta: float, h: float, apriori_C: float, gamma: float) -> int
         raise ValueError(f"apriori_C must be positive, got {apriori_C}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    return max(1, math.ceil(apriori_C / (h * delta**gamma)))
+    scale = h * delta**gamma
+    budget = apriori_C / scale if scale > 0.0 else math.inf
+    if budget == math.inf:
+        raise ValueError(
+            f"a-priori step budget apriori_C / (h * delta**gamma) = {apriori_C:.6g} / {scale:.6g} "
+            "is not finite; raise h or delta, or lower apriori_C"
+        )
+    return max(1, math.ceil(budget))
 
 
 def dsm_step(precond: Preconditioner, h: float, u: np.ndarray, f_delta: np.ndarray) -> np.ndarray:
@@ -85,12 +99,28 @@ def dsm_step(precond: Preconditioner, h: float, u: np.ndarray, f_delta: np.ndarr
     return u - h * precond.apply_p(precond.A @ u - f_delta)
 
 
+def _checked_inputs(A, f_delta, delta, config):
+    """The operator, data and config of a solver call, validated."""
+    config = SolveConfig() if config is None else config
+    op = as_operator(A)
+    f_delta = op.check_data(f_delta)
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if config.stopping == "discrepancy" and delta == 0.0:
+        raise ValueError("discrepancy stopping needs delta > 0")
+    return op, f_delta, config
+
+
 def _run_iteration(step, A, f_delta, delta, config, u0, a_used):
     """Shared stopping logic: first discrepancy crossing, or a fixed step count.
 
-    step(u, r) gets r = A u - f_delta, the residual the history records.
+    u0 is the initial guess, default zero. step(u, r) gets r = A u - f_delta,
+    the residual the history records.
     """
-    u = u0
+    cols = A.shape[1]
+    u = np.zeros(cols) if u0 is None else as_vector(u0).copy()
+    if u.shape[0] != cols:
+        raise ValueError(f"initial guess has length {u.shape[0]}, expected {cols}")
     r = A @ u - f_delta
     residual = float(np.linalg.norm(r))
     history = [residual]
@@ -124,7 +154,7 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
 
     Parameters
     ----------
-    A : array_like
+    A : array_like or DenseOperator
         Operator of the linear system, shape (m, n).
     f_delta : array_like
         Noisy right-hand side, length m.
@@ -151,70 +181,43 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     because the residual propagates through I - h Q, whose spectrum lies
     in (0, 1] for h * ||T|| < 2.
     """
-    if config is None:
-        config = SolveConfig()
-    A = as_matrix(A)
-    f_delta = as_vector(f_delta)
-    m, n = A.shape
-    if f_delta.shape[0] != m:
-        raise ValueError(f"dimension mismatch: operator is {A.shape}, data has length {f_delta.shape[0]}")
-    if (precond.rows, precond.cols) != (m, n):
+    op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
+    if (precond.rows, precond.cols) != op.A.shape:
         raise ValueError(
-            f"preconditioner was built for a {precond.rows}x{precond.cols} operator, got {A.shape}"
+            f"preconditioner was built for a {precond.rows}x{precond.cols} operator, got {op.A.shape}"
         )
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if config.stopping == "discrepancy" and delta == 0.0:
-        raise ValueError("discrepancy stopping needs delta > 0")
     # ||T|| = s^2 / (s^2 + a) <= 1 also in floating point, so only h >= 2
     # can violate the bound, and the norm is needed only then.
-    if config.h >= 2.0 and config.h * precond.t_norm >= 2.0:
-        raise ValueError(
-            f"step size too large: h * ||T|| = {config.h * precond.t_norm:.6g} >= 2"
-        )
-    u = np.zeros(n) if u0 is None else as_vector(u0).copy()
-    if u.shape[0] != n:
-        raise ValueError(f"initial guess has length {u.shape[0]}, expected {n}")
+    if config.h >= 2.0 and (h_t := config.h * op.t_norm(precond.a)) >= 2.0:
+        raise ValueError(f"step size too large: h * ||T|| = {h_t:.6g} >= 2")
 
     def step(current, residual):
         return current - config.h * precond.apply_p(residual)
 
-    return _run_iteration(step, A, f_delta, delta, config, u, precond.a)
+    return _run_iteration(step, op.A, f_delta, delta, config, u0, precond.a)
 
 
 def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
                     u0=None) -> SolveResult:
     """Plain gradient iteration u_{n+1} = u_n - h A^T (A u_n - f_delta).
 
-    Same stopping contracts as solve_dsm. Requires h < 2 / ||A||^2, which is
-    the undamped analog of the step size bound. Kept as the baseline the
-    damped iteration is measured against.
+    A is an array or a DenseOperator. Same stopping contracts as solve_dsm.
+    Requires h < 2 / ||A||^2, which is the undamped analog of the step size
+    bound. Kept as the baseline the damped iteration is measured against.
     """
-    if config is None:
-        config = SolveConfig()
-    A = as_matrix(A)
-    f_delta = as_vector(f_delta)
-    m, n = A.shape
-    if f_delta.shape[0] != m:
-        raise ValueError(f"dimension mismatch: operator is {A.shape}, data has length {f_delta.shape[0]}")
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if config.stopping == "discrepancy" and delta == 0.0:
-        raise ValueError("discrepancy stopping needs delta > 0")
-    s2 = op_norm(A) ** 2
+    op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
+    s2 = op.norm**2
     if config.h * s2 >= 2.0:
         raise ValueError(
             f"step size too large: h * ||A||^2 = {config.h * s2:.6g} >= 2; "
             f"use h < 2/||A||^2 = {2.0 / s2:.6g}"
         )
-    u = np.zeros(n) if u0 is None else as_vector(u0).copy()
-    if u.shape[0] != n:
-        raise ValueError(f"initial guess has length {u.shape[0]}, expected {n}")
+    A = op.A
 
     def step(current, residual):
         return current - config.h * (A.T @ residual)
 
-    return _run_iteration(step, A, f_delta, delta, config, u, None)
+    return _run_iteration(step, A, f_delta, delta, config, u0, None)
 
 
 def residuals_nonincreasing(history, slack: float = RESIDUAL_SLACK) -> bool:

@@ -237,6 +237,19 @@ def test_solve_error_paths(tmp_path, capsys):
     assert "--a must be positive" in err
 
 
+def test_solve_rejects_an_infinite_apriori_budget(tmp_path, capsys):
+    """h * delta**gamma underflows to 0: an error naming the budget, not a traceback."""
+    mat, vec = write_identity_problem(tmp_path)
+    rc, _, err = run(
+        ["solve", "--matrix", str(mat), "--rhs", str(vec), "--delta", "0.1",
+         "--stopping", "apriori", "--h", "1e-320"],
+        capsys,
+    )
+    assert rc == 2
+    assert err.startswith("error: a-priori step budget")
+    assert "is not finite" in err
+
+
 def test_cond_values(capsys):
     rc, out, _ = run(["cond", "1"], capsys)
     assert rc == 0

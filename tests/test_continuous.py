@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dsmsolve import (
-    SpectralOperator,
     build_preconditioner,
     find_t_delta,
     propagate,
@@ -26,10 +25,10 @@ def identity_spectral(n=4, a=1.0):
 
 def test_identity_eigenvalues():
     T, Q = identity_spectral(n=3, a=1.0)
-    assert np.allclose(T.eigen.eigenvalues, 0.5, rtol=1e-12, atol=1e-14)
-    assert np.allclose(Q.eigen.eigenvalues, 0.5, rtol=1e-12, atol=1e-14)
+    assert np.allclose(T.eigenvalues, 0.5, rtol=1e-12, atol=1e-14)
+    assert np.allclose(Q.eigenvalues, 0.5, rtol=1e-12, atol=1e-14)
     assert T.dimension == 3
-    assert T.lam_max == pytest.approx(0.5, rel=1e-12)
+    assert T.eigenvalues[-1] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_propagate_identity_closed_form():
@@ -54,7 +53,7 @@ def test_zero_eigenvalue_takes_linear_limit():
     """A null direction accumulates source weight t instead of 0/0."""
     A = np.diag([0.0, 1.0])
     T = spectral_t(build_preconditioner(A, 1.0))
-    lam = np.sort(T.eigen.eigenvalues)
+    lam = np.sort(T.eigenvalues)
     assert lam[0] == pytest.approx(0.0, abs=1e-15)
     assert lam[1] == pytest.approx(0.5, rel=1e-12)
     u0 = np.array([1.0, 0.0])
@@ -99,7 +98,7 @@ def test_exact_data_flow_converges_to_solution():
     precond = build_preconditioner(A, 0.7)
     T = spectral_t(precond)
     pf = precond.apply_p(f)
-    lam_min = float(np.min(T.eigen.eigenvalues))
+    lam_min = float(np.min(T.eigenvalues))
     assert lam_min > 0.0
     u = propagate(T, np.zeros(8), pf, 1e3 / lam_min)
     assert np.linalg.norm(u - y) <= 1e-6 * np.linalg.norm(y)

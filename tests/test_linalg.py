@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsmsolve import cond_estimate, gram, op_norm, spd_factor, sym_eigen
+from dsmsolve import (
+    build_preconditioner,
+    choose_a,
+    cond_estimate,
+    gram,
+    landweber_solve,
+    op_norm,
+    phi,
+    spd_factor,
+    sym_eigen,
+    vr_newton,
+)
 from dsmsolve.linalg import as_matrix, as_vector
+from dsmsolve.problems import heat_instance
 
 
 def rotated_spd(seed, n, cond):
@@ -167,6 +179,22 @@ def test_op_norm_edge_cases():
     assert op_norm(np.eye(6)) == pytest.approx(1.0, rel=1e-12)
     M = np.random.default_rng(9).standard_normal((5, 5))
     assert op_norm(2.5 * M) == pytest.approx(2.5 * op_norm(M), rel=1e-9)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A, f, delta: choose_a(A, f, delta),
+    lambda A, f, delta: vr_newton(A, f, delta),
+    lambda A, f, delta: landweber_solve(A, f, delta),
+    lambda A, f, delta: op_norm(A),
+    lambda A, f, delta: build_preconditioner(A, 1.0),
+    lambda A, f, delta: phi(A, f, 1.0),
+], ids=["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"])
+def test_overflowing_gram_is_named(entry):
+    """A, f and delta scaled by 1e200: A^T A overflows, and every entry point says so."""
+    inst = heat_instance(20, 0.01, 0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="Gram matrix overflows float64; scale A, f_delta and delta"):
+            entry(1e200 * inst.A, 1e200 * inst.b_noisy, 1e200 * inst.delta)
 
 
 def test_cond_estimate_diagonal_and_identity():

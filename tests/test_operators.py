@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 from dsmsolve import (
     DenseOperator,
     Preconditioner,
+    SolveConfig,
+    SolveResult,
     build_preconditioner,
     choose_a,
+    cli,
+    landweber_solve,
     linalg,
     op_norm,
     phi,
+    solve_dsm,
     sym_eigen,
     vr_newton,
     vr_solve,
@@ -117,11 +122,17 @@ def test_factory_builds_equivalent_object():
 
 
 def _outcome(call):
-    """The result of call() with arrays as raw bytes, or the error it raises."""
+    """The result of call() with arrays as raw bytes, or the error it raises.
+
+    A solver result is compared by its solution, residual history and stop
+    reason.
+    """
     try:
         value = call()
     except ValueError as exc:
         return ("ValueError", str(exc))
+    if isinstance(value, SolveResult):
+        value = (value.solution, value.residual_history, value.stop_reason)
     parts = value if isinstance(value, tuple) else (value,)
     return tuple(p.tobytes() if isinstance(p, np.ndarray) else p for p in parts)
 
@@ -145,6 +156,7 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
     noise *= 0.01 * np.linalg.norm(clean) / np.linalg.norm(noise)
     f, delta = clean + noise, float(np.linalg.norm(noise))
     a = choose_a(A, f, delta).chosen_a
+    landweber = SolveConfig(h=1.0 / op_norm(A) ** 2, max_iter=200)
     op = DenseOperator(A)
     for call in (
         lambda A: choose_a(A, f, delta),
@@ -152,6 +164,9 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
         lambda A: vr_solve(A, f, a),
         lambda A: vr_newton(A, f, delta),
         lambda A: build_preconditioner(A, a).apply_p(f),
+        lambda A: solve_dsm(A, f, delta, build_preconditioner(A, a)),
+        lambda A: solve_dsm(A, f, delta, build_preconditioner(A, a), SolveConfig(h=2.5)),
+        lambda A: landweber_solve(A, f, delta, landweber),
     ):
         assert _outcome(lambda: call(op)) == _outcome(lambda: call(A))
 
@@ -172,3 +187,14 @@ def test_one_operator_forms_each_gram_once(monkeypatch):
     vr_solve(op, inst.b_noisy, a)
     vr_newton(op, inst.b_noisy, inst.delta)
     assert sorted(formed) == ["A A^T", "A^T A"]
+
+    # The CLI's dispatch runs every method on one operator with the same two,
+    # and so does the damped iteration's step-size guard (h >= 2 reads ||A||).
+    formed.clear()
+    op = DenseOperator(inst.A)
+    for method in cli.METHODS:
+        cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), a)
+    assert sorted(formed) == ["A A^T", "A^T A"]
+    with pytest.raises(ValueError, match="step size too large"):
+        solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a), SolveConfig(h=2.5))
+    assert len(formed) == 2

@@ -148,6 +148,8 @@ def test_choose_a_input_validation():
     A = np.eye(2)
     with pytest.raises(ValueError, match="delta"):
         choose_a(A, np.ones(2), 0.0)
+    with pytest.raises(ValueError, match="finite delta > 0, got inf"):
+        choose_a(A, np.ones(2), float("inf"))
     with pytest.raises(ValueError, match="zero"):
         choose_a(A, np.zeros(2), 0.1)
     with pytest.raises(ValueError, match="operator norm"):

@@ -42,6 +42,8 @@ def test_config_defaults_are_valid():
         {"apriori_C": 0.0},
         {"stopping": "never"},
         {"max_iter": 0},
+        {"h": float("inf")},
+        {"max_iter": 2.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -65,6 +67,13 @@ def test_apriori_steps_rejects_bad_arguments():
         apriori_steps(0.01, 1.0, -1.0, 0.5)
     with pytest.raises(ValueError):
         apriori_steps(0.01, 1.0, 1.0, 1.5)
+    # h * delta**gamma underflows to 0, or the budget itself is infinite.
+    with pytest.raises(ValueError, match="a-priori step budget"):
+        apriori_steps(0.01, 1e-320, 1.0, 0.5)
+    with pytest.raises(ValueError, match="a-priori step budget"):
+        apriori_steps(0.01, 1.0, float("inf"), 0.5)
+    with pytest.raises(ValueError, match="a-priori step budget"):
+        apriori_steps(1e-300, 1e-300, 1.0, 0.5)
 
 
 def test_identity_discrepancy_run_halves_residual():
