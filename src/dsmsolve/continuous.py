@@ -4,26 +4,47 @@ The flow u'(t) = -T u(t) + P f has the closed form solution
 
     u(t) = exp(-t T) u0 + g(t, T) P f,   g(t, lam) = (1 - exp(-t lam)) / lam,
 
-so for test-scale problems we diagonalize the assembled operator once and
-propagate coefficients. Intended for moderate dimensions (a few hundred).
+so it is propagated coefficient-wise in an eigenbasis of T. With the SVD
+A = U diag(s) V^T, T = (A^T A + a I)^{-1} A^T A and Q = A (A^T A + a I)^{-1} A^T
+share the spectrum s^2 / (s^2 + a), with eigenvectors V and U; one SVD per
+preconditioner, cached on it, gives both. The flow is dense and test-scale:
+the SVD costs O(n^3) time and keeps two n x n factors, so it suits dimensions
+up to a few hundred.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EigenDecomposition, as_vector, sym_eigen
+from .linalg import EigenDecomposition, as_vector
 from .operators import Preconditioner
 
 
+def _filtered(precond: Preconditioner, vectors: np.ndarray) -> EigenDecomposition:
+    """Eigenvalues s^2 / (s^2 + a) for the ascending s, with zeros in front for
+    the null-space columns of vectors, which is referenced, not copied.
+
+    Evaluated as 1 / (1 + a / s^2): every rounded operation there is monotone
+    in s, so near-equal singular values cannot come out of order, which
+    s^2 / (s^2 + a) allows; both are accurate to a few ulps, and s = 0 gives 0.
+    """
+    s, _, _ = precond.ascending_svd
+    with np.errstate(divide="ignore"):
+        lam = 1.0 / (1.0 + precond.a / (s * s))
+    eigenvalues = np.concatenate((np.zeros(vectors.shape[1] - lam.shape[0]), lam))
+    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
+
+
 def spectral_t(precond: Preconditioner) -> EigenDecomposition:
-    """Diagonalized T = P A of a damped preconditioner."""
-    return sym_eigen(precond.assemble_t())
+    """Diagonalized T = P A of a damped preconditioner: V diag(s^2 / (s^2 + a)) V^T."""
+    _, _, V = precond.ascending_svd
+    return _filtered(precond, V)
 
 
 def spectral_q(precond: Preconditioner) -> EigenDecomposition:
-    """Diagonalized Q = A P of a damped preconditioner."""
-    return sym_eigen(precond.assemble_q())
+    """Diagonalized Q = A P of a damped preconditioner: U diag(s^2 / (s^2 + a)) U^T."""
+    _, U, _ = precond.ascending_svd
+    return _filtered(precond, U)
 
 
 def _source_weight(eigenvalues: np.ndarray, t: float) -> np.ndarray:

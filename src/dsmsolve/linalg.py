@@ -216,11 +216,20 @@ class DenseOperator:
         return s2 / (s2 + a)
 
     def check_data(self, f_delta) -> np.ndarray:
-        """f_delta as a vector, checked to have one entry per row of A."""
+        """f_delta as a vector, checked to have one entry per row of A and a
+        norm that is finite in float64."""
         f_delta = as_vector(f_delta)
         if f_delta.shape[0] != self.A.shape[0]:
             raise ValueError(
                 f"dimension mismatch: operator is {self.A.shape}, data has length {f_delta.shape[0]}"
+            )
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(f_delta)
+        if not np.isfinite(norm):
+            # Name an overflowing A^T A first, since A must then be scaled too.
+            _ = self.gram
+            raise ValueError(
+                "data norm overflows float64; scale f_delta and delta down by a common factor"
             )
         return f_delta
 

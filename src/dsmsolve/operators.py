@@ -44,6 +44,19 @@ class Preconditioner:
         """Spectral norm of T = P A, equal to s^2 / (s^2 + a) for s = ||A||."""
         return DenseOperator(self.A).t_norm(self.a)
 
+    @cached_property
+    def ascending_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, U, V) of the full SVD A = U diag(s) V^T, in ascending order.
+
+        Computed once, on first use; dense and test-scale. s holds the
+        min(m, n) singular values ascending. The columns of U (m x m) and
+        V (n x n) are reordered to match, each copied once into contiguous
+        memory: their first m - len(s), respectively n - len(s), columns
+        lie in the null spaces of A^T and A, the rest pair with s in order.
+        """
+        U, s, Vt = np.linalg.svd(self.A, full_matrices=True)
+        return s[::-1], U[:, ::-1].copy(), Vt[::-1].copy().T
+
     def apply_p(self, r) -> np.ndarray:
         r = as_vector(r)
         if r.shape[0] != self.rows:
@@ -60,12 +73,20 @@ class Preconditioner:
         return self.A @ self.apply_p(y)
 
     def assemble_t(self) -> np.ndarray:
-        """Dense T = (A^T A + a I)^{-1} A^T A, symmetrized. Test-scale sizes only."""
+        """Dense T = (A^T A + a I)^{-1} A^T A, symmetrized. Test-scale sizes only.
+
+        Built from the Cholesky factor, independently of the SVD behind
+        continuous.spectral_t, and the reference that path is checked against.
+        """
         T = self.gram_factor.solve_matrix(gram(self.A))
         return 0.5 * (T + T.T)
 
     def assemble_q(self) -> np.ndarray:
-        """Dense Q = A (A^T A + a I)^{-1} A^T, symmetrized. Test-scale sizes only."""
+        """Dense Q = A (A^T A + a I)^{-1} A^T, symmetrized. Test-scale sizes only.
+
+        Built from the Cholesky factor, independently of the SVD behind
+        continuous.spectral_q, and the reference that path is checked against.
+        """
         Q = self.A @ self.gram_factor.solve_matrix(self.A.T)
         return 0.5 * (Q + Q.T)
 

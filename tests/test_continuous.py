@@ -1,4 +1,5 @@
-"""Tests for the continuous-time flow: propagation, residual decay, crossing time."""
+"""Tests for the continuous-time flow: its spectra, propagation, residual decay,
+crossing time, and the discrepancy it stops on."""
 
 import math
 
@@ -7,12 +8,14 @@ import pytest
 
 from dsmsolve import (
     build_preconditioner,
+    choose_a,
     find_t_delta,
     propagate,
     residual_t,
     spectral_q,
     spectral_t,
 )
+from dsmsolve.problems import heat_instance
 
 # closed-form crossing time of exp(-t/2) = 1.01 * 0.01
 T_CROSS_HALF = 2.0 * math.log(1.0 / 0.0101)
@@ -172,3 +175,52 @@ def test_residual_monotone_on_sampled_grid():
     grid = np.linspace(0.0, 25.0, 100)
     values = [residual_t(Q, r0, float(t)) for t in grid]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_one_svd_gives_both_spectra(monkeypatch):
+    """T and Q come from one cached SVD of A; nothing is diagonalized again."""
+    calls = []
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    precond = build_preconditioner(heat_instance(50, 0.01, 0).A, 1e-3)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd"))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh"))
+    T, Q, T_again = spectral_t(precond), spectral_q(precond), spectral_t(precond)
+    assert calls == ["svd"]
+    assert T_again.eigenvectors is T.eigenvectors
+    assert np.array_equal(T.eigenvalues, Q.eigenvalues)
+
+
+def test_tied_singular_values_keep_eigenvalues_ascending():
+    """An orthogonal A has all its singular values within an ulp or two of 1.
+    s^2 / (s^2 + a), rounded, can then come out of order (it does for seed 1
+    at a = 0.437...); the spectra stay ascending."""
+    for seed in (1, 2, 3):
+        A, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+        for a in np.linspace(0.01, 3.0, 50):
+            precond = build_preconditioner(A, float(a))
+            for eigen in (spectral_t(precond), spectral_q(precond)):
+                assert np.all(np.diff(eigen.eigenvalues) >= 0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 104729])
+@pytest.mark.parametrize("n", [100, 400])
+def test_flow_stops_on_the_discrepancy(n, seed):
+    """From u0 = 0, the flow propagated to find_t_delta's crossing time has its
+    residual ||A u(t_delta) - f_delta|| within value_rtol = 1e-10 of C delta,
+    measured directly, not in the eigenbasis of Q."""
+    inst = heat_instance(n, 0.01, seed)
+    A, f, delta = inst.A, inst.b_noisy, inst.delta
+    precond = build_preconditioner(A, choose_a(A, f, delta).chosen_a)
+    target = 1.01 * delta
+    t_delta = find_t_delta(spectral_q(precond), -f, 1.01, delta, value_rtol=1e-10)
+    u = propagate(spectral_t(precond), np.zeros(n), precond.apply_p(f), t_delta)
+    assert abs(float(np.linalg.norm(A @ u - f)) - target) <= 1e-10 * target

@@ -12,6 +12,7 @@ from dsmsolve import (
     landweber_solve,
     op_norm,
     phi,
+    solve_dsm,
     spd_factor,
     sym_eigen,
     vr_newton,
@@ -195,6 +196,20 @@ def test_overflowing_gram_is_named(entry):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="Gram matrix overflows float64; scale A, f_delta and delta"):
             entry(1e200 * inst.A, 1e200 * inst.b_noisy, 1e200 * inst.delta)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A, f, delta: choose_a(A, f, delta),
+    lambda A, f, delta: vr_newton(A, f, delta),
+    lambda A, f, delta: solve_dsm(A, f, delta, build_preconditioner(A, 1.0)),
+    lambda A, f, delta: landweber_solve(A, f, delta),
+], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve"])
+def test_overflowing_data_norm_is_named(entry):
+    """f and delta scaled by 1e160 with A as is: A^T A is finite but ||f|| overflows,
+    and every entry point that takes data says so instead of running on inf."""
+    inst = heat_instance(20, 0.01, 0)
+    with pytest.raises(ValueError, match="data norm overflows float64; scale f_delta and delta"):
+        entry(inst.A, 1e160 * inst.b_noisy, 1e160 * inst.delta)
 
 
 def test_cond_estimate_diagonal_and_identity():

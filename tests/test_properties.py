@@ -1,5 +1,6 @@
 """Property tests over tall, wide and rank-deficient systems: exact invariance
-under power-of-two scaling, monotone residuals and first-crossing stops."""
+under power-of-two scaling, monotone residuals, first-crossing stops, and the
+flow's spectra against the assembled T and Q."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from dsmsolve import (
     op_norm,
     residuals_nonincreasing,
     solve_dsm,
+    spectral_q,
+    spectral_t,
     vr_newton,
 )
 
@@ -99,3 +102,41 @@ def test_residuals_fall_and_the_stop_is_the_first_crossing(shape, seed, log_a, f
             assert above.index(False) == result.iterations == len(history) - 1
         else:
             assert result.stop_reason == "max_iter" and all(above)
+
+
+def spread_operator(shape, seed, scale, decades):
+    """A with singular values scale * 10^(0 .. -decades), evenly spaced in log;
+    rank_deficient is an 8x8 of rank 3."""
+    rng = np.random.default_rng(seed)
+    m, n = {"tall": (9, 5), "wide": (5, 9), "rank_deficient": (8, 8)}[shape]
+    k = 3 if shape == "rank_deficient" else min(m, n)
+    U, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return (U * (scale * np.logspace(0.0, -decades, k))) @ V.T
+
+
+@given(shape=SHAPES, seed=SEEDS, scale=st.sampled_from((1e-3, 1.0, 1e3)),
+       decades=st.floats(0.0, 8.0), log_a=st.floats(-6.0, 1.0))
+def test_spectra_match_the_assembled_operators(shape, seed, scale, decades, log_a):
+    """spectral_t/spectral_q, from one SVD, reconstruct the Cholesky-assembled
+    T and Q; their eigenvalues are ascending in [0, 1) and their eigenvectors
+    orthonormal.
+
+    The assembled matrices carry a forward error of order
+    eps * cond(A^T A + a I) = eps (||A||^2 + a) / a, so that sets the
+    tolerance, relative to ||T|| and ||Q||: 1e-13 (about 450 eps) times the
+    condition number, where 900 probes of these operators reached 40 eps.
+    """
+    A = spread_operator(shape, seed, scale, decades)
+    s2 = op_norm(A) ** 2
+    precond = build_preconditioner(A, s2 * 10.0**log_a)
+    tol = 1e-13 * (s2 + precond.a) / precond.a
+    for eigen, assembled in ((spectral_t(precond), precond.assemble_t()),
+                             (spectral_q(precond), precond.assemble_q())):
+        lam, vectors = eigen.eigenvalues, eigen.eigenvectors
+        assert lam.shape == (assembled.shape[0],)
+        assert np.all(np.diff(lam) >= 0.0)
+        assert lam[0] >= 0.0 and lam[-1] < 1.0
+        assert np.linalg.norm(vectors.T @ vectors - np.eye(lam.shape[0]), 2) <= 1e-13
+        error = np.linalg.norm(eigen.reconstruct() - assembled, 2)
+        assert error <= tol * np.linalg.norm(assembled, 2)
