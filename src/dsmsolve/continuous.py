@@ -78,18 +78,26 @@ def propagate(operator: EigenDecomposition, u0, pf, t: float) -> np.ndarray:
     return operator.from_basis(out)
 
 
-def residual_t(operator: EigenDecomposition, r0, t: float) -> float:
-    """Norm of exp(-t Q) r0, the data misfit of the flow at time t."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+def _basis_residual(operator: EigenDecomposition, r0) -> np.ndarray:
+    """Coefficients of r0 in the eigenbasis of Q, checked for length."""
     r0 = as_vector(r0)
     if r0.shape[0] != operator.dimension:
         raise ValueError(
             f"dimension mismatch: operator is {operator.dimension}-dimensional, "
             f"residual has length {r0.shape[0]}"
         )
-    c = operator.to_basis(r0)
-    return float(np.linalg.norm(np.exp(-t * operator.eigenvalues) * c))
+    return operator.to_basis(r0)
+
+
+def _decayed_norm(eigenvalues: np.ndarray, c: np.ndarray, t: float) -> float:
+    return float(np.linalg.norm(np.exp(-t * eigenvalues) * c))
+
+
+def residual_t(operator: EigenDecomposition, r0, t: float) -> float:
+    """Norm of exp(-t Q) r0, the data misfit of the flow at time t."""
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    return _decayed_norm(operator.eigenvalues, _basis_residual(operator, r0), t)
 
 
 def find_t_delta(operator: EigenDecomposition, r0, C: float, delta: float,
@@ -104,20 +112,23 @@ def find_t_delta(operator: EigenDecomposition, r0, C: float, delta: float,
     if not C > 0.0:
         raise ValueError(f"C must be positive, got {C}")
     target = C * delta
-    r0 = as_vector(r0)
-    initial = residual_t(operator, r0, 0.0)
+    # r0 is mapped into Q's eigenbasis once; every probe below is then O(n)
+    # and gives the bits residual_t gives.
+    lam = operator.eigenvalues
+    c = _basis_residual(operator, r0)
+    initial = _decayed_norm(lam, c, 0.0)
     if initial <= target:
         raise ValueError(
             f"initial residual {initial:.6g} is already at or below C*delta = {target:.6g}"
         )
-    lam_max = float(operator.eigenvalues[-1])
+    lam_max = float(lam[-1])
     if lam_max <= 0.0:
         raise ValueError("residual never decays: operator has no positive eigenvalues")
 
     t_lo = 0.0
     t_hi = 1.0 / lam_max
     for _ in range(200):
-        if residual_t(operator, r0, t_hi) <= target:
+        if _decayed_norm(lam, c, t_hi) <= target:
             break
         t_lo = t_hi
         t_hi *= 2.0
@@ -128,7 +139,7 @@ def find_t_delta(operator: EigenDecomposition, r0, C: float, delta: float,
 
     for _ in range(400):
         mid = 0.5 * (t_lo + t_hi)
-        value = residual_t(operator, r0, mid)
+        value = _decayed_norm(lam, c, mid)
         if abs(value - target) <= value_rtol * target:
             return mid
         if mid == t_lo or mid == t_hi:

@@ -162,6 +162,41 @@ def sym_eigen(M: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def _eigen_coefficients(S: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the symmetric S, ascending and clamped at 0, and the
+    coefficients of b in the matching orthonormal eigenvectors.
+
+    S is reduced once to tridiagonal form Q^T S Q by Householder reflections
+    (dsytrd), Q^T b is applied from the stored reflectors (dormqr), and the
+    tridiagonal's eigenpairs come from the MRRR solver (stemr). Only the two
+    vectors leave the call; the m x m reflectors and eigenvectors are freed.
+    Roundoff can leave eigenvalues of a semidefinite S slightly negative,
+    hence the clamp. S is not modified. Raises ValueError when a LAPACK
+    routine or the eigensolver fails.
+    """
+    m = S.shape[0]
+    lwork, info = scipy.linalg.lapack.dsytrd_lwork(m, lower=1)
+    if info == 0:
+        c, d, e, tau, info = scipy.linalg.lapack.dsytrd(S, lower=1, lwork=int(lwork))
+    if info != 0:
+        raise ValueError(f"tridiagonal reduction (dsytrd) failed with info={info}")
+    qb = b
+    if m > 1:
+        # With lower=1 the reflectors sit below the subdiagonal: Q acts on rows
+        # 1.. as the QR-form product of c[1:, :m-1] and leaves row 0 alone. A
+        # single column needs only the minimal workspace, lwork = 1.
+        tail, _, info = scipy.linalg.lapack.dormqr("L", "T", c[1:, : m - 1], tau, b[1:, None], lwork=1)
+        if info != 0:
+            raise ValueError(f"applying the tridiagonal reflectors (dormqr) failed with info={info}")
+        qb = np.concatenate((b[:1], tail[:, 0]))
+    del c
+    try:
+        eigenvalues, Z = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"tridiagonal eigensolver (stemr) failed: {exc}") from None
+    return np.maximum(eigenvalues, 0.0), Z.T @ qb
+
+
 def op_norm(M: np.ndarray) -> float:
     """Spectral norm (largest singular value) of a rectangular matrix."""
     return DenseOperator(M).norm
@@ -233,15 +268,15 @@ class DenseOperator:
             )
         return f_delta
 
-    def factor_shifted(self, a: float, right: bool = False) -> SpdFactorization:
-        """Cholesky factor of A^T A + a I, or of A A^T + a I when right=True.
+    def factor_shifted(self, a: float) -> SpdFactorization:
+        """Cholesky factor of A^T A + a I.
 
         The Gram matrix is exactly symmetric by construction, so spd_factor's
         symmetry check and symmetrization, a bitwise no-op here, are skipped.
         The cached Gram matrix is not modified. Raises ValueError when the
         shifted matrix is not finite or not positive definite.
         """
-        S = (self.gram_right if right else self.gram).copy()
+        S = self.gram.copy()
         S[np.diag_indices_from(S)] += a
         try:
             return _cholesky(as_matrix(S))

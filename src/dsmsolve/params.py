@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_operator, as_vector
+from .linalg import _eigen_coefficients, as_operator, as_vector
 from .operators import Preconditioner
 
 MAX_EVALUATIONS = 100
@@ -110,10 +110,12 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
 
     Works on G(a) = phi(a)^2 - (C delta)^2 through the identity
     phi(a) = a ||z||, z = (A A^T + a I)^{-1} f_delta, whose derivative is
-    G'(a) = 2 a <z, z> - 2 a^2 <z, (A A^T + a I)^{-1} z>. Each step factors
-    the shifted Gram matrix once and back-solves twice. Steps that leave the
-    current bracket fall back to its geometric midpoint, so iterates stay
-    inside the initial bracket.
+    G'(a) = 2 a <z, z> - 2 a^2 <z, (A A^T + a I)^{-1} z>. A A^T is reduced
+    to tridiagonal form and diagonalized once per call, A A^T = Z Lambda Z^T;
+    in that basis z = gamma / (lambda + a) with gamma = Z^T f_delta, so each
+    bracket probe and Newton step costs O(m), and the only factorization is
+    the final vr_solve. Steps that leave the current bracket fall back to its
+    geometric midpoint, so iterates stay inside the initial bracket.
 
     Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.
     When C delta sits below the roundoff noise of the misfit itself, that
@@ -137,22 +139,15 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     if s2 == 0.0:
         raise ValueError("no root: operator is zero, the misfit is constant")
 
+    lam, gamma = _eigen_coefficients(op.gram_right, f_delta)
+
     def misfit_parts(a: float):
-        factor = op.factor_shifted(a, right=True)
-        z = factor.solve(f_delta)
-        return a * float(np.linalg.norm(z)), z, factor
+        shifted = lam + a
+        z = gamma / shifted
+        return a * float(np.linalg.norm(z)), z, shifted
 
     lo = 1e-16 * s2
-    # The floor of the bracket can defeat the factorization when the shift
-    # drowns in roundoff of the Gram matrix; back off until it succeeds.
-    for _ in range(8):
-        try:
-            phi_lo, _, _ = misfit_parts(lo)
-            break
-        except ValueError:
-            lo *= 100.0
-    else:
-        raise ValueError("could not factor the shifted Gram matrix anywhere near a = 0")
+    phi_lo, _, _ = misfit_parts(lo)
     if phi_lo >= target:
         raise ValueError(
             f"no root: the misfit floor {phi_lo:.6g} already exceeds C*delta = {target:.6g}"
@@ -170,7 +165,7 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
 
     a = min(max(start_damping(delta, op.norm, norm_f), lo), hi)
     for iteration in range(1, max_iter + 1):
-        value, z, factor = misfit_parts(a)
+        value, z, shifted = misfit_parts(a)
         if abs(value - target) <= 1e-8 * target:
             return a, vr_solve(op, f_delta, a), iteration
         if value < target:
@@ -180,7 +175,7 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
         if hi <= np.nextafter(lo, np.inf):
             return a, vr_solve(op, f_delta, a), iteration
         zz = float(z @ z)
-        w = factor.solve(z)
+        w = z / shifted
         g = a * a * zz - target * target
         g_prime = 2.0 * a * zz - 2.0 * a * a * float(z @ w)
         if g_prime > 0.0:

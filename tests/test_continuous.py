@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dsmsolve import (
+    EigenDecomposition,
     build_preconditioner,
     choose_a,
     find_t_delta,
@@ -224,3 +225,36 @@ def test_flow_stops_on_the_discrepancy(n, seed):
     t_delta = find_t_delta(spectral_q(precond), -f, 1.01, delta, value_rtol=1e-10)
     u = propagate(spectral_t(precond), np.zeros(n), precond.apply_p(f), t_delta)
     assert abs(float(np.linalg.norm(A @ u - f)) - target) <= 1e-10 * target
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [100, 400])
+def test_crossing_maps_the_residual_into_the_eigenbasis_once(n, seed, monkeypatch):
+    """find_t_delta forms r0's coefficients in Q's eigenbasis once per crossing,
+    and its t_delta equals, bit for bit, the same doubling and bisection run
+    through the public residual_t, which maps r0 again on every probe."""
+    inst = heat_instance(n, 0.01, seed)
+    A, f, delta = inst.A, inst.b_noisy, inst.delta
+    Q = spectral_q(build_preconditioner(A, choose_a(A, f, delta).chosen_a))
+    target = 1.01 * delta
+
+    t_lo, t_hi = 0.0, 1.0 / float(Q.eigenvalues[-1])
+    while residual_t(Q, -f, t_hi) > target:
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    while True:
+        mid = 0.5 * (t_lo + t_hi)
+        value = residual_t(Q, -f, mid)
+        if abs(value - target) <= 1e-10 * target:
+            break
+        t_lo, t_hi = (mid, t_hi) if value > target else (t_lo, mid)
+
+    mapped = []
+    real_to_basis = EigenDecomposition.to_basis
+
+    def counting_to_basis(self, x):
+        mapped.append(x.shape)
+        return real_to_basis(self, x)
+
+    monkeypatch.setattr(EigenDecomposition, "to_basis", counting_to_basis)
+    assert find_t_delta(Q, -f, 1.01, delta) == mid
+    assert mapped == [(n,)]

@@ -171,6 +171,26 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
         assert _outcome(lambda: call(op)) == _outcome(lambda: call(A))
 
 
+def test_newton_factors_only_for_the_final_solve(monkeypatch):
+    """vr_newton takes every misfit from one spectrum of A A^T, so the one
+    Cholesky factorization it makes is vr_solve's at the root, however many
+    bracket probes and Newton steps ran."""
+    factored = []
+    real_cholesky = linalg._cholesky
+
+    def counting_cholesky(S):
+        factored.append(S.shape)
+        return real_cholesky(S)
+
+    monkeypatch.setattr(linalg, "_cholesky", counting_cholesky)
+    for n, seed in ((30, 0), (60, 3)):
+        inst = heat_instance(n, 0.05, seed)
+        factored.clear()
+        _, _, iterations = vr_newton(inst.A, inst.b_noisy, inst.delta)
+        assert iterations > 1
+        assert factored == [(n, n)]
+
+
 def test_one_operator_forms_each_gram_once(monkeypatch):
     formed = []
     real_gram = linalg.gram
