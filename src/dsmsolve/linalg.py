@@ -32,18 +32,39 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
-def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
-    """Gram matrix M^T M (or M M^T when right=True), symmetrized exactly.
+def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
+    """Lower triangle of M^T M (or M M^T when right=True), in Fortran order,
+    with the strict upper triangle zero.
 
-    Raises ValueError, rather than return inf, when an entry overflows.
+    One dsyrk forms it from whichever of M and M^T is F-contiguous, so M is
+    not copied; a strided M is copied once into Fortran order. M must be a
+    validated float64 matrix. Raises ValueError, rather than return inf or
+    zeros, when an entry overflows or when a nonzero M's Gram matrix
+    underflows to zero.
     """
-    M = as_matrix(M)
-    G = M @ M.T if right else M.T @ M
-    # BLAS accumulation order can leave the two triangles a few ulp apart.
-    G = 0.5 * (G + G.T)
+    if M.size == 0:  # BLAS rejects empty operands
+        k = M.shape[0] if right else M.shape[1]
+        return np.zeros((k, k), order="F")
+    if M.flags.c_contiguous and not M.flags.f_contiguous:
+        M, right = M.T, not right  # M^T M is the right Gram matrix of M^T
+    G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), trans=0 if right else 1, lower=1)
     if not np.all(np.isfinite(G)):
         raise ValueError("Gram matrix overflows float64; scale A, f_delta and delta down by a common factor")
+    if not G.any() and M.any():
+        raise ValueError("Gram matrix underflows float64; scale A, f_delta and delta up by a common factor")
     return G
+
+
+def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
+    """Gram matrix M^T M (or M M^T when right=True), exactly symmetric.
+
+    The lower triangle is formed once and mirrored, so the result equals
+    numpy's M.T @ M (M @ M.T) bit for bit on C- and F-ordered M. Raises
+    ValueError, rather than return inf or zeros, when an entry overflows or
+    when a nonzero M's Gram matrix underflows to zero.
+    """
+    G = _gram_lower(as_matrix(M), right)
+    return G + np.tril(G, -1).T
 
 
 def _require_symmetric(M: np.ndarray, context: str) -> np.ndarray:
@@ -57,33 +78,40 @@ def _require_symmetric(M: np.ndarray, context: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Cholesky factor of a symmetric positive definite matrix, M = L L^T.
+    """Cholesky factor of a symmetric positive definite M = triangle + shift I,
+    M = L L^T.
 
-    solve() runs two passes of residual correction against the stored
-    matrix; a bare triangular solve loses too many digits once the
-    condition number gets near 1e12.
-
-    The triangular solves hand LAPACK the transposed view L^T as an upper
-    factor. numpy returns L in row-major order, so L^T is already
-    column-major and is passed through without a copy, whereas L itself
-    would be copied in full, n^2 entries, on every solve. Upper solves with
-    L^T give the same bits as lower solves with L.
+    lower is L in Fortran order, its strict upper triangle zero. Only the
+    lower triangle of triangle, also in Fortran order, is ever read. solve()
+    runs two passes of residual correction, each residual taken as
+    b - (triangle x + shift x) by one dsymv (dsymm for a block), so no
+    shifted copy of M is kept; a bare triangular solve loses too many digits
+    once the condition number gets near 1e12.
     """
 
     lower: np.ndarray
-    original: np.ndarray
+    triangle: np.ndarray
+    shift: float
 
     @property
     def dimension(self) -> int:
         return self.lower.shape[0]
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.lower.T, False), b, check_finite=False)
+        return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """M x, as triangle x + shift x."""
+        if x.shape[0] == 0:  # BLAS rejects empty operands
+            return np.zeros_like(x)
+        if x.ndim == 1:
+            return scipy.linalg.blas.dsymv(1.0, self.triangle, x, beta=self.shift, y=x, lower=1)
+        return scipy.linalg.blas.dsymm(1.0, self.triangle, x, beta=self.shift, c=x, lower=1)
 
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
         x = self._raw_solve(b)
         for _ in range(2):
-            x = x + self._raw_solve(b - self.original @ x)
+            x = x + self._raw_solve(b - self._product(x))
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -109,12 +137,23 @@ class SpdFactorization:
         return self.lower @ self.lower.T
 
 
-def _cholesky(S: np.ndarray) -> SpdFactorization:
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise ValueError("spd_factor: matrix is not positive definite") from None
-    return SpdFactorization(lower=L, original=S)
+def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
+    """Factor triangle + shift I, reading the lower triangle of triangle only.
+
+    The triangle is copied once into Fortran order, shifted on the diagonal
+    and factored in place; triangle itself is not modified. Its entries are
+    taken as finite, so only the shifted diagonal is checked.
+    """
+    W = triangle.copy(order="F")
+    diagonal = W.reshape(-1, order="F")[:: W.shape[0] + 1]
+    diagonal += shift
+    if np.all(np.isfinite(diagonal)):
+        try:
+            L = scipy.linalg.cholesky(W, lower=True, overwrite_a=True, check_finite=False)
+            return SpdFactorization(lower=L, triangle=triangle, shift=shift)
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError("spd_factor: matrix is not positive definite")
 
 
 def spd_factor(M: np.ndarray) -> SpdFactorization:
@@ -124,7 +163,7 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
     positive definite to working precision.
     """
     M = as_matrix(M)
-    return _cholesky(_require_symmetric(M, "spd_factor"))
+    return _cholesky(np.asfortranarray(_require_symmetric(M, "spd_factor")))
 
 
 @dataclass(frozen=True)
@@ -171,8 +210,9 @@ def _eigen_coefficients(S: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     tridiagonal's eigenpairs come from the MRRR solver (stemr). Only the two
     vectors leave the call; the m x m reflectors and eigenvectors are freed.
     Roundoff can leave eigenvalues of a semidefinite S slightly negative,
-    hence the clamp. S is not modified. Raises ValueError when a LAPACK
-    routine or the eigensolver fails.
+    hence the clamp. Only the lower triangle of S is read, and S is not
+    modified. Raises ValueError when a LAPACK routine or the eigensolver
+    fails.
     """
     m = S.shape[0]
     lwork, info = scipy.linalg.lapack.dsytrd_lwork(m, lower=1)
@@ -205,10 +245,12 @@ def op_norm(M: np.ndarray) -> float:
 class DenseOperator:
     """Dense A with A^T A, A A^T and ||A|| each formed once, on first use.
 
-    gram, gram_right and norm carry the bits of gram(A), gram(A, right=True)
-    and op_norm(A); norm is the one place ||A|| is computed. A is validated
-    and used as given, flags untouched; it must not change while the operator
-    is in use.
+    gram and gram_right hold the lower triangles of A^T A and A A^T in
+    Fortran order, their strict upper triangles zero: the one form that is
+    factored, multiplied by and reduced. Mirrored, they are gram(A) and
+    gram(A, right=True) bit for bit. norm is the one place ||A|| is computed.
+    A is validated and used as given, flags untouched; it must not change
+    while the operator is in use.
     """
 
     def __init__(self, A):
@@ -216,16 +258,17 @@ class DenseOperator:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return gram(self.A)
+        return _gram_lower(self.A, right=False)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
-        return gram(self.A, right=True)
+        return _gram_lower(self.A, right=True)
 
     @cached_property
     def norm(self) -> float:
-        """||A|| by power iteration on A^T A from a fixed all-ones start vector,
-        so repeated calls give the same value. Zero for an empty or zero A."""
+        """||A|| by power iteration on A^T A, one dsymv on its lower triangle
+        per step, from a fixed all-ones start vector, so repeated calls give
+        the same value. Zero for an empty or zero A."""
         G = self.gram
         n = G.shape[0]
         if n == 0:
@@ -234,7 +277,7 @@ class DenseOperator:
         rayleigh = 0.0
         previous = -np.inf
         for _ in range(10_000):
-            w = G @ v
+            w = scipy.linalg.blas.dsymv(1.0, G, v, lower=1)
             rayleigh = float(v @ w)
             if abs(rayleigh - previous) <= 1e-10 * max(abs(rayleigh), 1e-300):
                 break
@@ -252,7 +295,7 @@ class DenseOperator:
 
     def check_data(self, f_delta) -> np.ndarray:
         """f_delta as a vector, checked to have one entry per row of A and a
-        norm that is finite in float64."""
+        norm that is finite in float64, and nonzero unless f_delta is."""
         f_delta = as_vector(f_delta)
         if f_delta.shape[0] != self.A.shape[0]:
             raise ValueError(
@@ -266,20 +309,21 @@ class DenseOperator:
             raise ValueError(
                 "data norm overflows float64; scale f_delta and delta down by a common factor"
             )
+        if norm == 0.0 and f_delta.any():
+            # Likewise an underflowing A^T A.
+            _ = self.gram
+            raise ValueError(
+                "data norm underflows float64; scale f_delta and delta up by a common factor"
+            )
         return f_delta
 
     def factor_shifted(self, a: float) -> SpdFactorization:
-        """Cholesky factor of A^T A + a I.
-
-        The Gram matrix is exactly symmetric by construction, so spd_factor's
-        symmetry check and symmetrization, a bitwise no-op here, are skipped.
-        The cached Gram matrix is not modified. Raises ValueError when the
-        shifted matrix is not finite or not positive definite.
-        """
-        S = self.gram.copy()
-        S[np.diag_indices_from(S)] += a
+        """Cholesky factor of A^T A + a I, from the cached lower triangle of
+        A^T A, which is not modified. Raises ValueError when the shifted
+        matrix is not finite or not positive definite."""
+        triangle = self.gram  # outside the try: a Gram error keeps its own message
         try:
-            return _cholesky(as_matrix(S))
+            return _cholesky(triangle, a)
         except ValueError:
             raise ValueError(
                 f"damped Gram matrix could not be factored; a={a} is too small "

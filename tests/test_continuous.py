@@ -148,6 +148,16 @@ def test_crossing_time_closed_form():
     assert abs(residual_t(Q, r0, t) - target) <= 1e-10 * target
 
 
+def test_crossing_within_value_rtol_when_floats_run_out():
+    """At value_rtol = 4e-16 the bisection runs out of floats before its
+    internal value_rtol / 8; the crossing it reached is still within
+    value_rtol, so it is returned."""
+    Q = spectral_q(build_preconditioner(np.eye(4), 1.0))
+    r0 = np.full(4, 0.5)
+    t = find_t_delta(Q, r0, 1.01, 0.01, value_rtol=4e-16)
+    assert abs(residual_t(Q, r0, t) - 0.0101) <= 4e-16 * 0.0101
+
+
 def test_crossing_time_validates_input():
     _, Q = identity_spectral(n=3, a=1.0)
     r0 = np.array([1.0, 0.0, 0.0])
@@ -212,19 +222,20 @@ def test_tied_singular_values_keep_eigenvalues_ascending():
                 assert np.all(np.diff(eigen.eigenvalues) >= 0.0)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 104729])
+@pytest.mark.parametrize("seed", [*range(1, 31), 104729])
 @pytest.mark.parametrize("n", [100, 400])
 def test_flow_stops_on_the_discrepancy(n, seed):
     """From u0 = 0, the flow propagated to find_t_delta's crossing time has its
-    residual ||A u(t_delta) - f_delta|| within value_rtol = 1e-10 of C delta,
-    measured directly, not in the eigenbasis of Q."""
+    residual ||A u(t_delta) - f_delta||, measured directly, not in the
+    eigenbasis of Q, within value_rtol / 2 of C delta: the crossing keeps a
+    margin for roundoff instead of meeting value_rtol by luck."""
     inst = heat_instance(n, 0.01, seed)
     A, f, delta = inst.A, inst.b_noisy, inst.delta
     precond = build_preconditioner(A, choose_a(A, f, delta).chosen_a)
     target = 1.01 * delta
     t_delta = find_t_delta(spectral_q(precond), -f, 1.01, delta, value_rtol=1e-10)
     u = propagate(spectral_t(precond), np.zeros(n), precond.apply_p(f), t_delta)
-    assert abs(float(np.linalg.norm(A @ u - f)) - target) <= 1e-10 * target
+    assert abs(float(np.linalg.norm(A @ u - f)) - target) <= 0.5e-10 * target
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -244,7 +255,7 @@ def test_crossing_maps_the_residual_into_the_eigenbasis_once(n, seed, monkeypatc
     while True:
         mid = 0.5 * (t_lo + t_hi)
         value = residual_t(Q, -f, mid)
-        if abs(value - target) <= 1e-10 * target:
+        if abs(value - target) <= 1e-10 / 8 * target:
             break
         t_lo, t_hi = (mid, t_hi) if value > target else (t_lo, mid)
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from dsmsolve import (
+    DenseOperator,
     build_preconditioner,
     choose_a,
     cond_estimate,
@@ -68,8 +69,8 @@ def test_gram_is_exactly_symmetric():
         rng = np.random.default_rng(seed)
         G = gram(rng.standard_normal((17, 11)))
         assert np.array_equal(G, G.T)
-    # Doubly strided views: here the raw products M^T M and M M^T come back
-    # a few ulp from symmetric, so only gram's symmetrization makes them exact.
+    # Doubly strided views: here numpy's products M^T M and M M^T come back a
+    # few ulp from symmetric; gram mirrors one triangle, so they are exact.
     rng = np.random.default_rng(10)
     wide = rng.standard_normal((400, 900))[::2, ::3]
     tall = rng.standard_normal((600, 600))[::2, ::3]
@@ -125,17 +126,23 @@ def test_spd_solve_matrix_matches_column_solves():
 
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
-    """The transposed-view solves reproduce lower-factor cho_solve with two refinements."""
+    """Solves reproduce lower-factor cho_solve with two refinements, each
+    residual from one symmetric product (dsymv, dsymm for a block) on M."""
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n + 2, n))
     M = B.T @ B + 1e-3 * np.eye(n)
     M = 0.5 * (M + M.T)
     factor = spd_factor(M)
 
+    def product(x):
+        if x.ndim == 1:
+            return scipy.linalg.blas.dsymv(1.0, M, x, lower=1)
+        return scipy.linalg.blas.dsymm(1.0, M, x, lower=1)
+
     def reference(b):
         x = scipy.linalg.cho_solve((factor.lower, True), b, check_finite=False)
         for _ in range(2):
-            x = x + scipy.linalg.cho_solve((factor.lower, True), b - M @ x, check_finite=False)
+            x = x + scipy.linalg.cho_solve((factor.lower, True), b - product(x), check_finite=False)
         return x
 
     b = rng.standard_normal(n)
@@ -210,6 +217,61 @@ def test_overflowing_data_norm_is_named(entry):
     inst = heat_instance(20, 0.01, 0)
     with pytest.raises(ValueError, match="data norm overflows float64; scale f_delta and delta"):
         entry(inst.A, 1e160 * inst.b_noisy, 1e160 * inst.delta)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A, f, delta: choose_a(A, f, delta),
+    lambda A, f, delta: vr_newton(A, f, delta),
+    lambda A, f, delta: landweber_solve(A, f, delta),
+    lambda A, f, delta: op_norm(A),
+    lambda A, f, delta: build_preconditioner(A, 1e-300),
+    lambda A, f, delta: phi(A, f, 1e-300),
+], ids=["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"])
+def test_underflowing_gram_is_named(entry):
+    """A, f and delta scaled by 1e-200: A^T A and ||f|| underflow to zero, and
+    every entry point says so instead of answering for a zero operator or zero
+    data (u = 0, ||A|| = 0, entries of P near 1e99)."""
+    inst = heat_instance(20, 0.01, 0)
+    with pytest.raises(ValueError, match="Gram matrix underflows float64; scale A, f_delta and delta up"):
+        entry(1e-200 * inst.A, 1e-200 * inst.b_noisy, 1e-200 * inst.delta)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A, f, delta: choose_a(A, f, delta),
+    lambda A, f, delta: vr_newton(A, f, delta),
+    lambda A, f, delta: solve_dsm(A, f, delta, build_preconditioner(A, 1.0)),
+    lambda A, f, delta: landweber_solve(A, f, delta),
+], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve"])
+def test_underflowing_data_norm_is_named(entry):
+    """f and delta scaled by 1e-200 with A as is: ||f|| underflows to zero
+    although f does not, and every entry point that takes data says so."""
+    inst = heat_instance(20, 0.01, 0)
+    with pytest.raises(ValueError, match="data norm underflows float64; scale f_delta and delta up"):
+        entry(inst.A, 1e-200 * inst.b_noisy, 1e-200 * inst.delta)
+
+
+def test_zero_operator_and_zero_data_keep_their_messages():
+    inst = heat_instance(20, 0.01, 0)
+    zero_A = np.zeros_like(inst.A)
+    assert op_norm(zero_A) == 0.0
+    with pytest.raises(ValueError, match="operator norm is zero"):
+        choose_a(zero_A, inst.b_noisy, inst.delta)
+    with pytest.raises(ValueError, match="data vector is zero"):
+        choose_a(inst.A, np.zeros(20), inst.delta)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_operators_give_empty_or_zero_results(shape):
+    """BLAS rejects empty operands, so these never reach it."""
+    m, n = shape
+    Z = np.zeros(shape)
+    assert np.array_equal(gram(Z), np.zeros((n, n)))
+    assert np.array_equal(gram(Z, right=True), np.zeros((m, m)))
+    op = DenseOperator(Z)
+    assert op.norm == 0.0
+    factor = op.factor_shifted(1.0)
+    assert np.array_equal(factor.solve(np.ones(n)), np.ones(n))
+    assert factor.solve_matrix(np.ones((n, 2))).shape == (n, 2)
 
 
 def test_cond_estimate_diagonal_and_identity():

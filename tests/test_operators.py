@@ -178,9 +178,9 @@ def test_newton_factors_only_for_the_final_solve(monkeypatch):
     factored = []
     real_cholesky = linalg._cholesky
 
-    def counting_cholesky(S):
-        factored.append(S.shape)
-        return real_cholesky(S)
+    def counting_cholesky(triangle, shift=0.0):
+        factored.append(triangle.shape)
+        return real_cholesky(triangle, shift)
 
     monkeypatch.setattr(linalg, "_cholesky", counting_cholesky)
     for n, seed in ((30, 0), (60, 3)):
@@ -193,13 +193,13 @@ def test_newton_factors_only_for_the_final_solve(monkeypatch):
 
 def test_one_operator_forms_each_gram_once(monkeypatch):
     formed = []
-    real_gram = linalg.gram
+    real_gram = linalg._gram_lower
 
-    def counting_gram(M, right=False):
+    def counting_gram(M, right):
         formed.append("A A^T" if right else "A^T A")
         return real_gram(M, right)
 
-    monkeypatch.setattr(linalg, "gram", counting_gram)
+    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
     inst = heat_instance(30, 0.05, 0)
     op = DenseOperator(inst.A)
     a = choose_a(op, inst.b_noisy, inst.delta).chosen_a
