@@ -32,22 +32,81 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
+def _triangular_toeplitz(M: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """(c, lower) when the square M is L (lower=True) or L^T for the
+    lower-triangular Toeplitz L with first column c, else None.
+
+    The test is exact, entry by entry. A general dense M fails the O(n)
+    check on its first row and column, so only a triangular M pays for the
+    O(n^2) comparison of its diagonals.
+    """
+    n = M.shape[0]
+    if M.shape[1] != n or n < 2:
+        return None
+    if not M[0, 1:].any():
+        lower = True
+    elif not M[1:, 0].any():
+        lower = False
+    else:
+        return None
+    if not np.array_equal(M[1:, 1:], M[:-1, :-1]):
+        return None
+    return np.ascontiguousarray(M[:, 0] if lower else M[0, :]), lower
+
+
+def _toeplitz_gram_lower(c: np.ndarray, right: bool) -> np.ndarray:
+    """Lower triangle of L L^T (right=True) or L^T L, in Fortran order, for
+    the lower-triangular Toeplitz L with first column c, in O(n^2).
+
+    Each column follows from its neighbour by one multiply and one add on
+    contiguous memory, written straight into the output:
+    (L L^T)[i+1, j+1] = (L L^T)[i, j] + c[i+1] c[j+1] from column 0 = c[0] c,
+    and (L^T L)[i-1, j-1] = (L^T L)[i, j] + c[n-i] c[n-j] from column n-1,
+    each last row being c[0] c[n-1-j].
+    """
+    n = c.shape[0]
+    G = np.zeros((n, n), order="F")
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflow
+        if right:
+            np.multiply(c, c[0], out=G[:, 0])
+            for j in range(1, n):
+                column = np.multiply(c[j:], c[j], out=G[j:, j])
+                np.add(column, G[j - 1 : n - 1, j - 1], out=column)
+        else:
+            reversed_c = c[::-1].copy()
+            G[n - 1, n - 1] = c[0] * c[0]
+            for j in range(n - 2, -1, -1):
+                column = np.multiply(reversed_c[j:], c[n - 1 - j], out=G[j:, j])
+                np.add(column[:-1], G[j + 1 :, j + 1], out=column[:-1])
+    return G
+
+
 def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
     """Lower triangle of M^T M (or M M^T when right=True), in Fortran order,
     with the strict upper triangle zero.
 
-    One dsyrk forms it from whichever of M and M^T is F-contiguous, so M is
-    not copied; a strided M is copied once into Fortran order. M must be a
-    validated float64 matrix. Raises ValueError, rather than return inf or
-    zeros, when an entry overflows or when a nonzero M's Gram matrix
-    underflows to zero.
+    A square M that is lower- or upper-triangular Toeplitz, exactly (such as
+    heat_matrix), gets its Gram matrix in O(n^2) from its first column, or
+    first row, by a column recurrence; every entry is then within
+    2 n eps (|M|^T |M|, or |M| |M|^T) of numpy's M^T M (M M^T), though not
+    bit for bit, as the terms are summed in another order. Any other M takes
+    one dsyrk, numpy's bit for bit, from whichever of M and M^T is
+    F-contiguous, so M is not copied; a strided M is copied once into
+    Fortran order. M must be a validated float64 matrix. Raises ValueError,
+    rather than return inf or zeros, when an entry overflows or when a
+    nonzero M's Gram matrix underflows to zero.
     """
     if M.size == 0:  # BLAS rejects empty operands
         k = M.shape[0] if right else M.shape[1]
         return np.zeros((k, k), order="F")
-    if M.flags.c_contiguous and not M.flags.f_contiguous:
-        M, right = M.T, not right  # M^T M is the right Gram matrix of M^T
-    G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), trans=0 if right else 1, lower=1)
+    toeplitz = _triangular_toeplitz(M)
+    if toeplitz is not None:
+        c, lower = toeplitz  # M M^T of L^T is L^T L, and M^T M is L L^T
+        G = _toeplitz_gram_lower(c, right=(right == lower))
+    else:
+        if M.flags.c_contiguous and not M.flags.f_contiguous:
+            M, right = M.T, not right  # M^T M is the right Gram matrix of M^T
+        G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), trans=0 if right else 1, lower=1)
     if not np.all(np.isfinite(G)):
         raise ValueError("Gram matrix overflows float64; scale A, f_delta and delta down by a common factor")
     if not G.any() and M.any():
@@ -59,7 +118,9 @@ def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
     """Gram matrix M^T M (or M M^T when right=True), exactly symmetric.
 
     The lower triangle is formed once and mirrored, so the result equals
-    numpy's M.T @ M (M @ M.T) bit for bit on C- and F-ordered M. Raises
+    numpy's M.T @ M (M @ M.T) bit for bit on C- and F-ordered M, except for
+    a square triangular Toeplitz M: that one is formed in O(n^2), each entry
+    within 2 n eps (|M|^T |M|) of numpy's (see _gram_lower). Raises
     ValueError, rather than return inf or zeros, when an entry overflows or
     when a nonzero M's Gram matrix underflows to zero.
     """
@@ -131,10 +192,6 @@ class SpdFactorization:
                 f"block has {B.shape[0]} rows"
             )
         return self._refined_solve(B)
-
-    def matrix(self) -> np.ndarray:
-        """Re-multiply the factor, recovering the original matrix."""
-        return self.lower @ self.lower.T
 
 
 def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
@@ -248,7 +305,10 @@ class DenseOperator:
     gram and gram_right hold the lower triangles of A^T A and A A^T in
     Fortran order, their strict upper triangles zero: the one form that is
     factored, multiplied by and reduced. Mirrored, they are gram(A) and
-    gram(A, right=True) bit for bit. norm is the one place ||A|| is computed.
+    gram(A, right=True) bit for bit, and so numpy's A^T A and A A^T bit for
+    bit, except for a square triangular Toeplitz A such as heat_matrix,
+    whose triangles take O(n^2) and lie within 2 n eps (|A|^T |A|) of
+    numpy's. norm is the one place ||A|| is computed.
     A is validated and used as given, flags untouched; it must not change
     while the operator is in use.
     """

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DenseOperator, SpdFactorization, as_operator, as_vector, gram
+from .linalg import SpdFactorization, as_operator, as_vector, gram
 
 
 class Preconditioner:
@@ -18,8 +18,9 @@ class Preconditioner:
     spectral norm strictly below 1, which is what makes the damped iteration
     stable for unit step size.
 
-    A is an array or a DenseOperator. Only the matrix is kept, not the
-    operator, so an array argument's A^T A is freed after construction.
+    A is an array or a DenseOperator. The operator is kept, as op, so
+    t_norm reads the ||A|| it holds; the factor already keeps the operator's
+    A^T A triangle, so an array argument's operator costs no extra memory.
     """
 
     def __init__(self, A, a: float):
@@ -28,6 +29,7 @@ class Preconditioner:
         if not (math.isfinite(a) and a > 0.0):
             raise ValueError(f"damping parameter must be positive and finite, got {a}")
         self.gram_factor: SpdFactorization = op.factor_shifted(a)
+        self.op = op
         self.A = op.A
         self.a = a
 
@@ -39,10 +41,10 @@ class Preconditioner:
     def cols(self) -> int:
         return self.A.shape[1]
 
-    @cached_property
+    @property
     def t_norm(self) -> float:
         """Spectral norm of T = P A, equal to s^2 / (s^2 + a) for s = ||A||."""
-        return DenseOperator(self.A).t_norm(self.a)
+        return self.op.t_norm(self.a)
 
     @cached_property
     def ascending_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

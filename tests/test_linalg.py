@@ -107,7 +107,7 @@ def test_spd_factor_roundtrip_and_dimension_guard():
     M, _, _ = rotated_spd(7, 9, 1e4)
     factor = spd_factor(M)
     assert factor.dimension == 9
-    assert np.allclose(factor.matrix(), M, rtol=1e-12, atol=1e-14)
+    assert np.allclose(factor.lower @ factor.lower.T, M, rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError, match="dimension mismatch"):
         factor.solve(np.ones(8))
     with pytest.raises(ValueError, match="dimension mismatch"):

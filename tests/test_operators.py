@@ -218,3 +218,23 @@ def test_one_operator_forms_each_gram_once(monkeypatch):
     with pytest.raises(ValueError, match="step size too large"):
         solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a), SolveConfig(h=2.5))
     assert len(formed) == 2
+
+
+def test_t_norm_reads_the_shared_operator(monkeypatch):
+    """A preconditioner's t_norm comes from the ||A|| of the operator it was
+    built from: one A^T A in all, and the value of a fresh operator's."""
+    formed = []
+    real_gram = linalg._gram_lower
+
+    def counting_gram(M, right):
+        formed.append(right)
+        return real_gram(M, right)
+
+    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
+    inst = heat_instance(30, 0.05, 0)
+    a = 1e-3
+    for A in (DenseOperator(inst.A), inst.A):
+        formed.clear()
+        t_norm = build_preconditioner(A, a).t_norm
+        assert formed == [False]
+        assert t_norm == DenseOperator(inst.A).t_norm(a)

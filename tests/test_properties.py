@@ -1,10 +1,13 @@
 """Property tests over tall, wide and rank-deficient systems: exact invariance
 under power-of-two scaling, monotone residuals, first-crossing stops, the
-flow's spectra against the assembled T and Q, and the Gram triangle that every
-factorization reads."""
+flow's spectra against the assembled T and Q, the Gram triangle that every
+factorization reads, and the structured Gram of a triangular Toeplitz A."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,7 +27,8 @@ from dsmsolve import (
     spd_factor,
     vr_newton,
 )
-from dsmsolve.linalg import _eigen_coefficients
+from dsmsolve.linalg import _eigen_coefficients, _gram_lower
+from dsmsolve.problems import heat_instance, heat_matrix
 
 SHAPES = st.sampled_from(("tall", "wide", "rank_deficient"))
 SEEDS = st.integers(0, 2**32 - 1)
@@ -211,3 +215,82 @@ def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
     assert np.linalg.norm(shifted @ (x - y)) <= scale * np.linalg.norm(y)
     X, Y = factor.solve_matrix(B), reference.solve_matrix(B)
     assert np.linalg.norm(shifted @ (X - Y)) <= scale * np.linalg.norm(Y)
+
+
+@given(lower=st.booleans(), n=st.integers(1, 300), seed=SEEDS, log_scale=st.integers(-20, 20),
+       leading_zeros=st.integers(0, 3), nudged=st.integers(0, 299))
+def test_structured_gram_of_a_triangular_toeplitz_matrix(lower, n, seed, log_scale, leading_zeros, nudged):
+    """A lower- or upper-triangular Toeplitz M, C-ordered, F-ordered or a
+    transposed view, gets the F-order lower triangle of its Gram matrices
+    without a dsyrk, each entry within 2 n eps (|M|^T |M|) of numpy's; a copy
+    with one nonzero entry moved by one ulp is no longer Toeplitz, takes
+    the dsyrk and equals numpy bit for bit. M is persymmetric, J M J = M^T
+    for the reversal J, so M M^T = J M^T M J; the two recurrences sum the
+    same products in the same order, so that holds bit for bit. Leading
+    zeros in the first column are what heat_matrix has at large n."""
+    rng = np.random.default_rng(seed)
+    c = np.ldexp(rng.standard_normal(n), log_scale)
+    lead = min(leading_zeros, max(n - 2, 0))  # the first nonzero's diagonal has 2 or more entries
+    c[:lead] = 0.0
+    L = scipy.linalg.toeplitz(c, np.zeros(n))
+    base = L if lower else np.ascontiguousarray(L.T)
+    layouts = (base, np.asfortranarray(base), np.ascontiguousarray(base.T).T, np.asfortranarray(base.T).T)
+    eps = np.finfo(float).eps
+    for M in layouts:
+        for right in (False, True):
+            numpy_gram = M @ M.T if right else M.T @ M
+            bound = 2 * n * eps * (np.abs(M) @ np.abs(M).T if right else np.abs(M).T @ np.abs(M))
+            with mock.patch.object(scipy.linalg.blas, "dsyrk", wraps=scipy.linalg.blas.dsyrk) as dsyrk:
+                G = _gram_lower(M, right)
+            assert dsyrk.call_count == (n == 1)
+            assert G.flags.f_contiguous
+            assert not np.triu(G, 1).any()
+            assert np.all(np.abs(gram(M, right) - numpy_gram) <= bound)
+        assert np.array_equal(gram(M, right=True), gram(M)[::-1, ::-1])
+
+        if n == 1:
+            continue
+        i = lead + nudged % (n - lead)
+        row, col = (i, i - lead) if lower else (i - lead, i)
+        nudged_M = M.copy(order="K")
+        nudged_M[row, col] = np.nextafter(nudged_M[row, col], np.inf)
+        for right in (False, True):
+            with mock.patch.object(scipy.linalg.blas, "dsyrk", wraps=scipy.linalg.blas.dsyrk) as dsyrk:
+                G = gram(nudged_M, right)
+            assert dsyrk.call_count == 1
+            assert np.array_equal(G, nudged_M @ nudged_M.T if right else nudged_M.T @ nudged_M)
+
+
+def test_structured_gram_names_overflow_and_underflow():
+    A = heat_matrix(50)
+    for k, message in ((600, "overflows"), (-600, "underflows")):
+        for right in (False, True):
+            with pytest.raises(ValueError, match=f"^Gram matrix {message} float64; scale A, f_delta and delta"):
+                gram(np.ldexp(A, k), right=right)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_structured_gram_keeps_the_damping_and_the_solution(seed):
+    """On heat_matrix(200), the operator's structured Gram triangles give
+    choose_a's a and ||A|| within 1e-15 of an operator handed dsyrk's
+    triangles, the same evaluations and steps, and dsm solutions within 1e-12."""
+    inst = heat_instance(200, 0.01, seed)
+    F = np.asfortranarray(inst.A)
+    reference = DenseOperator(inst.A)
+    reference.gram = scipy.linalg.blas.dsyrk(1.0, F, trans=1, lower=1)
+    reference.gram_right = scipy.linalg.blas.dsyrk(1.0, F, trans=0, lower=1)
+    op = DenseOperator(inst.A)
+    assert not np.array_equal(op.gram, reference.gram)
+    assert abs(op.norm - reference.norm) <= 1e-15 * reference.norm
+
+    results = []
+    for operator in (op, reference):
+        trace = choose_a(operator, inst.b_noisy, inst.delta)
+        precond = build_preconditioner(operator, trace.chosen_a)
+        results.append((trace, solve_dsm(operator, inst.b_noisy, inst.delta, precond)))
+    (trace, result), (ref_trace, ref_result) = results
+    assert abs(trace.chosen_a - ref_trace.chosen_a) <= 1e-15 * ref_trace.chosen_a
+    assert [step.action for step in trace.steps] == [step.action for step in ref_trace.steps]
+    assert (result.iterations, result.stop_reason) == (ref_result.iterations, ref_result.stop_reason)
+    u, u_ref = result.solution, ref_result.solution
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
