@@ -6,10 +6,10 @@ The flow u'(t) = -T u(t) + P f has the closed form solution
 
 so it is propagated coefficient-wise in an eigenbasis of T. With the SVD
 A = U diag(s) V^T, T = (A^T A + a I)^{-1} A^T A and Q = A (A^T A + a I)^{-1} A^T
-share the spectrum s^2 / (s^2 + a), with eigenvectors V and U; one SVD per
-preconditioner, cached on it, gives both. The flow is dense and test-scale:
-the SVD costs O(n^3) time and keeps two n x n factors, so it suits dimensions
-up to a few hundred.
+share the spectrum s^2 / (s^2 + a), with eigenvectors V and U; one SVD of A,
+cached on the preconditioner's operator, gives both at every damping a. The
+flow is dense-only and test-scale: the SVD costs O(n^3) time and keeps two
+n x n factors, so it suits dimensions up to a few hundred.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _filtered(precond: Preconditioner, vectors: np.ndarray) -> EigenDecompositio
     in s, so near-equal singular values cannot come out of order, which
     s^2 / (s^2 + a) allows; both are accurate to a few ulps, and s = 0 gives 0.
     """
-    s, _, _ = precond.ascending_svd
+    s, _, _ = precond.op.ascending_svd
     with np.errstate(divide="ignore"):
         lam = 1.0 / (1.0 + precond.a / (s * s))
     eigenvalues = np.concatenate((np.zeros(vectors.shape[1] - lam.shape[0]), lam))
@@ -37,13 +37,13 @@ def _filtered(precond: Preconditioner, vectors: np.ndarray) -> EigenDecompositio
 
 def spectral_t(precond: Preconditioner) -> EigenDecomposition:
     """Diagonalized T = P A of a damped preconditioner: V diag(s^2 / (s^2 + a)) V^T."""
-    _, _, V = precond.ascending_svd
+    _, _, V = precond.op.ascending_svd
     return _filtered(precond, V)
 
 
 def spectral_q(precond: Preconditioner) -> EigenDecomposition:
     """Diagonalized Q = A P of a damped preconditioner: U diag(s^2 / (s^2 + a)) U^T."""
-    _, U, _ = precond.ascending_svd
+    _, U, _ = precond.op.ascending_svd
     return _filtered(precond, U)
 
 

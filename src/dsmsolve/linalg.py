@@ -144,7 +144,8 @@ class SpdFactorization:
 
     lower is L in Fortran order, its strict upper triangle zero. Only the
     lower triangle of triangle, also in Fortran order, is ever read. solve()
-    runs two passes of residual correction, each residual taken as
+    takes a vector or a block, one right-hand side per column, and runs two
+    passes of residual correction, each residual taken as
     b - (triangle x + shift x) by one dsymv (dsymm for a block), so no
     shifted copy of M is kept; a bare triangular solve loses too many digits
     once the condition number gets near 1e12.
@@ -176,22 +177,13 @@ class SpdFactorization:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = as_vector(b)
+        b = as_matrix(b) if np.ndim(b) == 2 else as_vector(b)
         if b.shape[0] != self.dimension:
             raise ValueError(
                 f"dimension mismatch: factor is {self.dimension}x{self.dimension}, "
                 f"right-hand side has length {b.shape[0]}"
             )
         return self._refined_solve(b)
-
-    def solve_matrix(self, B: np.ndarray) -> np.ndarray:
-        B = as_matrix(B)
-        if B.shape[0] != self.dimension:
-            raise ValueError(
-                f"dimension mismatch: factor is {self.dimension}x{self.dimension}, "
-                f"block has {B.shape[0]} rows"
-            )
-        return self._refined_solve(B)
 
 
 def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
@@ -300,7 +292,9 @@ def op_norm(M: np.ndarray) -> float:
 
 
 class DenseOperator:
-    """Dense A with A^T A, A A^T and ||A|| each formed once, on first use.
+    """Dense A, the one owner of every decomposition of A: A^T A, A A^T,
+    ||A||, the SVD and the Cholesky factor of A^T A + a I for the last a,
+    each formed on first use.
 
     gram and gram_right hold the lower triangles of A^T A and A A^T in
     Fortran order, their strict upper triangles zero: the one form that is
@@ -315,6 +309,7 @@ class DenseOperator:
 
     def __init__(self, A):
         self.A = as_matrix(A)
+        self._damped: tuple[float, SpdFactorization] | None = None
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -348,11 +343,6 @@ class DenseOperator:
             v = w / norm_w
         return float(np.sqrt(max(rayleigh, 0.0)))
 
-    def t_norm(self, a: float) -> float:
-        """Spectral norm of T = (A^T A + a I)^{-1} A^T A: s^2 / (s^2 + a), s = ||A||."""
-        s2 = self.norm**2
-        return s2 / (s2 + a)
-
     def check_data(self, f_delta) -> np.ndarray:
         """f_delta as a vector, checked to have one entry per row of A and a
         norm that is finite in float64, and nonzero unless f_delta is."""
@@ -377,18 +367,50 @@ class DenseOperator:
             )
         return f_delta
 
-    def factor_shifted(self, a: float) -> SpdFactorization:
-        """Cholesky factor of A^T A + a I, from the cached lower triangle of
-        A^T A, which is not modified. Raises ValueError when the shifted
-        matrix is not finite or not positive definite."""
+    def damped_solve(self, a: float, b) -> np.ndarray:
+        """(A^T A + a I)^{-1} b for a vector b, or a block b with one
+        right-hand side per column."""
+        return self._factor_shifted(a).solve(b)
+
+    def _factor_shifted(self, a: float) -> SpdFactorization:
+        """Cholesky factor of A^T A + a I from the cached, unmodified lower
+        triangle of A^T A. Only the last a's factor is kept, keyed by the
+        exact float; another a drops it before factoring, so no two n x n
+        factors are held at once. Raises ValueError when the shifted matrix
+        is not finite or not positive definite."""
+        if self._damped is not None and self._damped[0] == a:
+            return self._damped[1]
+        self._damped = None
         triangle = self.gram  # outside the try: a Gram error keeps its own message
         try:
-            return _cholesky(triangle, a)
+            factor = _cholesky(triangle, a)
         except ValueError:
             raise ValueError(
                 f"damped Gram matrix could not be factored; a={a} is too small "
                 "for this operator at working precision"
             ) from None
+        self._damped = (a, factor)
+        return factor
+
+    def misfit_spectrum(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, gamma): the eigenvalues of A A^T, ascending and clamped at 0,
+        and the coefficients of the checked data f in their eigenvectors, so
+        that the damped misfit is phi(a)^2 = sum (a gamma_i / (lam_i + a))^2.
+        One tridiagonal reduction of A A^T per call."""
+        return _eigen_coefficients(self.gram_right, f)
+
+    @cached_property
+    def ascending_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, U, V) of the full SVD A = U diag(s) V^T, in ascending order.
+
+        Computed once, on first use; dense and test-scale. s holds the
+        min(m, n) singular values ascending. The columns of U (m x m) and
+        V (n x n) are reordered to match, each copied once into contiguous
+        memory: their first m - len(s), respectively n - len(s), columns
+        lie in the null spaces of A^T and A, the rest pair with s in order.
+        """
+        U, s, Vt = np.linalg.svd(self.A, full_matrices=True)
+        return s[::-1], U[:, ::-1].copy(), Vt[::-1].copy().T
 
 
 def as_operator(A) -> DenseOperator:
@@ -397,19 +419,17 @@ def as_operator(A) -> DenseOperator:
 
 
 def cond_estimate(M: np.ndarray) -> float:
-    """Two-norm condition number estimate of a square matrix.
+    """Two-norm condition number s_1 / s_n of a square matrix, from its
+    singular values, as np.linalg.cond gives it.
 
-    Ratio of extreme singular values taken from the spectral decomposition
-    of the Gram matrix. Returns +inf when the smallest computed eigenvalue
-    is not positive, which is how severe rank deficiency shows up at this
-    precision.
+    Returns +inf only when s_n is exactly zero. Digits beyond 1 / eps
+    (about 4.5e15) carry no meaning: s_n is then below the roundoff in s_1,
+    and the ratio says only that M is singular to working precision.
     """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"cond_estimate: matrix must be square, got {M.shape}")
-    eig = sym_eigen(gram(M))
-    lam_min = float(eig.eigenvalues[0])
-    lam_max = float(eig.eigenvalues[-1])
-    if lam_min <= 0.0:
+    s = scipy.linalg.svdvals(M)
+    if s[-1] == 0.0:
         return float("inf")
-    return float(np.sqrt(lam_max / lam_min))
+    return float(s[0] / s[-1])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigen_coefficients, as_operator, as_vector
+from .linalg import as_operator, as_vector
 from .operators import Preconditioner
 
 MAX_EVALUATIONS = 100
@@ -139,7 +139,7 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     if s2 == 0.0:
         raise ValueError("no root: operator is zero, the misfit is constant")
 
-    lam, gamma = _eigen_coefficients(op.gram_right, f_delta)
+    lam, gamma = op.misfit_spectrum(f_delta)
 
     def misfit_parts(a: float):
         shifted = lam + a

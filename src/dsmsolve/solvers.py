@@ -182,13 +182,12 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     in (0, 1] for h * ||T|| < 2.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
-    if (precond.rows, precond.cols) != op.A.shape:
-        raise ValueError(
-            f"preconditioner was built for a {precond.rows}x{precond.cols} operator, got {op.A.shape}"
-        )
+    if precond.A.shape != op.A.shape:
+        rows, cols = precond.A.shape
+        raise ValueError(f"preconditioner was built for a {rows}x{cols} operator, got {op.A.shape}")
     # ||T|| = s^2 / (s^2 + a) <= 1 also in floating point, so only h >= 2
     # can violate the bound, and the norm is needed only then.
-    if config.h >= 2.0 and (h_t := config.h * op.t_norm(precond.a)) >= 2.0:
+    if config.h >= 2.0 and (h_t := config.h * precond.t_norm) >= 2.0:
         raise ValueError(f"step size too large: h * ||T|| = {h_t:.6g} >= 2")
 
     def step(current, residual):

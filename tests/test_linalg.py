@@ -19,7 +19,7 @@ from dsmsolve import (
     vr_newton,
 )
 from dsmsolve.linalg import as_matrix, as_vector
-from dsmsolve.problems import heat_instance
+from dsmsolve.problems import heat_instance, heat_matrix
 
 
 def rotated_spd(seed, n, cond):
@@ -111,7 +111,7 @@ def test_spd_factor_roundtrip_and_dimension_guard():
     with pytest.raises(ValueError, match="dimension mismatch"):
         factor.solve(np.ones(8))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        factor.solve_matrix(np.ones((8, 2)))
+        factor.solve(np.ones((8, 2)))
 
 
 def test_spd_solve_matrix_matches_column_solves():
@@ -119,7 +119,7 @@ def test_spd_solve_matrix_matches_column_solves():
     rng = np.random.default_rng(33)
     B = M @ rng.standard_normal((12, 4))
     factor = spd_factor(M)
-    X = factor.solve_matrix(B)
+    X = factor.solve(B)
     for k in range(4):
         assert np.allclose(X[:, k], factor.solve(B[:, k]), rtol=1e-8, atol=1e-10)
 
@@ -148,7 +148,7 @@ def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
     b = rng.standard_normal(n)
     assert np.array_equal(factor.solve(b), reference(b))
     block = rng.standard_normal((n, 5))
-    assert np.array_equal(factor.solve_matrix(block), reference(block))
+    assert np.array_equal(factor.solve(block), reference(block))
 
 
 def test_sym_eigen_reconstructs_and_sorts():
@@ -269,15 +269,23 @@ def test_empty_operators_give_empty_or_zero_results(shape):
     assert np.array_equal(gram(Z, right=True), np.zeros((m, m)))
     op = DenseOperator(Z)
     assert op.norm == 0.0
-    factor = op.factor_shifted(1.0)
-    assert np.array_equal(factor.solve(np.ones(n)), np.ones(n))
-    assert factor.solve_matrix(np.ones((n, 2))).shape == (n, 2)
+    assert np.array_equal(op.damped_solve(1.0, np.ones(n)), np.ones(n))
+    assert op.damped_solve(1.0, np.ones((n, 2))).shape == (n, 2)
 
 
 def test_cond_estimate_diagonal_and_identity():
     assert cond_estimate(np.eye(5)) == pytest.approx(1.0, rel=1e-10)
     M = np.diag([1.0, 1e-6])
     assert cond_estimate(M) == pytest.approx(1e6, rel=1e-6)
+
+
+def test_cond_estimate_is_finite_past_the_gram_route():
+    """s_1 / s_n from the singular values stays finite where the eigenvalues
+    of the Gram matrix underflow, and is np.linalg.cond's value."""
+    M = heat_matrix(50)
+    value = cond_estimate(M)
+    assert np.isfinite(value)
+    assert abs(value - np.linalg.cond(M)) <= 1e-12 * np.linalg.cond(M)
 
 
 def test_cond_estimate_singular_is_infinite():

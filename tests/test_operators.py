@@ -1,6 +1,8 @@
 """Tests for the damped preconditioner, the smoothed operators T and Q, and
 the shared DenseOperator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,11 +16,15 @@ from dsmsolve import (
     build_preconditioner,
     choose_a,
     cli,
+    find_t_delta,
     landweber_solve,
     linalg,
     op_norm,
     phi,
+    propagate,
     solve_dsm,
+    spectral_q,
+    spectral_t,
     sym_eigen,
     vr_newton,
     vr_solve,
@@ -61,7 +67,7 @@ def test_apply_p_matches_direct_normal_equations():
 
 def test_apply_p_checks_dimensions():
     P = Preconditioner(random_operator(0, 5, 3), 0.1)
-    assert P.rows == 5 and P.cols == 3
+    assert P.A.shape == (5, 3)
     with pytest.raises(ValueError, match="dimension mismatch"):
         P.apply_p(np.ones(3))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -158,6 +164,14 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
     a = choose_a(A, f, delta).chosen_a
     landweber = SolveConfig(h=1.0 / op_norm(A) ** 2, max_iter=200)
     op = DenseOperator(A)
+
+    def flow(A):
+        precond = build_preconditioner(A, a)
+        T, Q = spectral_t(precond), spectral_q(precond)
+        t_delta = find_t_delta(Q, -f, 1.01, delta)
+        u = propagate(T, np.zeros(n), precond.apply_p(f), t_delta)
+        return T.eigenvalues, T.eigenvectors, Q.eigenvalues, Q.eigenvectors, t_delta, u
+
     for call in (
         lambda A: choose_a(A, f, delta),
         lambda A: phi(A, f, a),
@@ -167,6 +181,7 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
         lambda A: solve_dsm(A, f, delta, build_preconditioner(A, a)),
         lambda A: solve_dsm(A, f, delta, build_preconditioner(A, a), SolveConfig(h=2.5)),
         lambda A: landweber_solve(A, f, delta, landweber),
+        flow,
     ):
         assert _outcome(lambda: call(op)) == _outcome(lambda: call(A))
 
@@ -237,4 +252,48 @@ def test_t_norm_reads_the_shared_operator(monkeypatch):
         formed.clear()
         t_norm = build_preconditioner(A, a).t_norm
         assert formed == [False]
-        assert t_norm == DenseOperator(inst.A).t_norm(a)
+        s2 = DenseOperator(inst.A).norm ** 2
+        assert t_norm == s2 / (s2 + a)
+
+
+def test_shared_operator_factors_once_per_damping(monkeypatch):
+    """The operator keeps the factor for its last damping: choose_a's accepting
+    misfit, the dsm preconditioner and vr_i share one Cholesky, and vr_n's
+    final solve makes the other."""
+    factored = []
+    real_cholesky = linalg._cholesky
+
+    def counting_cholesky(triangle, shift=0.0):
+        factored.append(shift)
+        return real_cholesky(triangle, shift)
+
+    monkeypatch.setattr(linalg, "_cholesky", counting_cholesky)
+    inst = heat_instance(100, 0.01, 1)
+    op = DenseOperator(inst.A)
+    trace = choose_a(op, inst.b_noisy, inst.delta)
+    assert trace.evaluations == 1
+    results = {method: cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
+               for method in cli.METHODS}
+    assert factored == [trace.chosen_a, results["vr_n"].a_used]
+
+
+def test_two_dampings_share_the_operator_svd_and_keep_their_bits(monkeypatch):
+    """Preconditioners at two dampings on one operator take one SVD between
+    them, and interleaved applies give the bits of separate operators."""
+    inst = heat_instance(40, 0.01, 2)
+    op = DenseOperator(inst.A)
+    dampings = (1e-4, 3e-3)
+    shared = [build_preconditioner(op, a) for a in dampings]
+    fresh = [build_preconditioner(DenseOperator(inst.A), a) for a in dampings]
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        r = rng.standard_normal(40)
+        for mine, theirs in zip(shared, fresh):
+            assert np.array_equal(mine.apply_p(r), theirs.apply_p(r))
+
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        spectra = [spectral_t(shared[0]), spectral_q(shared[1])]
+    assert svd.call_count == 1
+    for spectrum, reference in zip(spectra, (spectral_t(fresh[0]), spectral_q(fresh[1]))):
+        assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(spectrum.eigenvectors, reference.eigenvectors)
