@@ -133,9 +133,9 @@ def cmd_bench(args) -> int:
     wall: dict[tuple[int, str], float] = {}
     failed = False
     for n in args.n_list:
+        op = DenseOperator(heat_matrix(n))  # the heat operator does not depend on the seed
         for seed in range(args.seed, args.seed + args.seeds):
             inst = heat_instance(n, args.delta_rel, seed)
-            op = DenseOperator(inst.A)
             try:
                 trace = choose_a(op, inst.b_noisy, inst.delta) if needs_trace else None
             except ValueError as exc:

@@ -63,14 +63,8 @@ def propagate(operator: EigenDecomposition, u0, pf, t: float) -> np.ndarray:
     """Solution of the flow at time t from initial state u0 with source pf."""
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    u0 = as_vector(u0)
-    pf = as_vector(pf)
-    n = operator.dimension
-    if u0.shape[0] != n or pf.shape[0] != n:
-        raise ValueError(
-            f"dimension mismatch: operator is {n}-dimensional, "
-            f"got state of length {u0.shape[0]} and source of length {pf.shape[0]}"
-        )
+    u0 = as_vector(u0, operator.dimension, name="state")
+    pf = as_vector(pf, operator.dimension, name="source")
     lam = operator.eigenvalues
     c0 = operator.to_basis(u0)
     cp = operator.to_basis(pf)
@@ -80,13 +74,7 @@ def propagate(operator: EigenDecomposition, u0, pf, t: float) -> np.ndarray:
 
 def _basis_residual(operator: EigenDecomposition, r0) -> np.ndarray:
     """Coefficients of r0 in the eigenbasis of Q, checked for length."""
-    r0 = as_vector(r0)
-    if r0.shape[0] != operator.dimension:
-        raise ValueError(
-            f"dimension mismatch: operator is {operator.dimension}-dimensional, "
-            f"residual has length {r0.shape[0]}"
-        )
-    return operator.to_basis(r0)
+    return operator.to_basis(as_vector(r0, operator.dimension, name="residual"))
 
 
 def _decayed_norm(eigenvalues: np.ndarray, c: np.ndarray, t: float) -> float:

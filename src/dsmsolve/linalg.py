@@ -22,13 +22,17 @@ def as_matrix(values) -> np.ndarray:
     return M
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce to a 1-d float array, rejecting non-finite entries."""
+def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
+    """Coerce to a 1-d float array, rejecting non-finite entries and, when
+    length is given, any other length; the error names the vector as name.
+    The one place a vector's length is checked."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d array, got ndim={v.ndim}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
+    if length is not None and v.shape[0] != length:
+        raise ValueError(f"dimension mismatch: {name} has length {v.shape[0]}, expected {length}")
     return v
 
 
@@ -177,7 +181,9 @@ class SpdFactorization:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = as_matrix(b) if np.ndim(b) == 2 else as_vector(b)
+        if np.ndim(b) != 2:
+            return self._refined_solve(as_vector(b, self.dimension, name="right-hand side"))
+        b = as_matrix(b)
         if b.shape[0] != self.dimension:
             raise ValueError(
                 f"dimension mismatch: factor is {self.dimension}x{self.dimension}, "
@@ -346,11 +352,7 @@ class DenseOperator:
     def check_data(self, f_delta) -> np.ndarray:
         """f_delta as a vector, checked to have one entry per row of A and a
         norm that is finite in float64, and nonzero unless f_delta is."""
-        f_delta = as_vector(f_delta)
-        if f_delta.shape[0] != self.A.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: operator is {self.A.shape}, data has length {f_delta.shape[0]}"
-            )
+        f_delta = as_vector(f_delta, self.A.shape[0], name="data")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(f_delta)
         if not np.isfinite(norm):
@@ -369,15 +371,18 @@ class DenseOperator:
 
     def damped_solve(self, a: float, b) -> np.ndarray:
         """(A^T A + a I)^{-1} b for a vector b, or a block b with one
-        right-hand side per column."""
+        right-hand side per column. a must be positive and finite."""
         return self._factor_shifted(a).solve(b)
 
     def _factor_shifted(self, a: float) -> SpdFactorization:
         """Cholesky factor of A^T A + a I from the cached, unmodified lower
         triangle of A^T A. Only the last a's factor is kept, keyed by the
         exact float; another a drops it before factoring, so no two n x n
-        factors are held at once. Raises ValueError when the shifted matrix
-        is not finite or not positive definite."""
+        factors are held at once. Raises ValueError when a is not positive
+        and finite, and when the shifted matrix is not finite or not
+        positive definite."""
+        if not 0.0 < a < np.inf:
+            raise ValueError(f"damping parameter must be positive and finite, got {a}")
         if self._damped is not None and self._damped[0] == a:
             return self._damped[1]
         self._damped = None
@@ -427,8 +432,8 @@ def cond_estimate(M: np.ndarray) -> float:
     and the ratio says only that M is singular to working precision.
     """
     M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"cond_estimate: matrix must be square, got {M.shape}")
+    if M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValueError(f"cond_estimate: matrix must be square and nonempty, got {M.shape}")
     s = scipy.linalg.svdvals(M)
     if s[-1] == 0.0:
         return float("inf")

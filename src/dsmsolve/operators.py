@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .linalg import as_operator, as_vector, gram
@@ -23,8 +21,6 @@ class Preconditioner:
     def __init__(self, A, a: float):
         op = as_operator(A)
         a = float(a)
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"damping parameter must be positive and finite, got {a}")
         op._factor_shifted(a)
         self.op = op
         self.A = op.A
@@ -37,18 +33,11 @@ class Preconditioner:
         return s2 / (s2 + self.a)
 
     def apply_p(self, r) -> np.ndarray:
-        r = as_vector(r)
-        rows = self.A.shape[0]
-        if r.shape[0] != rows:
-            raise ValueError(f"dimension mismatch: operator has {rows} rows, residual has length {r.shape[0]}")
+        r = as_vector(r, self.A.shape[0], name="residual")
         return self.op.damped_solve(self.a, self.A.T @ r)
 
     def apply_t(self, x) -> np.ndarray:
-        x = as_vector(x)
-        cols = self.A.shape[1]
-        if x.shape[0] != cols:
-            raise ValueError(f"dimension mismatch: operator has {cols} columns, input has length {x.shape[0]}")
-        return self.apply_p(self.A @ x)
+        return self.apply_p(self.A @ as_vector(x, self.A.shape[1], name="input"))
 
     def apply_q(self, y) -> np.ndarray:
         return self.A @ self.apply_p(y)

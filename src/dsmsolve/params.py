@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_operator, as_vector
+from .linalg import as_operator
 from .operators import Preconditioner
 
 MAX_EVALUATIONS = 100
@@ -46,7 +46,9 @@ def start_damping(delta: float, norm_a: float, norm_f: float) -> float:
 
 def vr_solve(A, f_delta, a: float) -> np.ndarray:
     """Damped least-squares solution (A^T A + a I)^{-1} A^T f_delta."""
-    return Preconditioner(A, a).apply_p(f_delta)
+    op = as_operator(A)
+    f_delta = op.check_data(f_delta)
+    return Preconditioner(op, a).apply_p(f_delta)
 
 
 def phi(A, f_delta, a: float) -> float:
@@ -55,7 +57,7 @@ def phi(A, f_delta, a: float) -> float:
     Increasing in a; analytically equal to a * ||(A A^T + a I)^{-1} f_delta||.
     """
     op = as_operator(A)
-    f_delta = as_vector(f_delta)
+    f_delta = op.check_data(f_delta)
     u = vr_solve(op, f_delta, a)
     return float(np.linalg.norm(op.A @ u - f_delta))
 

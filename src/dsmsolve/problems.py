@@ -101,11 +101,7 @@ def heat_instance(n: int, delta_rel: float, seed: int, kappa: float = 1.0) -> Pr
 
 def save_matrix(path, M) -> None:
     """Write a matrix as comma-separated rows, 17 significant digits."""
-    M = as_matrix(M)
-    with open(path, "w", encoding="ascii") as handle:
-        for row in M:
-            handle.write(",".join(format(v, ".17g") for v in row))
-            handle.write("\n")
+    np.savetxt(path, as_matrix(M), fmt="%.17g", delimiter=",")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -136,11 +132,7 @@ def load_matrix(path) -> np.ndarray:
 
 def save_vector(path, v) -> None:
     """Write a vector one entry per line, 17 significant digits."""
-    v = as_vector(v)
-    with open(path, "w", encoding="ascii") as handle:
-        for value in v:
-            handle.write(format(value, ".17g"))
-            handle.write("\n")
+    np.savetxt(path, as_vector(v), fmt="%.17g")
 
 
 def load_vector(path) -> np.ndarray:

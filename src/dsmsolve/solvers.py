@@ -94,8 +94,8 @@ def apriori_steps(delta: float, h: float, apriori_C: float, gamma: float) -> int
 
 def dsm_step(precond: Preconditioner, h: float, u: np.ndarray, f_delta: np.ndarray) -> np.ndarray:
     """One damped update u - h P (A u - f_delta)."""
-    u = as_vector(u)
-    f_delta = as_vector(f_delta)
+    u = as_vector(u, precond.A.shape[1], name="u")
+    f_delta = precond.op.check_data(f_delta)
     return u - h * precond.apply_p(precond.A @ u - f_delta)
 
 
@@ -115,37 +115,31 @@ def _run_iteration(step, A, f_delta, delta, config, u0, a_used):
     """Shared stopping logic: first discrepancy crossing, or a fixed step count.
 
     u0 is the initial guess, default zero. step(u, r) gets r = A u - f_delta,
-    the residual the history records.
+    the residual the history records. The a-priori rule runs the same loop
+    with threshold -inf, which no residual crosses.
     """
     cols = A.shape[1]
-    u = np.zeros(cols) if u0 is None else as_vector(u0).copy()
-    if u.shape[0] != cols:
-        raise ValueError(f"initial guess has length {u.shape[0]}, expected {cols}")
+    u = np.zeros(cols) if u0 is None else as_vector(u0, cols, name="initial guess").copy()
     r = A @ u - f_delta
     residual = float(np.linalg.norm(r))
     history = [residual]
 
     if config.stopping == "discrepancy":
-        threshold = config.C * delta
-        if residual <= threshold:
-            return SolveResult(u, 0, history, "initial_already_small", a_used)
-        for n in range(1, config.max_iter + 1):
-            u = step(u, r)
-            r = A @ u - f_delta
-            residual = float(np.linalg.norm(r))
-            history.append(residual)
-            if residual <= threshold:
-                return SolveResult(u, n, history, "discrepancy_met", a_used)
-        return SolveResult(u, config.max_iter, history, "max_iter", a_used)
-
-    target = apriori_steps(delta, config.h, config.apriori_C, config.gamma)
-    steps = min(target, config.max_iter)
-    for _ in range(steps):
+        threshold, steps, finished = config.C * delta, config.max_iter, "max_iter"
+    else:
+        target = apriori_steps(delta, config.h, config.apriori_C, config.gamma)
+        threshold, steps = -math.inf, min(target, config.max_iter)
+        finished = "apriori_reached" if target <= config.max_iter else "max_iter"
+    if residual <= threshold:
+        return SolveResult(u, 0, history, "initial_already_small", a_used)
+    for n in range(1, steps + 1):
         u = step(u, r)
         r = A @ u - f_delta
-        history.append(float(np.linalg.norm(r)))
-    reason = "apriori_reached" if target <= config.max_iter else "max_iter"
-    return SolveResult(u, steps, history, reason, a_used)
+        residual = float(np.linalg.norm(r))
+        history.append(residual)
+        if residual <= threshold:
+            return SolveResult(u, n, history, "discrepancy_met", a_used)
+    return SolveResult(u, steps, history, finished, a_used)
 
 
 def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,

@@ -1,9 +1,11 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from dsmsolve import op_norm
+from dsmsolve import linalg, op_norm
 from dsmsolve.cli import BENCH_HEADER, SUMMARY_HEADER, main
 from dsmsolve.linalg import cond_estimate
 from dsmsolve.problems import heat_instance, heat_matrix, load_vector, save_matrix, save_vector
@@ -86,6 +88,16 @@ def test_bench_is_deterministic(tmp_path, capsys):
         first.with_name("one_summary.csv").read_bytes()
         == second.with_name("two_summary.csv").read_bytes()
     )
+
+
+def test_bench_forms_each_gram_once_per_size(tmp_path, capsys):
+    """heat_matrix(n) does not depend on the seed, so one operator serves
+    every seed of a size: its A^T A and A A^T are formed once each."""
+    with mock.patch.object(linalg, "_gram_lower", wraps=linalg._gram_lower) as gram_lower:
+        rc, _, _ = run(["bench", "--n-list", "12", "--seeds", "3", "--out", str(tmp_path / "b.csv")], capsys)
+    assert rc == 0
+    kinds = sorted(call.kwargs["right"] for call in gram_lower.call_args_list)
+    assert kinds == [False, True]
 
 
 def test_bench_landweber_leaves_a_used_blank(tmp_path, capsys):

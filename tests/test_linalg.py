@@ -9,6 +9,7 @@ from dsmsolve import (
     build_preconditioner,
     choose_a,
     cond_estimate,
+    dsm_step,
     gram,
     landweber_solve,
     op_norm,
@@ -17,6 +18,7 @@ from dsmsolve import (
     spd_factor,
     sym_eigen,
     vr_newton,
+    vr_solve,
 )
 from dsmsolve.linalg import as_matrix, as_vector
 from dsmsolve.problems import heat_instance, heat_matrix
@@ -53,6 +55,9 @@ def test_as_vector_rejects_wrong_rank_and_nonfinite():
         as_vector([[1.0]])
     with pytest.raises(ValueError, match="finite"):
         as_vector([1.0, np.nan])
+    assert as_vector([1.0, 2.0], 2, name="data").shape == (2,)
+    with pytest.raises(ValueError, match="^dimension mismatch: data has length 2, expected 3$"):
+        as_vector([1.0, 2.0], 3, name="data")
 
 
 def test_gram_left_and_right():
@@ -210,7 +215,10 @@ def test_overflowing_gram_is_named(entry):
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: solve_dsm(A, f, delta, build_preconditioner(A, 1.0)),
     lambda A, f, delta: landweber_solve(A, f, delta),
-], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve"])
+    lambda A, f, delta: phi(A, f, 1.0),
+    lambda A, f, delta: vr_solve(A, f, 1.0),
+    lambda A, f, delta: dsm_step(build_preconditioner(A, 1.0), 1.0, np.zeros(A.shape[1]), f),
+], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"])
 def test_overflowing_data_norm_is_named(entry):
     """f and delta scaled by 1e160 with A as is: A^T A is finite but ||f|| overflows,
     and every entry point that takes data says so instead of running on inf."""
@@ -241,7 +249,10 @@ def test_underflowing_gram_is_named(entry):
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: solve_dsm(A, f, delta, build_preconditioner(A, 1.0)),
     lambda A, f, delta: landweber_solve(A, f, delta),
-], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve"])
+    lambda A, f, delta: phi(A, f, 1.0),
+    lambda A, f, delta: vr_solve(A, f, 1.0),
+    lambda A, f, delta: dsm_step(build_preconditioner(A, 1.0), 1.0, np.zeros(A.shape[1]), f),
+], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"])
 def test_underflowing_data_norm_is_named(entry):
     """f and delta scaled by 1e-200 with A as is: ||f|| underflows to zero
     although f does not, and every entry point that takes data says so."""
@@ -295,3 +306,5 @@ def test_cond_estimate_singular_is_infinite():
 def test_cond_estimate_requires_square():
     with pytest.raises(ValueError, match="square"):
         cond_estimate(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="nonempty"):
+        cond_estimate(np.zeros((0, 0)))

@@ -43,12 +43,13 @@ def test_rejects_nonpositive_damping():
             Preconditioner(A, a)
 
 
-@pytest.mark.parametrize("a", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("a", [np.nan, np.inf, -1.0, -0.5, 0.0])
 def test_rejects_nonfinite_or_negative_damping_as_such(a):
     A = np.eye(3)
     f = np.ones(3)
     for build in (Preconditioner, build_preconditioner,
-                  lambda A, a: vr_solve(A, f, a), lambda A, a: phi(A, f, a)):
+                  lambda A, a: vr_solve(A, f, a), lambda A, a: phi(A, f, a),
+                  lambda A, a: DenseOperator(A).damped_solve(a, f)):
         with pytest.raises(ValueError, match="positive and finite"):
             build(A, a)
 

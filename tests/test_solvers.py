@@ -200,6 +200,10 @@ def test_dsm_step_is_one_damped_update():
     precond = build_preconditioner(A, 0.2)
     expected = u - 0.8 * precond.apply_p(A @ u - f)
     assert np.allclose(dsm_step(precond, 0.8, u, f), expected, rtol=0, atol=0)
+    with pytest.raises(ValueError, match="dimension mismatch: u has length 3"):
+        dsm_step(precond, 0.8, u[:3], f)
+    with pytest.raises(ValueError, match="dimension mismatch: data has length 5"):
+        dsm_step(precond, 0.8, u, f[:5])
 
     # A discrepancy run of solve_dsm is a hand loop of dsm_step, bit for bit.
     inst = heat_instance(40, 0.01, 3)
