@@ -5,6 +5,7 @@ Everything is float64. Matrices are 2-d numpy arrays, vectors 1-d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,9 +86,9 @@ def _toeplitz_gram_lower(c: np.ndarray, right: bool) -> np.ndarray:
     return G
 
 
-def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
+def _gram_lower(M: np.ndarray, right: bool, toeplitz: tuple[np.ndarray, bool] | None) -> np.ndarray:
     """Lower triangle of M^T M (or M M^T when right=True), in Fortran order,
-    with the strict upper triangle zero.
+    with the strict upper triangle zero. toeplitz is _triangular_toeplitz(M).
 
     A square M that is lower- or upper-triangular Toeplitz, exactly (such as
     heat_matrix), gets its Gram matrix in O(n^2) from its first column, or
@@ -103,7 +104,6 @@ def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
     if M.size == 0:  # BLAS rejects empty operands
         k = M.shape[0] if right else M.shape[1]
         return np.zeros((k, k), order="F")
-    toeplitz = _triangular_toeplitz(M)
     if toeplitz is not None:
         c, lower = toeplitz  # M M^T of L^T is L^T L, and M^T M is L L^T
         G = _toeplitz_gram_lower(c, right=(right == lower))
@@ -128,7 +128,8 @@ def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
     ValueError, rather than return inf or zeros, when an entry overflows or
     when a nonzero M's Gram matrix underflows to zero.
     """
-    G = _gram_lower(as_matrix(M), right)
+    M = as_matrix(M)
+    G = _gram_lower(M, right, _triangular_toeplitz(M))
     return G + np.tril(G, -1).T
 
 
@@ -190,6 +191,47 @@ class SpdFactorization:
                 f"right-hand side has length {b.shape[0]}"
             )
         return self._refined_solve(b)
+
+
+class _ReversedFactorization(SpdFactorization):
+    """A factorization M = J L L^T J, J the reversal, with lower, triangle and
+    shift as in SpdFactorization: each raw solve is J (L L^T)^{-1} J b."""
+
+    def _raw_solve(self, b: np.ndarray) -> np.ndarray:
+        return super()._raw_solve(b[::-1])[::-1]
+
+
+def _toeplitz_cholesky(c: np.ndarray, lower: bool, triangle: np.ndarray, shift: float) -> SpdFactorization:
+    """Factor triangle + shift I = A^T A + shift I for the triangular Toeplitz
+    A given by (c, lower), as _triangular_toeplitz returns it, in O(n^2) by
+    the generalized Schur algorithm; the shifted matrix is never formed.
+
+    The lower-triangular Toeplitz L with first column c commutes with the
+    down-shift Z, so M = L L^T + shift I has M - Z M Z^T = g g^T + h h^T for
+    the generator g = c, h = sqrt(shift) e_0. Step k turns (g, h) by one
+    Givens rotation so that h[k] = 0; g[k:] is then column k of M's lower
+    Cholesky factor R, and (Z g, h) generates the Schur complement. g lives
+    in one buffer whose first n - k entries are its rows k.., so the shift
+    moves nothing. Each pivot is the hypot of the one before, which g[0]
+    then holds, and h[k], so up to rounding none falls below sqrt(shift)
+    and the algorithm never breaks down. It can still lose a to roundoff
+    in M, so the caller keeps shift well above it (see
+    DenseOperator._factor_shifted). An upper A = L^T has A^T A + shift I = M,
+    factored by R; a lower A = L has L^T L = J L L^T J, as L is persymmetric,
+    so its factorization is R with reversed solves.
+    """
+    n = c.shape[0]
+    R = np.zeros((n, n), order="F")
+    g = c.copy()
+    h = np.zeros(n)
+    h[0] = math.sqrt(shift)
+    drot = scipy.linalg.blas.drot
+    for k in range(n):
+        r = math.hypot(g[0], h[k])
+        drot(g, h, g[0] / r, h[k] / r, n=n - k, offy=k, overwrite_x=1, overwrite_y=1)
+        R[k:, k] = g[: n - k]
+    factorization = _ReversedFactorization if lower else SpdFactorization
+    return factorization(lower=R, triangle=triangle, shift=shift)
 
 
 def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
@@ -308,7 +350,9 @@ class DenseOperator:
     gram(A, right=True) bit for bit, and so numpy's A^T A and A A^T bit for
     bit, except for a square triangular Toeplitz A such as heat_matrix,
     whose triangles take O(n^2) and lie within 2 n eps (|A|^T |A|) of
-    numpy's. norm is the one place ||A|| is computed.
+    numpy's. Such an A, found once per operator, also gets the factor of
+    A^T A + a I in O(n^2) when a > eps (sum |c_i|)^2 for its first column
+    c (see _factor_shifted). norm is the one place ||A|| is computed.
     A is validated and used as given, flags untouched; it must not change
     while the operator is in use.
     """
@@ -318,12 +362,27 @@ class DenseOperator:
         self._damped: tuple[float, SpdFactorization] | None = None
 
     @cached_property
+    def _toeplitz(self) -> tuple[np.ndarray, bool] | None:
+        """_triangular_toeplitz(A), found once for both Gram matrices and
+        the damped factor."""
+        return _triangular_toeplitz(self.A)
+
+    @cached_property
+    def _schur_floor(self) -> float:
+        """eps (sum |c_i|)^2 for a triangular Toeplitz A with first column
+        c. It bounds eps ||A||^2 from above, since ||A||^2 <= ||A||_1
+        ||A||_inf = (sum |c_i|)^2, and scales exactly with A by powers of two."""
+        c, _ = self._toeplitz
+        l1 = float(np.sum(np.abs(c)))
+        return np.finfo(float).eps * l1 * l1
+
+    @cached_property
     def gram(self) -> np.ndarray:
-        return _gram_lower(self.A, right=False)
+        return _gram_lower(self.A, right=False, toeplitz=self._toeplitz)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
-        return _gram_lower(self.A, right=True)
+        return _gram_lower(self.A, right=True, toeplitz=self._toeplitz)
 
     @cached_property
     def norm(self) -> float:
@@ -375,25 +434,32 @@ class DenseOperator:
         return self._factor_shifted(a).solve(b)
 
     def _factor_shifted(self, a: float) -> SpdFactorization:
-        """Cholesky factor of A^T A + a I from the cached, unmodified lower
-        triangle of A^T A. Only the last a's factor is kept, keyed by the
-        exact float; another a drops it before factoring, so no two n x n
-        factors are held at once. Raises ValueError when a is not positive
-        and finite, and when the shifted matrix is not finite or not
-        positive definite."""
+        """Cholesky factor of A^T A + a I, its solves refined against the
+        cached, unmodified lower triangle of A^T A. A triangular Toeplitz A
+        is factored in O(n^2) by the generalized Schur algorithm
+        (_toeplitz_cholesky) when a > eps (sum |c_i|)^2, which never fails;
+        at or below that bound, roundoff in A^T A can swamp a, and, like any
+        other A, it is factored in O(n^3) by LAPACK's Cholesky of the shifted
+        triangle. Only the last a's factor is kept, keyed by the exact float;
+        another a drops it before factoring, so no two n x n factors are
+        held at once. Raises ValueError when a is not positive and finite,
+        and when the shifted matrix is not finite or not positive definite."""
         if not 0.0 < a < np.inf:
             raise ValueError(f"damping parameter must be positive and finite, got {a}")
         if self._damped is not None and self._damped[0] == a:
             return self._damped[1]
         self._damped = None
         triangle = self.gram  # outside the try: a Gram error keeps its own message
-        try:
-            factor = _cholesky(triangle, a)
-        except ValueError:
-            raise ValueError(
-                f"damped Gram matrix could not be factored; a={a} is too small "
-                "for this operator at working precision"
-            ) from None
+        if self._toeplitz is not None and a > self._schur_floor:
+            factor = _toeplitz_cholesky(*self._toeplitz, triangle, a)
+        else:
+            try:
+                factor = _cholesky(triangle, a)
+            except ValueError:
+                raise ValueError(
+                    f"damped Gram matrix could not be factored; a={a} is too small "
+                    "for this operator at working precision"
+                ) from None
         self._damped = (a, factor)
         return factor
 

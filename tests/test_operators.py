@@ -187,33 +187,40 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
         assert _outcome(lambda: call(op)) == _outcome(lambda: call(A))
 
 
+def count_factorizations(monkeypatch) -> list:
+    """The factorizations of A^T A + a I made from here on, by LAPACK's
+    Cholesky or by the Schur algorithm for a triangular Toeplitz A, in order."""
+    factored = []
+    for name in ("_cholesky", "_toeplitz_cholesky"):
+        def counting(*args, real=getattr(linalg, name)):
+            factor = real(*args)
+            factored.append(factor)
+            return factor
+
+        monkeypatch.setattr(linalg, name, counting)
+    return factored
+
+
 def test_newton_factors_only_for_the_final_solve(monkeypatch):
     """vr_newton takes every misfit from one spectrum of A A^T, so the one
     Cholesky factorization it makes is vr_solve's at the root, however many
     bracket probes and Newton steps ran."""
-    factored = []
-    real_cholesky = linalg._cholesky
-
-    def counting_cholesky(triangle, shift=0.0):
-        factored.append(triangle.shape)
-        return real_cholesky(triangle, shift)
-
-    monkeypatch.setattr(linalg, "_cholesky", counting_cholesky)
+    factored = count_factorizations(monkeypatch)
     for n, seed in ((30, 0), (60, 3)):
         inst = heat_instance(n, 0.05, seed)
         factored.clear()
         _, _, iterations = vr_newton(inst.A, inst.b_noisy, inst.delta)
         assert iterations > 1
-        assert factored == [(n, n)]
+        assert [factor.lower.shape for factor in factored] == [(n, n)]
 
 
 def test_one_operator_forms_each_gram_once(monkeypatch):
     formed = []
     real_gram = linalg._gram_lower
 
-    def counting_gram(M, right):
+    def counting_gram(M, right, toeplitz):
         formed.append("A A^T" if right else "A^T A")
-        return real_gram(M, right)
+        return real_gram(M, right, toeplitz)
 
     monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
     inst = heat_instance(30, 0.05, 0)
@@ -242,9 +249,9 @@ def test_t_norm_reads_the_shared_operator(monkeypatch):
     formed = []
     real_gram = linalg._gram_lower
 
-    def counting_gram(M, right):
+    def counting_gram(M, right, toeplitz):
         formed.append(right)
-        return real_gram(M, right)
+        return real_gram(M, right, toeplitz)
 
     monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
     inst = heat_instance(30, 0.05, 0)
@@ -261,21 +268,14 @@ def test_shared_operator_factors_once_per_damping(monkeypatch):
     """The operator keeps the factor for its last damping: choose_a's accepting
     misfit, the dsm preconditioner and vr_i share one Cholesky, and vr_n's
     final solve makes the other."""
-    factored = []
-    real_cholesky = linalg._cholesky
-
-    def counting_cholesky(triangle, shift=0.0):
-        factored.append(shift)
-        return real_cholesky(triangle, shift)
-
-    monkeypatch.setattr(linalg, "_cholesky", counting_cholesky)
+    factored = count_factorizations(monkeypatch)
     inst = heat_instance(100, 0.01, 1)
     op = DenseOperator(inst.A)
     trace = choose_a(op, inst.b_noisy, inst.delta)
     assert trace.evaluations == 1
     results = {method: cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
                for method in cli.METHODS}
-    assert factored == [trace.chosen_a, results["vr_n"].a_used]
+    assert [factor.shift for factor in factored] == [trace.chosen_a, results["vr_n"].a_used]
 
 
 def test_two_dampings_share_the_operator_svd_and_keep_their_bits(monkeypatch):
