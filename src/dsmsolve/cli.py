@@ -119,7 +119,7 @@ def _run_method(method, op, f, delta, config, a) -> SolveResult:
     else:
         a, u, iterations = vr_newton(op, f, delta, C=config.C)
         reason = "discrepancy_root"
-    return SolveResult(u, iterations, [float(np.linalg.norm(op.A @ u - f))], reason, a)
+    return SolveResult(u, iterations, [float(np.linalg.norm(op.matvec(u) - f))], reason, a)
 
 
 def cmd_bench(args) -> int:

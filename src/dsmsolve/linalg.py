@@ -6,6 +6,7 @@ Everything is float64. Matrices are 2-d numpy arrays, vectors 1-d.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,51 @@ def _triangular_toeplitz(M: np.ndarray) -> tuple[np.ndarray, bool] | None:
     if not np.array_equal(M[1:, 1:], M[:-1, :-1]):
         return None
     return np.ascontiguousarray(M[:, 0] if lower else M[0, :]), lower
+
+
+# Order from which a triangular Toeplitz A is applied by FFT, not gemv. The
+# FFT pair overtakes gemv between n = 400 and 600 (per product, 1 BLAS
+# thread: 27-34 against 39-45 us at n = 400, 62 against 44-49 us at 500,
+# 140 against 35-47 us at 600).
+_FFT_FLOOR = 512
+
+
+class _ToeplitzFFT:
+    """A x and A^T y for the triangular Toeplitz A given by (c, lower), as
+    _triangular_toeplitz returns it, as zero-padded real-FFT convolutions.
+
+    The transform length N is the power of two at or above 2n - 1, so each
+    circular convolution of length N is the linear one: with C = rfft(c, N)
+    and L the lower-triangular Toeplitz with first column c,
+    L x = irfft(C rfft(x))[:n] and L^T y = irfft(conj(C) rfft(y))[:n]. C is
+    computed once. Each product is O(n log n) and within a small multiple of
+    log2(N) eps ||A||_F ||x|| of the dense one, normwise. Only C and its
+    conjugate are held, never A or its operator.
+    """
+
+    def __init__(self, c: np.ndarray, lower: bool):
+        self.n = c.shape[0]
+        self.length = 1 << (2 * self.n - 2).bit_length()
+        spectrum = np.fft.rfft(c, self.length)
+        self._forward, self._adjoint = (spectrum, spectrum.conj()) if lower else (spectrum.conj(), spectrum)
+        # A^T A is not formed here, so its range is checked on c: c . c is
+        # its largest entry, and it is zero only when every entry is.
+        cc = float(c @ c)
+        self.gram_in_range = math.isfinite(cc) and (cc > 0.0 or not c.any())
+
+    def _apply(self, spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if x.shape[0] != self.n:
+            raise ValueError(f"dimension mismatch: operand has length {x.shape[0]}, expected {self.n}")
+        if x.ndim > 1:
+            spectrum = spectrum[:, None]
+        product = np.fft.irfft(spectrum * np.fft.rfft(x, self.length, axis=0), self.length, axis=0)
+        return product[: self.n]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(self._forward, x)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self._apply(self._adjoint, y)
 
 
 def _toeplitz_gram_lower(c: np.ndarray, right: bool) -> np.ndarray:
@@ -142,22 +188,36 @@ def _require_symmetric(M: np.ndarray, context: str) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _triangle_product(triangle: np.ndarray, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> (triangle + shift I) x for a vector or a block x, by one dsymv
+    (dsymm for a block) that reads the lower triangle only, so no shifted
+    copy is kept."""
+
+    def product(x: np.ndarray) -> np.ndarray:
+        if x.shape[0] == 0:  # BLAS rejects empty operands
+            return np.zeros_like(x)
+        if x.ndim == 1:
+            return scipy.linalg.blas.dsymv(1.0, triangle, x, beta=shift, y=x, lower=1)
+        return scipy.linalg.blas.dsymm(1.0, triangle, x, beta=shift, c=x, lower=1)
+
+    return product
+
+
 @dataclass(frozen=True)
 class SpdFactorization:
-    """Cholesky factor of a symmetric positive definite M = triangle + shift I,
-    M = L L^T.
+    """Cholesky factor of a symmetric positive definite M, M = L L^T, with
+    M = G + shift I for a Gram matrix G.
 
-    lower is L in Fortran order, its strict upper triangle zero. Only the
-    lower triangle of triangle, also in Fortran order, is ever read. solve()
-    takes a vector or a block, one right-hand side per column, and runs two
-    passes of residual correction, each residual taken as
-    b - (triangle x + shift x) by one dsymv (dsymm for a block), so no
-    shifted copy of M is kept; a bare triangular solve loses too many digits
-    once the condition number gets near 1e12.
+    lower is L in Fortran order, its strict upper triangle zero. product
+    applies M to a vector or a block; it is the only way to M, so it must
+    not refer back to whoever keeps the factor. solve() takes a vector or a
+    block, one right-hand side per column, and runs two passes of residual
+    correction, each residual taken as b - product(x); a bare triangular
+    solve loses too many digits once the condition number gets near 1e12.
     """
 
     lower: np.ndarray
-    triangle: np.ndarray
+    product: Callable[[np.ndarray], np.ndarray]
     shift: float
 
     @property
@@ -167,18 +227,10 @@ class SpdFactorization:
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        """M x, as triangle x + shift x."""
-        if x.shape[0] == 0:  # BLAS rejects empty operands
-            return np.zeros_like(x)
-        if x.ndim == 1:
-            return scipy.linalg.blas.dsymv(1.0, self.triangle, x, beta=self.shift, y=x, lower=1)
-        return scipy.linalg.blas.dsymm(1.0, self.triangle, x, beta=self.shift, c=x, lower=1)
-
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
         x = self._raw_solve(b)
         for _ in range(2):
-            x = x + self._raw_solve(b - self._product(x))
+            x = x + self._raw_solve(b - self.product(x))
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -194,17 +246,19 @@ class SpdFactorization:
 
 
 class _ReversedFactorization(SpdFactorization):
-    """A factorization M = J L L^T J, J the reversal, with lower, triangle and
+    """A factorization M = J L L^T J, J the reversal, with lower, product and
     shift as in SpdFactorization: each raw solve is J (L L^T)^{-1} J b."""
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         return super()._raw_solve(b[::-1])[::-1]
 
 
-def _toeplitz_cholesky(c: np.ndarray, lower: bool, triangle: np.ndarray, shift: float) -> SpdFactorization:
-    """Factor triangle + shift I = A^T A + shift I for the triangular Toeplitz
-    A given by (c, lower), as _triangular_toeplitz returns it, in O(n^2) by
-    the generalized Schur algorithm; the shifted matrix is never formed.
+def _toeplitz_cholesky(c: np.ndarray, lower: bool, product: Callable[[np.ndarray], np.ndarray],
+                       shift: float) -> SpdFactorization:
+    """Factor M = A^T A + shift I for the triangular Toeplitz A given by
+    (c, lower), as _triangular_toeplitz returns it, in O(n^2) by the
+    generalized Schur algorithm; M is never formed, and the solves refine
+    against product, which applies M.
 
     The lower-triangular Toeplitz L with first column c commutes with the
     down-shift Z, so M = L L^T + shift I has M - Z M Z^T = g g^T + h h^T for
@@ -231,7 +285,7 @@ def _toeplitz_cholesky(c: np.ndarray, lower: bool, triangle: np.ndarray, shift: 
         drot(g, h, g[0] / r, h[k] / r, n=n - k, offy=k, overwrite_x=1, overwrite_y=1)
         R[k:, k] = g[: n - k]
     factorization = _ReversedFactorization if lower else SpdFactorization
-    return factorization(lower=R, triangle=triangle, shift=shift)
+    return factorization(lower=R, product=product, shift=shift)
 
 
 def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
@@ -247,7 +301,7 @@ def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
     if np.all(np.isfinite(diagonal)):
         try:
             L = scipy.linalg.cholesky(W, lower=True, overwrite_a=True, check_finite=False)
-            return SpdFactorization(lower=L, triangle=triangle, shift=shift)
+            return SpdFactorization(lower=L, product=_triangle_product(triangle, shift), shift=shift)
         except np.linalg.LinAlgError:
             pass
     raise ValueError("spd_factor: matrix is not positive definite")
@@ -340,19 +394,21 @@ def op_norm(M: np.ndarray) -> float:
 
 
 class DenseOperator:
-    """Dense A, the one owner of every decomposition of A: A^T A, A A^T,
-    ||A||, the SVD and the Cholesky factor of A^T A + a I for the last a,
-    each formed on first use.
+    """Dense A, the one owner of every product with A and every
+    decomposition of A: A^T A, A A^T, ||A||, the SVD and the Cholesky factor
+    of A^T A + a I for the last a, each formed on first use.
 
-    gram and gram_right hold the lower triangles of A^T A and A A^T in
-    Fortran order, their strict upper triangles zero: the one form that is
-    factored, multiplied by and reduced. Mirrored, they are gram(A) and
-    gram(A, right=True) bit for bit, and so numpy's A^T A and A A^T bit for
-    bit, except for a square triangular Toeplitz A such as heat_matrix,
-    whose triangles take O(n^2) and lie within 2 n eps (|A|^T |A|) of
-    numpy's. Such an A, found once per operator, also gets the factor of
-    A^T A + a I in O(n^2) when a > eps (sum |c_i|)^2 for its first column
-    c (see _factor_shifted). norm is the one place ||A|| is computed.
+    matvec and rmatvec apply A and A^T. gram and gram_right hold the lower
+    triangles of A^T A and A A^T in Fortran order, their strict upper
+    triangles zero: the one form that is factored, multiplied by and
+    reduced. Mirrored, they are gram(A) and gram(A, right=True) bit for bit,
+    and so numpy's A^T A and A A^T bit for bit, except for a square
+    triangular Toeplitz A such as heat_matrix, whose triangles take O(n^2)
+    and lie within 2 n eps (|A|^T |A|) of numpy's. Such an A, found once per
+    operator, also gets the factor of A^T A + a I in O(n^2) when
+    a > eps (sum |c_i|)^2 for its first column c (see _factor_shifted); from
+    order n = 512 it is applied by FFT in O(n log n), and neither ||A|| nor
+    that factor forms A^T A. norm is the one place ||A|| is computed.
     A is validated and used as given, flags untouched; it must not change
     while the operator is in use.
     """
@@ -363,8 +419,8 @@ class DenseOperator:
 
     @cached_property
     def _toeplitz(self) -> tuple[np.ndarray, bool] | None:
-        """_triangular_toeplitz(A), found once for both Gram matrices and
-        the damped factor."""
+        """_triangular_toeplitz(A), found once for both Gram matrices, the
+        damped factor and the FFT products."""
         return _triangular_toeplitz(self.A)
 
     @cached_property
@@ -377,6 +433,42 @@ class DenseOperator:
         return np.finfo(float).eps * l1 * l1
 
     @cached_property
+    def _fft(self) -> _ToeplitzFFT | None:
+        """The FFT products of a triangular Toeplitz A of order n >= 512,
+        else None; decided once per operator, so a product costs no test."""
+        if self.A.shape[0] < _FFT_FLOOR or self._toeplitz is None:
+            return None
+        return _ToeplitzFFT(*self._toeplitz)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x for a float vector x, or a block with one vector per column.
+
+        numpy's A @ x, bit for bit, except for a triangular Toeplitz A of
+        order n >= 512, which takes zero-padded real FFTs of a length N < 4n
+        in O(n log n), within a small multiple of log2(N) eps ||A||_F ||x||
+        of it, normwise."""
+        fft = self._fft
+        return self.A @ x if fft is None else fft.matvec(x)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y, as matvec applies A: numpy's A.T @ y bit for bit, or by FFT."""
+        fft = self._fft
+        return self.A.T @ y if fft is None else fft.rmatvec(y)
+
+    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (A^T A + shift I) x: one dsymv (dsymm for a block) on the
+        lower triangle of A^T A, or, on the FFT route, A^T (A x) + shift x,
+        which forms no A^T A. The product refers to the triangle or to the
+        FFT spectra, never to the operator, which keeps it in its factor.
+        Raises the Gram matrix's overflow or underflow error either way."""
+        fft = self._fft
+        if fft is None:
+            return _triangle_product(self.gram, shift)
+        if not fft.gram_in_range:
+            _ = self.gram  # raises the named error
+        return lambda x: fft.rmatvec(fft.matvec(x)) + shift * x
+
+    @cached_property
     def gram(self) -> np.ndarray:
         return _gram_lower(self.A, right=False, toeplitz=self._toeplitz)
 
@@ -386,18 +478,19 @@ class DenseOperator:
 
     @cached_property
     def norm(self) -> float:
-        """||A|| by power iteration on A^T A, one dsymv on its lower triangle
-        per step, from a fixed all-ones start vector, so repeated calls give
-        the same value. Zero for an empty or zero A."""
-        G = self.gram
-        n = G.shape[0]
+        """||A|| by power iteration on A^T A, one _gram_product per step (a
+        dsymv on its lower triangle, or on the FFT route an FFT product each
+        way), from a fixed all-ones start vector, so repeated calls give the
+        same value. Zero for an empty or zero A."""
+        n = self.A.shape[1]
         if n == 0:
             return 0.0
+        product = self._gram_product(0.0)
         v = np.full(n, 1.0 / np.sqrt(n))
         rayleigh = 0.0
         previous = -np.inf
         for _ in range(10_000):
-            w = scipy.linalg.blas.dsymv(1.0, G, v, lower=1)
+            w = product(v)
             rayleigh = float(v @ w)
             if abs(rayleigh - previous) <= 1e-10 * max(abs(rayleigh), 1e-300):
                 break
@@ -434,25 +527,27 @@ class DenseOperator:
         return self._factor_shifted(a).solve(b)
 
     def _factor_shifted(self, a: float) -> SpdFactorization:
-        """Cholesky factor of A^T A + a I, its solves refined against the
-        cached, unmodified lower triangle of A^T A. A triangular Toeplitz A
-        is factored in O(n^2) by the generalized Schur algorithm
-        (_toeplitz_cholesky) when a > eps (sum |c_i|)^2, which never fails;
-        at or below that bound, roundoff in A^T A can swamp a, and, like any
-        other A, it is factored in O(n^3) by LAPACK's Cholesky of the shifted
-        triangle. Only the last a's factor is kept, keyed by the exact float;
-        another a drops it before factoring, so no two n x n factors are
-        held at once. Raises ValueError when a is not positive and finite,
-        and when the shifted matrix is not finite or not positive definite."""
+        """Cholesky factor of A^T A + a I, its solves refined against
+        _gram_product(a). A triangular Toeplitz A is factored in O(n^2) by
+        the generalized Schur algorithm (_toeplitz_cholesky) when
+        a > eps (sum |c_i|)^2, which never fails; from order 512 it then
+        forms no A^T A, as its refinement takes FFT products. At or below
+        that bound, roundoff in A^T A can swamp a, and, like any other A, it
+        is factored in O(n^3) by LAPACK's Cholesky of the shifted triangle,
+        refined against that triangle. Only the last a's factor is kept,
+        keyed by the exact float; another a drops it before factoring, so no
+        two n x n factors are held at once. Raises ValueError when a is not
+        positive and finite, and when the shifted matrix is not finite or
+        not positive definite."""
         if not 0.0 < a < np.inf:
             raise ValueError(f"damping parameter must be positive and finite, got {a}")
         if self._damped is not None and self._damped[0] == a:
             return self._damped[1]
         self._damped = None
-        triangle = self.gram  # outside the try: a Gram error keeps its own message
         if self._toeplitz is not None and a > self._schur_floor:
-            factor = _toeplitz_cholesky(*self._toeplitz, triangle, a)
+            factor = _toeplitz_cholesky(*self._toeplitz, self._gram_product(a), a)
         else:
+            triangle = self.gram  # outside the try: a Gram error keeps its own message
             try:
                 factor = _cholesky(triangle, a)
             except ValueError:

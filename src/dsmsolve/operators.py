@@ -10,9 +10,10 @@ from .linalg import as_operator, as_vector, gram
 class Preconditioner:
     """Applies P = (A^T A + a I)^{-1} A^T and the contractions T = P A, Q = A P.
 
-    A plain (operator, a) pair: A is an array or a DenseOperator, kept as op,
-    and every damped solve is op.damped_solve(a, .), which reuses the factor
-    the operator keeps for its last a. The factor is built at construction,
+    A plain (operator, a) pair: A is an array or a DenseOperator, kept as op.
+    Every product with A is op.matvec or op.rmatvec, and every damped solve
+    is op.damped_solve(a, .), which reuses the factor the operator keeps for
+    its last a. The factor is built at construction,
     so an a the operator cannot take fails here. T and Q are symmetric
     positive semidefinite with spectral norm strictly below 1, which is what
     makes the damped iteration stable for unit step size.
@@ -34,13 +35,13 @@ class Preconditioner:
 
     def apply_p(self, r) -> np.ndarray:
         r = as_vector(r, self.A.shape[0], name="residual")
-        return self.op.damped_solve(self.a, self.A.T @ r)
+        return self.op.damped_solve(self.a, self.op.rmatvec(r))
 
     def apply_t(self, x) -> np.ndarray:
-        return self.apply_p(self.A @ as_vector(x, self.A.shape[1], name="input"))
+        return self.apply_p(self.op.matvec(as_vector(x, self.A.shape[1], name="input")))
 
     def apply_q(self, y) -> np.ndarray:
-        return self.A @ self.apply_p(y)
+        return self.op.matvec(self.apply_p(y))
 
     def assemble_t(self) -> np.ndarray:
         """Dense T = (A^T A + a I)^{-1} A^T A, symmetrized. Dense-only, test-scale sizes.

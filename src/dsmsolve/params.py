@@ -59,7 +59,7 @@ def phi(A, f_delta, a: float) -> float:
     op = as_operator(A)
     f_delta = op.check_data(f_delta)
     u = vr_solve(op, f_delta, a)
-    return float(np.linalg.norm(op.A @ u - f_delta))
+    return float(np.linalg.norm(op.matvec(u) - f_delta))
 
 
 def choose_a(A, f_delta, delta: float) -> ParamTrace:

@@ -96,7 +96,7 @@ def dsm_step(precond: Preconditioner, h: float, u: np.ndarray, f_delta: np.ndarr
     """One damped update u - h P (A u - f_delta)."""
     u = as_vector(u, precond.A.shape[1], name="u")
     f_delta = precond.op.check_data(f_delta)
-    return u - h * precond.apply_p(precond.A @ u - f_delta)
+    return u - h * precond.apply_p(precond.op.matvec(u) - f_delta)
 
 
 def _checked_inputs(A, f_delta, delta, config):
@@ -111,16 +111,16 @@ def _checked_inputs(A, f_delta, delta, config):
     return op, f_delta, config
 
 
-def _run_iteration(step, A, f_delta, delta, config, u0, a_used):
+def _run_iteration(step, op, f_delta, delta, config, u0, a_used):
     """Shared stopping logic: first discrepancy crossing, or a fixed step count.
 
     u0 is the initial guess, default zero. step(u, r) gets r = A u - f_delta,
     the residual the history records. The a-priori rule runs the same loop
     with threshold -inf, which no residual crosses.
     """
-    cols = A.shape[1]
+    cols = op.A.shape[1]
     u = np.zeros(cols) if u0 is None else as_vector(u0, cols, name="initial guess").copy()
-    r = A @ u - f_delta
+    r = op.matvec(u) - f_delta
     residual = float(np.linalg.norm(r))
     history = [residual]
 
@@ -134,7 +134,7 @@ def _run_iteration(step, A, f_delta, delta, config, u0, a_used):
         return SolveResult(u, 0, history, "initial_already_small", a_used)
     for n in range(1, steps + 1):
         u = step(u, r)
-        r = A @ u - f_delta
+        r = op.matvec(u) - f_delta
         residual = float(np.linalg.norm(r))
         history.append(residual)
         if residual <= threshold:
@@ -187,7 +187,7 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     def step(current, residual):
         return current - config.h * precond.apply_p(residual)
 
-    return _run_iteration(step, op.A, f_delta, delta, config, u0, precond.a)
+    return _run_iteration(step, op, f_delta, delta, config, u0, precond.a)
 
 
 def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
@@ -205,12 +205,11 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
             f"step size too large: h * ||A||^2 = {config.h * s2:.6g} >= 2; "
             f"use h < 2/||A||^2 = {2.0 / s2:.6g}"
         )
-    A = op.A
 
     def step(current, residual):
-        return current - config.h * (A.T @ residual)
+        return current - config.h * op.rmatvec(residual)
 
-    return _run_iteration(step, A, f_delta, delta, config, u0, None)
+    return _run_iteration(step, op, f_delta, delta, config, u0, None)
 
 
 def residuals_nonincreasing(history, slack: float = RESIDUAL_SLACK) -> bool:

@@ -24,6 +24,14 @@ from dsmsolve.linalg import as_matrix, as_vector
 from dsmsolve.problems import heat_instance, heat_matrix
 
 
+def at_heat_sizes(entries, ids):
+    """(entry, n) parameters: each entry on heat n = 20 under its own id, and
+    on n = 600, where the triangular Toeplitz A is applied by FFT and
+    A^T A is not formed for ||A|| or the damped factor."""
+    return [pytest.param(entry, n, id=name if n == 20 else f"{name}-n600")
+            for n in (20, 600) for entry, name in zip(entries, ids)]
+
+
 def rotated_spd(seed, n, cond):
     """SPD matrix with geometric spectrum [1, 1/cond] in a random orthogonal basis."""
     rng = np.random.default_rng(seed)
@@ -194,23 +202,23 @@ def test_op_norm_edge_cases():
     assert op_norm(2.5 * M) == pytest.approx(2.5 * op_norm(M), rel=1e-9)
 
 
-@pytest.mark.parametrize("entry", [
+@pytest.mark.parametrize("entry, n", at_heat_sizes([
     lambda A, f, delta: choose_a(A, f, delta),
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: landweber_solve(A, f, delta),
     lambda A, f, delta: op_norm(A),
     lambda A, f, delta: build_preconditioner(A, 1.0),
     lambda A, f, delta: phi(A, f, 1.0),
-], ids=["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"])
-def test_overflowing_gram_is_named(entry):
+], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
+def test_overflowing_gram_is_named(entry, n):
     """A, f and delta scaled by 1e200: A^T A overflows, and every entry point says so."""
-    inst = heat_instance(20, 0.01, 0)
+    inst = heat_instance(n, 0.01, 0)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="Gram matrix overflows float64; scale A, f_delta and delta"):
             entry(1e200 * inst.A, 1e200 * inst.b_noisy, 1e200 * inst.delta)
 
 
-@pytest.mark.parametrize("entry", [
+@pytest.mark.parametrize("entry, n", at_heat_sizes([
     lambda A, f, delta: choose_a(A, f, delta),
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: solve_dsm(A, f, delta, build_preconditioner(A, 1.0)),
@@ -218,33 +226,33 @@ def test_overflowing_gram_is_named(entry):
     lambda A, f, delta: phi(A, f, 1.0),
     lambda A, f, delta: vr_solve(A, f, 1.0),
     lambda A, f, delta: dsm_step(build_preconditioner(A, 1.0), 1.0, np.zeros(A.shape[1]), f),
-], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"])
-def test_overflowing_data_norm_is_named(entry):
+], ["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"]))
+def test_overflowing_data_norm_is_named(entry, n):
     """f and delta scaled by 1e160 with A as is: A^T A is finite but ||f|| overflows,
     and every entry point that takes data says so instead of running on inf."""
-    inst = heat_instance(20, 0.01, 0)
+    inst = heat_instance(n, 0.01, 0)
     with pytest.raises(ValueError, match="data norm overflows float64; scale f_delta and delta"):
         entry(inst.A, 1e160 * inst.b_noisy, 1e160 * inst.delta)
 
 
-@pytest.mark.parametrize("entry", [
+@pytest.mark.parametrize("entry, n", at_heat_sizes([
     lambda A, f, delta: choose_a(A, f, delta),
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: landweber_solve(A, f, delta),
     lambda A, f, delta: op_norm(A),
     lambda A, f, delta: build_preconditioner(A, 1e-300),
     lambda A, f, delta: phi(A, f, 1e-300),
-], ids=["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"])
-def test_underflowing_gram_is_named(entry):
+], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
+def test_underflowing_gram_is_named(entry, n):
     """A, f and delta scaled by 1e-200: A^T A and ||f|| underflow to zero, and
     every entry point says so instead of answering for a zero operator or zero
     data (u = 0, ||A|| = 0, entries of P near 1e99)."""
-    inst = heat_instance(20, 0.01, 0)
+    inst = heat_instance(n, 0.01, 0)
     with pytest.raises(ValueError, match="Gram matrix underflows float64; scale A, f_delta and delta up"):
         entry(1e-200 * inst.A, 1e-200 * inst.b_noisy, 1e-200 * inst.delta)
 
 
-@pytest.mark.parametrize("entry", [
+@pytest.mark.parametrize("entry, n", at_heat_sizes([
     lambda A, f, delta: choose_a(A, f, delta),
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: solve_dsm(A, f, delta, build_preconditioner(A, 1.0)),
@@ -252,11 +260,11 @@ def test_underflowing_gram_is_named(entry):
     lambda A, f, delta: phi(A, f, 1.0),
     lambda A, f, delta: vr_solve(A, f, 1.0),
     lambda A, f, delta: dsm_step(build_preconditioner(A, 1.0), 1.0, np.zeros(A.shape[1]), f),
-], ids=["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"])
-def test_underflowing_data_norm_is_named(entry):
+], ["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"]))
+def test_underflowing_data_norm_is_named(entry, n):
     """f and delta scaled by 1e-200 with A as is: ||f|| underflows to zero
     although f does not, and every entry point that takes data says so."""
-    inst = heat_instance(20, 0.01, 0)
+    inst = heat_instance(n, 0.01, 0)
     with pytest.raises(ValueError, match="data norm underflows float64; scale f_delta and delta up"):
         entry(inst.A, 1e-200 * inst.b_noisy, 1e-200 * inst.delta)
 

@@ -1,6 +1,8 @@
 """Tests for the damped preconditioner, the smoothed operators T and Q, and
 the shared DenseOperator."""
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -29,7 +31,7 @@ from dsmsolve import (
     vr_newton,
     vr_solve,
 )
-from dsmsolve.problems import heat_instance
+from dsmsolve.problems import heat_instance, heat_matrix
 
 
 def random_operator(seed, m, n):
@@ -241,6 +243,48 @@ def test_one_operator_forms_each_gram_once(monkeypatch):
     with pytest.raises(ValueError, match="step size too large"):
         solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a), SolveConfig(h=2.5))
     assert len(formed) == 2
+
+
+def test_fft_route_forms_no_left_gram(monkeypatch):
+    """On heat n = 600, which takes the FFT products, choose_a, the dsm
+    preconditioner and its solve, and vr_solve form no A^T A: ||A|| and the
+    damped factor's refinement use FFT products instead. The same matrix
+    with one entry moved by one ulp is no longer Toeplitz and forms it once."""
+    formed = []
+    real_gram = linalg._gram_lower
+
+    def counting_gram(M, right, toeplitz):
+        formed.append(right)
+        return real_gram(M, right, toeplitz)
+
+    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
+    inst = heat_instance(600, 0.01, 1)
+    nudged = inst.A.copy()
+    nudged[599, 599] = np.nextafter(nudged[599, 599], np.inf)
+    for A, expected in ((inst.A, []), (nudged, [False])):
+        formed.clear()
+        op = DenseOperator(A)
+        a = choose_a(op, inst.b_noisy, inst.delta).chosen_a
+        solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a))
+        vr_solve(op, inst.b_noisy, a)
+        assert formed == expected
+
+
+def test_dropped_operator_frees_its_factor_without_the_collector():
+    """The damped factor, which the operator keeps, refers to the FFT
+    spectra and not back to the operator: with the cyclic collector off, a
+    dropped heat n = 600 operator and its factor are freed at once, not
+    left holding their n x n arrays until a collection."""
+    gc.disable()
+    try:
+        op = DenseOperator(heat_matrix(600))
+        assert op._fft is not None
+        factor = op._factor_shifted(1e-3 * op.norm**2)
+        refs = (weakref.ref(op), weakref.ref(factor))
+        del op, factor
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_t_norm_reads_the_shared_operator(monkeypatch):
