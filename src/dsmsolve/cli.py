@@ -122,6 +122,15 @@ def _run_method(method, op, f, delta, config, a) -> SolveResult:
     return SolveResult(u, iterations, [float(np.linalg.norm(op.matvec(u) - f))], reason, a)
 
 
+def _warn_on_fallback(where: str, trace, delta: float) -> None:
+    """Say on stderr when choose_a ended on fallback_triple, whose misfit
+    need not lie in the band [delta, 2 delta] that the search aims for."""
+    if trace.steps[-1].action == "fallback_triple":
+        print(f"warning: {where}: choose_a ended on fallback_triple at a={trace.chosen_a:.6g}, "
+              f"misfit {trace.phi_at_chosen:.6g} against the band [{delta:.6g}, {2.0 * delta:.6g}]",
+              file=sys.stderr)
+
+
 def cmd_bench(args) -> int:
     config = _config_from(args)
     if args.seeds < 1:
@@ -142,6 +151,8 @@ def cmd_bench(args) -> int:
                 print(f"error: n={n} seed={seed}: parameter selection failed: {exc}", file=sys.stderr)
                 failed = True
                 continue
+            if trace is not None:
+                _warn_on_fallback(f"n={n} seed={seed}", trace, inst.delta)
             for method in args.methods:
                 started = time.perf_counter()
                 if method == "vr_i" and args.vr_i_a0:
@@ -206,12 +217,16 @@ def cmd_solve(args) -> int:
 
     op = DenseOperator(A)
     a = args.a
+    trace = None
     if args.method in ("dsm", "vr_i"):
         if a is None:
-            a = choose_a(op, f, args.delta).chosen_a
+            trace = choose_a(op, f, args.delta)
+            a = trace.chosen_a
         elif a <= 0.0:
             raise ValueError(f"--a must be positive, got {a}")
     result = _run_method(args.method, op, f, args.delta, config, a)
+    if trace is not None:  # after the solve, so a failed run reports only its error
+        _warn_on_fallback(f"n={A.shape[1]}", trace, args.delta)
 
     save_vector(args.out, result.solution)
     print(f"method={args.method}")

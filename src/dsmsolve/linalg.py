@@ -388,6 +388,75 @@ def _eigen_coefficients(S: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.maximum(eigenvalues, 0.0), Z.T @ qb
 
 
+def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """x less its components along the orthonormal rows of basis, by
+    classical Gram-Schmidt run twice (two gemv pairs), which keeps the
+    result orthogonal to working precision; x is overwritten."""
+    for _ in range(2):
+        x -= basis.T @ (basis @ x)
+    return x
+
+
+def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray, root: Callable[[np.ndarray, np.ndarray], float],
+                         ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The misfit spectrum (lam, gamma) of a Golub-Kahan bidiagonalization
+    of the A that fft applies, started at f, or None when it does not
+    settle within k_max = ceil(n / 8) steps.
+
+    k steps give A V_k = U_{k+1} B_k, U_{k+1} e_1 = f / ||f||, with
+    orthonormal columns in U and V, kept so by full reorthogonalization,
+    and B_k lower bidiagonal, (k + 1) x k. With B_k = P diag(s) Q^T, lam is
+    s^2 and one exact zero, ascending, and gamma = ||f|| P^T e_1, so that
+    sum (a gamma_i / (lam_i + a))^2 is the damped misfit of the damped
+    least-squares solution restricted to span(V_k); it lies at or above the
+    full misfit and falls toward it as k grows, so its root rises toward the
+    full one. Every 5 steps the root is taken on B_k; the bidiagonalization
+    stops at the first k where root(lam, gamma) returns, which needs the
+    projected misfit floor below the target, and agrees with the root on
+    B_{k-5} within 1e-12 relative. A root that raises ValueError counts as
+    none yet. An exact zero alpha or beta (an exhausted Krylov space) also
+    returns None. Holds the two k x n bases and B_k, never A or its operator.
+    """
+    n = fft.n
+    k_max = -(-n // 8)
+    norm_f = float(np.linalg.norm(f))
+    U = np.empty((k_max + 1, n))
+    V = np.empty((k_max, n))
+    B = np.zeros((k_max + 1, k_max))
+    U[0] = f / norm_f
+    previous = None
+    for k in range(1, k_max + 1):
+        j = k - 1
+        v = fft.rmatvec(U[j])
+        if j:
+            v -= B[j, j - 1] * V[j - 1]
+        alpha = float(np.linalg.norm(_orthogonalize(v, V[:j])))
+        if alpha == 0.0:
+            return None
+        V[j] = v / alpha
+        B[j, j] = alpha
+        u = fft.matvec(V[j])
+        u -= alpha * U[j]
+        beta = float(np.linalg.norm(_orthogonalize(u, U[:k])))
+        if beta == 0.0:
+            return None
+        U[k] = u / beta
+        B[k, j] = beta
+        if k % 5:
+            continue
+        P, s, _ = np.linalg.svd(B[: k + 1, :k])
+        lam = np.concatenate(([0.0], s[::-1] ** 2))
+        gamma = norm_f * P[0, ::-1]
+        try:
+            a = root(lam, gamma)
+        except ValueError:
+            a = None
+        if a is not None and previous is not None and abs(a - previous) <= 1e-12 * a:
+            return lam, gamma
+        previous = a
+    return None
+
+
 def op_norm(M: np.ndarray) -> float:
     """Spectral norm (largest singular value) of a rectangular matrix."""
     return DenseOperator(M).norm
@@ -407,8 +476,11 @@ class DenseOperator:
     and lie within 2 n eps (|A|^T |A|) of numpy's. Such an A, found once per
     operator, also gets the factor of A^T A + a I in O(n^2) when
     a > eps (sum |c_i|)^2 for its first column c (see _factor_shifted); from
-    order n = 512 it is applied by FFT in O(n log n), and neither ||A|| nor
-    that factor forms A^T A. norm is the one place ||A|| is computed.
+    order n = 512 it is applied by FFT in O(n log n), neither ||A|| nor
+    that factor forms A^T A, and misfit_spectrum, given a root, forms no
+    A A^T: it bidiagonalizes from the data by FFT products until the root
+    settles, and falls back to A A^T's eigenpairs after ceil(n / 8) steps.
+    norm is the one place ||A|| is computed.
     A is validated and used as given, flags untouched; it must not change
     while the operator is in use.
     """
@@ -558,11 +630,30 @@ class DenseOperator:
         self._damped = (a, factor)
         return factor
 
-    def misfit_spectrum(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, gamma): the eigenvalues of A A^T, ascending and clamped at 0,
-        and the coefficients of the checked data f in their eigenvectors, so
-        that the damped misfit is phi(a)^2 = sum (a gamma_i / (lam_i + a))^2.
-        One tridiagonal reduction of A A^T per call."""
+    def misfit_spectrum(self, f: np.ndarray,
+                        root: Callable[[np.ndarray, np.ndarray], float] | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, gamma) with lam ascending and nonnegative, such that the
+        damped misfit of the checked data f is approximated or given by
+        phi(a)^2 = sum (a gamma_i / (lam_i + a))^2.
+
+        root maps such a spectrum to its root of phi(a) = C delta (vr_newton
+        passes its own search) and raises ValueError when there is none.
+        With a root, a triangular Toeplitz A of order n >= 512, the one that
+        matvec applies by FFT, gets the spectrum of a Golub-Kahan
+        bidiagonalization from f, O(k n log n + k^2 n) for k steps: k grows
+        by 5 until the projected misfit floor is below C delta and the root
+        agrees with the one 5 steps earlier within 1e-12 relative (see
+        _bidiagonal_spectrum). It forms neither Gram matrix. If that has not
+        happened by k_max = ceil(n / 8), or with no root, or for any other A,
+        the spectrum is that of A A^T, exact: its eigenvalues, clamped at 0,
+        and the coefficients of f in its eigenvectors, from one tridiagonal
+        reduction of A A^T per call, O(m^3)."""
+        fft = self._fft
+        if fft is not None and root is not None:
+            spectrum = _bidiagonal_spectrum(fft, f, root)
+            if spectrum is not None:
+                return spectrum
         return _eigen_coefficients(self.gram_right, f)
 
     @cached_property

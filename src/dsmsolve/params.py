@@ -106,42 +106,17 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
     raise ValueError(f"no damping parameter found within {MAX_EVALUATIONS} misfit evaluations")
 
 
-def vr_newton(A, f_delta, delta: float, C: float = 1.01,
-              max_iter: int = 100) -> tuple[float, np.ndarray, int]:
-    """Solve phi(a) = C delta for the damping parameter by safeguarded Newton.
-
-    Works on G(a) = phi(a)^2 - (C delta)^2 through the identity
-    phi(a) = a ||z||, z = (A A^T + a I)^{-1} f_delta, whose derivative is
-    G'(a) = 2 a <z, z> - 2 a^2 <z, (A A^T + a I)^{-1} z>. A A^T is reduced
-    to tridiagonal form and diagonalized once per call, A A^T = Z Lambda Z^T;
-    in that basis z = gamma / (lambda + a) with gamma = Z^T f_delta, so each
-    bracket probe and Newton step costs O(m), and the only factorization is
-    the final vr_solve. Steps that leave the current bracket fall back to its
-    geometric midpoint, so iterates stay inside the initial bracket.
-
-    Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.
-    When C delta sits below the roundoff noise of the misfit itself, that
-    band contains no representable point; the search then ends at the last
-    bracket point once no interior float is left, which is the root at
-    working precision.
-    """
-    op = as_operator(A)
-    f_delta = op.check_data(f_delta)
-    if not delta > 0.0:
-        raise ValueError("needs delta > 0")
-    if not C > 0.0:
-        raise ValueError(f"C must be positive, got {C}")
-    target = C * delta
-    norm_f = float(np.linalg.norm(f_delta))
-    if target >= norm_f:
-        raise ValueError(
-            f"no root: C*delta = {target:.6g} is not below ||f_delta|| = {norm_f:.6g}"
-        )
-    s2 = op.norm**2
-    if s2 == 0.0:
-        raise ValueError("no root: operator is zero, the misfit is constant")
-
-    lam, gamma = op.misfit_spectrum(f_delta)
+def _discrepancy_root(lam: np.ndarray, gamma: np.ndarray, target: float, s2: float,
+                      start: float, max_iter: int) -> tuple[float, int]:
+    """(a, iterations): the root of phi(a) = target for the misfit
+    phi(a)^2 = sum (a gamma_i / (lam_i + a))^2 of the spectrum (lam, gamma),
+    by the bracket and safeguarded Newton search that vr_newton describes,
+    from start clamped into the bracket; s2 is ||A||^2. Each probe costs
+    O(len(lam)). The one root finder on a misfit spectrum: vr_newton runs
+    it on the spectrum that DenseOperator.misfit_spectrum returns, and that
+    method runs it to decide how far to extend a bidiagonalization. Raises
+    ValueError, naming the reason, when there is no root or no convergence
+    within max_iter Newton steps."""
 
     def misfit_parts(a: float):
         shifted = lam + a
@@ -165,17 +140,17 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     else:
         raise ValueError("no root: the misfit stays below C*delta for every tried damping")
 
-    a = min(max(start_damping(delta, op.norm, norm_f), lo), hi)
+    a = min(max(start, lo), hi)
     for iteration in range(1, max_iter + 1):
         value, z, shifted = misfit_parts(a)
         if abs(value - target) <= 1e-8 * target:
-            return a, vr_solve(op, f_delta, a), iteration
+            return a, iteration
         if value < target:
             lo = a
         else:
             hi = a
         if hi <= np.nextafter(lo, np.inf):
-            return a, vr_solve(op, f_delta, a), iteration
+            return a, iteration
         zz = float(z @ z)
         w = z / shifted
         g = a * a * zz - target * target
@@ -188,3 +163,51 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
             candidate = float(np.sqrt(lo * hi))
         a = candidate
     raise ValueError(f"no convergence within {max_iter} Newton steps")
+
+
+def vr_newton(A, f_delta, delta: float, C: float = 1.01,
+              max_iter: int = 100) -> tuple[float, np.ndarray, int]:
+    """Solve phi(a) = C delta for the damping parameter by safeguarded Newton.
+
+    Works on G(a) = phi(a)^2 - (C delta)^2 through the identity
+    phi(a) = a ||z||, z = (A A^T + a I)^{-1} f_delta, whose derivative is
+    G'(a) = 2 a <z, z> - 2 a^2 <z, (A A^T + a I)^{-1} z>. The search runs on
+    a misfit spectrum (lambda, gamma), in which z = gamma / (lambda + a), so
+    each bracket probe and Newton step costs O(len(lambda)), and the only
+    factorization is the final vr_solve. The spectrum comes from
+    DenseOperator.misfit_spectrum: for most A the eigenpairs of A A^T, from
+    one tridiagonal reduction per call; for a triangular Toeplitz A of order
+    n >= 512 that of a Golub-Kahan bidiagonalization from f_delta, extended
+    until its root settles, with the eigenpairs as fallback (see that
+    method). Steps that leave the current bracket fall back to its
+    geometric midpoint, so iterates stay inside the initial bracket.
+
+    Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.
+    When C delta sits below the roundoff noise of the misfit itself, that
+    band contains no representable point; the search then ends at the last
+    bracket point once no interior float is left, which is the root at
+    working precision.
+    """
+    op = as_operator(A)
+    f_delta = op.check_data(f_delta)
+    if not delta > 0.0:
+        raise ValueError("needs delta > 0")
+    if not C > 0.0:
+        raise ValueError(f"C must be positive, got {C}")
+    target = C * delta
+    norm_f = float(np.linalg.norm(f_delta))
+    if target >= norm_f:
+        raise ValueError(
+            f"no root: C*delta = {target:.6g} is not below ||f_delta|| = {norm_f:.6g}"
+        )
+    s2 = op.norm**2
+    if s2 == 0.0:
+        raise ValueError("no root: operator is zero, the misfit is constant")
+    start = start_damping(delta, op.norm, norm_f)
+
+    def search(lam: np.ndarray, gamma: np.ndarray) -> tuple[float, int]:
+        return _discrepancy_root(lam, gamma, target, s2, start, max_iter)
+
+    lam, gamma = op.misfit_spectrum(f_delta, root=lambda lam, gamma: search(lam, gamma)[0])
+    a, iterations = search(lam, gamma)
+    return a, vr_solve(op, f_delta, a), iterations

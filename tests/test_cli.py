@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dsmsolve import linalg, op_norm
+from dsmsolve import choose_a, cli, linalg, op_norm
 from dsmsolve.cli import BENCH_HEADER, SUMMARY_HEADER, main
 from dsmsolve.linalg import cond_estimate
 from dsmsolve.problems import heat_instance, heat_matrix, load_vector, save_matrix, save_vector
@@ -137,6 +137,53 @@ def test_bench_untuned_damping_flag(tmp_path, capsys):
         inst = heat_instance(int(row[0]), 0.05, int(row[4]))
         a0 = inst.delta * op_norm(inst.A) ** 2 / (3.0 * float(np.linalg.norm(inst.b_noisy)))
         assert float(row[6]) == pytest.approx(a0, rel=1e-12)
+
+
+def fallback_warning(where, trace, delta):
+    return (f"warning: {where}: choose_a ended on fallback_triple at a={trace.chosen_a:.6g}, "
+            f"misfit {trace.phi_at_chosen:.6g} against the band [{delta:.6g}, {2.0 * delta:.6g}]")
+
+
+def test_bench_reports_the_damping_fallback_on_stderr_only(tmp_path, capsys):
+    """Each (n, seed) whose damping search ends on fallback_triple gets one
+    warning line on stderr naming n, the seed, the misfit and the band; the
+    bench CSV and the summary CSV are the bytes of a run that warns nothing."""
+    args = ["bench", "--n-list", "10,20", "--seeds", "3", "--delta-rel", "2", "--methods", "dsm,vr_i"]
+    expected = []
+    for n in (10, 20):
+        for seed in range(3):
+            inst = heat_instance(n, 2.0, seed)
+            trace = choose_a(inst.A, inst.b_noisy, inst.delta)
+            if trace.steps[-1].action == "fallback_triple":
+                expected.append(fallback_warning(f"n={n} seed={seed}", trace, inst.delta))
+    assert 0 < len(expected) < 6
+
+    rc, stdout, err = run(args + ["--out", str(tmp_path / "warned.csv")], capsys)
+    assert rc == 0
+    assert err.splitlines() == expected
+    assert "warning" not in stdout
+    with mock.patch.object(cli, "_warn_on_fallback"):
+        assert run(args + ["--out", str(tmp_path / "quiet.csv")], capsys)[0] == 0
+    for name in ("{}.csv", "{}_summary.csv"):
+        warned, quiet = (tmp_path / name.format(stem) for stem in ("warned", "quiet"))
+        assert warned.read_bytes() == quiet.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["dsm", "vr_i"])
+def test_solve_reports_the_damping_fallback_on_stderr(tmp_path, capsys, method):
+    """delta >= ||f_delta|| leaves every misfit below delta, so choose_a ends
+    on fallback_triple; solve says so on stderr and still solves."""
+    mat, vec = write_identity_problem(tmp_path)
+    rc, stdout, err = run(
+        ["solve", "--matrix", str(mat), "--rhs", str(vec), "--delta", "2.0", "--method", method,
+         "--out", str(tmp_path / "u.csv")],
+        capsys,
+    )
+    assert rc == 0
+    trace = choose_a(np.eye(2), np.array([1.0, 0.0]), 2.0)
+    assert err.splitlines() == [fallback_warning("n=2", trace, 2.0)]
+    assert parse_kv(stdout)["a_used"] == format(trace.chosen_a, ".10e")
+    assert "warning" not in stdout
 
 
 def test_bench_rejects_bad_arguments(tmp_path, capsys):

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -268,6 +269,48 @@ def test_fft_route_forms_no_left_gram(monkeypatch):
         solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a))
         vr_solve(op, inst.b_noisy, a)
         assert formed == expected
+
+
+def test_fft_route_newton_forms_no_gram(monkeypatch):
+    """On heat n = 600 vr_newton takes its misfit spectrum from a Golub-Kahan
+    bidiagonalization by FFT products: it forms neither A^T A nor A A^T and
+    calls no dsytrd. The same matrix with one entry moved by one ulp is no
+    longer Toeplitz and forms each Gram matrix once (A^T A for ||A|| and the
+    final solve, A A^T for its spectrum) and reduces A A^T by one dsytrd."""
+    formed = []
+    real_gram = linalg._gram_lower
+
+    def counting_gram(M, right, toeplitz):
+        formed.append(right)
+        return real_gram(M, right, toeplitz)
+
+    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
+    inst = heat_instance(600, 0.01, 1)
+    nudged = inst.A.copy()
+    nudged[599, 599] = np.nextafter(nudged[599, 599], np.inf)
+    for A, grams, reductions in ((inst.A, [], 0), (nudged, [False, True], 1)):
+        formed.clear()
+        with mock.patch.object(scipy.linalg.lapack, "dsytrd", wraps=scipy.linalg.lapack.dsytrd) as dsytrd:
+            vr_newton(DenseOperator(A), inst.b_noisy, inst.delta)
+        assert sorted(formed) == grams
+        assert dsytrd.call_count == reductions
+
+
+def test_dropped_operator_frees_its_spectrum_route_without_the_collector():
+    """The bidiagonalization keeps no reference to the operator: with the
+    cyclic collector off, a heat n = 600 operator that vr_newton ran on is
+    freed as soon as it is dropped."""
+    inst = heat_instance(600, 0.01, 1)
+    gc.disable()
+    try:
+        op = DenseOperator(inst.A)
+        vr_newton(op, inst.b_noisy, inst.delta)
+        assert op._fft is not None and "gram_right" not in vars(op)
+        ref = weakref.ref(op)
+        del op
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_dropped_operator_frees_its_factor_without_the_collector():

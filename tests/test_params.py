@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dsmsolve import choose_a, phi, vr_newton, vr_solve
+from dsmsolve import DenseOperator, choose_a, params, phi, vr_newton, vr_solve
 from dsmsolve.problems import heat_instance
 
 
@@ -272,3 +273,98 @@ def test_newton_survives_target_below_roundoff_resolution():
     target = 1.01 * inst.delta
     misfit = float(np.linalg.norm(inst.A @ u - inst.b_noisy))
     assert abs(misfit - target) <= 0.05 * target
+
+
+def record_spectrum_sizes(monkeypatch) -> list:
+    """The number of eigenvalues in each misfit spectrum vr_newton's root
+    search is run on from here on: k + 1 for a Golub-Kahan spectrum after k
+    steps, m for the eigenpairs of A A^T."""
+    sizes = []
+    real = params._discrepancy_root
+
+    def recording(lam, gamma, *args):
+        sizes.append(len(lam))
+        return real(lam, gamma, *args)
+
+    monkeypatch.setattr(params, "_discrepancy_root", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("delta_rel, k", [(0.05, 20), (0.01, 25), (0.001, 35)])
+def test_golub_kahan_steps_on_heat(monkeypatch, delta_rel, k):
+    """On heat n = 600 the bidiagonalization settles after 20, 25 and 35
+    steps at 5%, 1% and 0.1% noise, the counts measured at n = 600, 1000 and
+    2000 (seeds 1, 2 and 104729), give or take one extension of 5: the root
+    is taken every 5 steps, and the final search runs on the spectrum of
+    the step where it settled."""
+    sizes = record_spectrum_sizes(monkeypatch)
+    inst = heat_instance(600, delta_rel, 1)
+    vr_newton(inst.A, inst.b_noisy, inst.delta)
+    steps = sizes[-1] - 1
+    assert abs(steps - k) <= 5
+    assert sizes[:-1] == [j + 1 for j in range(5, steps + 1, 5)]
+
+
+def test_golub_kahan_does_not_stop_while_the_root_moves(monkeypatch):
+    """A triangular Toeplitz A that does not smooth (n = 800, first column
+    N(0, 1) e^{-i/40}) moves the projected root for hundreds of steps: at 5%
+    and 1% noise a fixed k = 25 leaves a off by 6e-3 and 3e-2, and k = 100 by
+    6e-7 and 9e-5. The route either settles where its a is within 1e-12 of
+    the tridiagonal route's, on the same matrix nudged one ulp off Toeplitz,
+    or it falls back to that route after at most k_max = 100 steps."""
+    n = 800
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(n) * np.exp(-np.arange(n) / 40)
+    A = scipy.linalg.toeplitz(c, np.zeros(n))
+    nudged = A.copy()
+    nudged[n - 1, n - 1] = np.nextafter(nudged[n - 1, n - 1], np.inf)
+    op, reference = DenseOperator(A), DenseOperator(nudged)
+    b = A @ np.sin(np.linspace(0.0, np.pi, n))
+    noise = rng.standard_normal(n)
+    sizes = record_spectrum_sizes(monkeypatch)
+    for delta_rel in (0.05, 0.01):
+        delta = delta_rel * float(np.linalg.norm(b))
+        f = b + noise * (delta / np.linalg.norm(noise))
+        sizes.clear()
+        a, _, _ = vr_newton(op, f, delta)
+        assert max(size - 1 for size in sizes if size < n) <= 100
+        a_ref, _, _ = vr_newton(reference, f, delta)
+        assert sizes[-1] == n
+        assert abs(a - a_ref) <= 1e-12 * a_ref
+
+
+def no_root_cases():
+    """(A, f_delta, delta) for each of vr_newton's no-root errors that heat
+    data can reach, at n = 20 and at n = 600, where the misfit spectrum is
+    first sought by bidiagonalization: C delta at or above ||f_delta||, and
+    a misfit floor above C delta at a tiny delta."""
+    cases = []
+    for n in (20, 600):
+        inst = heat_instance(n, 1e-3, 0)
+        suffix = "" if n == 20 else "-n600"
+        norm_f = float(np.linalg.norm(inst.b_noisy))
+        cases.append(pytest.param(inst.A, inst.b_noisy, norm_f, id="target_above_data" + suffix))
+        cases.append(pytest.param(inst.A, inst.b_noisy, 1e-12 * inst.delta, id="misfit_floor" + suffix))
+    return cases
+
+
+@pytest.mark.parametrize("A, f, delta", no_root_cases())
+def test_newton_no_root_messages_are_the_tridiagonal_route_s(A, f, delta):
+    """Each no-root error carries the tridiagonal route's message, its
+    figures read from the eigenpairs of A A^T: a projected floor above
+    C delta never raises; it extends the bidiagonalization and, at k_max,
+    falls back."""
+    op = DenseOperator(A)
+    target = 1.01 * delta
+    norm_f = float(np.linalg.norm(f))
+    if target >= norm_f:
+        expected = f"no root: C*delta = {target:.6g} is not below ||f_delta|| = {norm_f:.6g}"
+    else:
+        lam, gamma = op.misfit_spectrum(f)
+        lo = 1e-16 * op.norm**2
+        floor = lo * float(np.linalg.norm(gamma / (lam + lo)))
+        assert floor >= target
+        expected = f"no root: the misfit floor {floor:.6g} already exceeds C*delta = {target:.6g}"
+    with pytest.raises(ValueError) as error:
+        vr_newton(op, f, delta)
+    assert str(error.value) == expected

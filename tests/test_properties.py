@@ -1,15 +1,15 @@
 """Property tests over tall, wide and rank-deficient systems: exact invariance
 under power-of-two scaling, monotone residuals, first-crossing stops, the
 flow's spectra against the assembled T and Q, the Gram triangle that every
-factorization reads, and the structured Gram, Schur factor and FFT products
-of a triangular Toeplitz A."""
+factorization reads, and the structured Gram, Schur factor, FFT products
+and Golub-Kahan misfit spectrum of a triangular Toeplitz A."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmsolve import (
@@ -461,3 +461,36 @@ def test_fft_route_keeps_the_damping_steps_and_solutions(seed, delta_rel):
     assert iterations == ref_iterations
     for u, u_ref in zip(solutions, ref_solutions):
         assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+
+
+# vr_newton's documented accuracy on phi(a) = C delta.
+NEWTON_RTOL = 1e-8
+
+
+@settings(max_examples=10)
+@given(n=st.integers(512, 1100), kappa=st.floats(0.8, 1.25), delta_rel=st.sampled_from((0.05, 0.01, 0.001)),
+       seed=SEEDS)
+def test_golub_kahan_root_matches_the_tridiagonal_one(n, kappa, delta_rel, seed):
+    """vr_newton on a heat operator from n = 512, which takes its misfit
+    spectrum from a Golub-Kahan bidiagonalization, against the same matrix
+    with one entry moved by one ulp, which is no longer Toeplitz and reduces
+    A A^T by dsytrd: the same Newton iterations; a within 1e-14 / delta_rel
+    relative and u within 1e-13 / delta_rel, i.e. 1e-12 and 1e-11 at 1%
+    noise; and phi(a) within NEWTON_RTOL C delta of C delta under the
+    nudged operator's dense phi. The tolerances grow as the noise falls
+    because the root's own roundoff does: at 0.1% noise the one-ulp nudge
+    alone moves a by up to 2.7e-12 and u by 1.1e-11 when both sides take
+    the tridiagonal route."""
+    inst = heat_instance(n, delta_rel, seed, kappa=kappa)
+    f, delta = inst.b_noisy, inst.delta
+    nudged = inst.A.copy()
+    nudged[n - 1, n - 1] = np.nextafter(nudged[n - 1, n - 1], np.inf)
+    op, reference = DenseOperator(inst.A), DenseOperator(nudged)
+    assert op._fft is not None and reference._fft is None
+    a, u, iterations = vr_newton(op, f, delta)
+    a_ref, u_ref, ref_iterations = vr_newton(reference, f, delta)
+    assert iterations == ref_iterations
+    assert abs(a - a_ref) <= 1e-14 / delta_rel * a_ref
+    assert np.linalg.norm(u - u_ref) <= 1e-13 / delta_rel * np.linalg.norm(u_ref)
+    target = 1.01 * delta
+    assert abs(phi(reference, f, a) - target) <= NEWTON_RTOL * target
