@@ -397,11 +397,19 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray, root: Callable[[np.ndarray, np.ndarray], float],
+# Golub-Kahan steps misfit_spectrum takes before it falls back to the
+# eigenpairs of A A^T. Heat data settle within it down to 0.01% noise
+# (k = 20 at 5%); 60 steps cost 2-30% of the tridiagonal route from
+# n = 2000 down to n = 512, and the bound does not grow with n.
+_GOLUB_KAHAN_MAX_STEPS = 60
+
+
+def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray,
+                         root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
                          ) -> tuple[np.ndarray, np.ndarray] | None:
     """The misfit spectrum (lam, gamma) of a Golub-Kahan bidiagonalization
-    of the A that fft applies, started at f, or None when it does not
-    settle within k_max = ceil(n / 8) steps.
+    of the A that fft applies, started at f, or None when its root does not
+    settle.
 
     k steps give A V_k = U_{k+1} B_k, U_{k+1} e_1 = f / ||f||, with
     orthonormal columns in U and V, kept so by full reorthogonalization,
@@ -410,21 +418,26 @@ def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray, root: Callable[[np.nd
     sum (a gamma_i / (lam_i + a))^2 is the damped misfit of the damped
     least-squares solution restricted to span(V_k); it lies at or above the
     full misfit and falls toward it as k grows, so its root rises toward the
-    full one. Every 5 steps the root is taken on B_k; the bidiagonalization
-    stops at the first k where root(lam, gamma) returns, which needs the
-    projected misfit floor below the target, and agrees with the root on
-    B_{k-5} within 1e-12 relative. A root that raises ValueError counts as
-    none yet. An exact zero alpha or beta (an exhausted Krylov space) also
-    returns None. Holds the two k x n bases and B_k, never A or its operator.
+    full one. Every 5 steps the root, the first entry of root(lam, gamma),
+    is taken on B_k; the bidiagonalization stops at the first k where it
+    exists, which needs the projected misfit floor below the target, and
+    agrees with the root on B_{k-5} within 1e-12 relative. A root that
+    raises ValueError counts as none yet. It returns None, so that the
+    caller falls back, once a 5-step extension shrinks the root's relative
+    change less than fourfold (on heat data each one shrinks it at least
+    sevenfold; a root that converges that slowly would need hundreds of
+    steps), after _GOLUB_KAHAN_MAX_STEPS steps, or at an exact zero alpha
+    or beta (an exhausted Krylov space). Holds the two k x n bases and B_k,
+    never A or its operator.
     """
     n = fft.n
-    k_max = -(-n // 8)
+    k_max = _GOLUB_KAHAN_MAX_STEPS
     norm_f = float(np.linalg.norm(f))
     U = np.empty((k_max + 1, n))
     V = np.empty((k_max, n))
     B = np.zeros((k_max + 1, k_max))
     U[0] = f / norm_f
-    previous = None
+    previous = change = None
     for k in range(1, k_max + 1):
         j = k - 1
         v = fft.rmatvec(U[j])
@@ -448,11 +461,16 @@ def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray, root: Callable[[np.nd
         lam = np.concatenate(([0.0], s[::-1] ** 2))
         gamma = norm_f * P[0, ::-1]
         try:
-            a = root(lam, gamma)
+            a = root(lam, gamma)[0]
         except ValueError:
-            a = None
-        if a is not None and previous is not None and abs(a - previous) <= 1e-12 * a:
-            return lam, gamma
+            previous = change = None
+            continue
+        if previous is not None:
+            if abs(a - previous) <= 1e-12 * a:
+                return lam, gamma
+            last_change, change = change, abs(a - previous) / a
+            if last_change is not None and change > 0.25 * last_change:
+                return None
         previous = a
     return None
 
@@ -477,9 +495,10 @@ class DenseOperator:
     operator, also gets the factor of A^T A + a I in O(n^2) when
     a > eps (sum |c_i|)^2 for its first column c (see _factor_shifted); from
     order n = 512 it is applied by FFT in O(n log n), neither ||A|| nor
-    that factor forms A^T A, and misfit_spectrum, given a root, forms no
-    A A^T: it bidiagonalizes from the data by FFT products until the root
-    settles, and falls back to A A^T's eigenpairs after ceil(n / 8) steps.
+    that factor forms A^T A, and misfit_spectrum forms no A A^T: it
+    bidiagonalizes from the data by FFT products until the root settles,
+    and falls back to A A^T's eigenpairs when the root stalls or after 60
+    steps.
     norm is the one place ||A|| is computed.
     A is validated and used as given, flags untouched; it must not change
     while the operator is in use.
@@ -631,26 +650,27 @@ class DenseOperator:
         return factor
 
     def misfit_spectrum(self, f: np.ndarray,
-                        root: Callable[[np.ndarray, np.ndarray], float] | None = None,
+                        root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
                         ) -> tuple[np.ndarray, np.ndarray]:
         """(lam, gamma) with lam ascending and nonnegative, such that the
         damped misfit of the checked data f is approximated or given by
         phi(a)^2 = sum (a gamma_i / (lam_i + a))^2.
 
-        root maps such a spectrum to its root of phi(a) = C delta (vr_newton
-        passes its own search) and raises ValueError when there is none.
-        With a root, a triangular Toeplitz A of order n >= 512, the one that
-        matvec applies by FFT, gets the spectrum of a Golub-Kahan
-        bidiagonalization from f, O(k n log n + k^2 n) for k steps: k grows
-        by 5 until the projected misfit floor is below C delta and the root
-        agrees with the one 5 steps earlier within 1e-12 relative (see
-        _bidiagonal_spectrum). It forms neither Gram matrix. If that has not
-        happened by k_max = ceil(n / 8), or with no root, or for any other A,
-        the spectrum is that of A A^T, exact: its eigenvalues, clamped at 0,
-        and the coefficients of f in its eigenvectors, from one tridiagonal
-        reduction of A A^T per call, O(m^3)."""
+        root maps such a spectrum to (a, iterations) for its root of
+        phi(a) = C delta (vr_newton passes its own search) and raises
+        ValueError when there is none. A triangular Toeplitz A of order
+        n >= 512, the one that matvec applies by FFT, gets the spectrum of a
+        Golub-Kahan bidiagonalization from f, O(k n log n + k^2 n) for k
+        steps: k grows by 5 until the projected misfit floor is below
+        C delta and the root agrees with the one 5 steps earlier within
+        1e-12 relative (see _bidiagonal_spectrum). It forms neither Gram
+        matrix. If the root's change shrinks less than fourfold in 5 steps,
+        or it has not settled by k = 60, the spectrum is that of A A^T,
+        exact: its eigenvalues, clamped at 0, and the coefficients of f in
+        its eigenvectors, from one tridiagonal reduction of A A^T per call,
+        O(m^3). Any other A gets that spectrum without a call to root."""
         fft = self._fft
-        if fft is not None and root is not None:
+        if fft is not None:
             spectrum = _bidiagonal_spectrum(fft, f, root)
             if spectrum is not None:
                 return spectrum

@@ -205,9 +205,8 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
         raise ValueError("no root: operator is zero, the misfit is constant")
     start = start_damping(delta, op.norm, norm_f)
 
-    def search(lam: np.ndarray, gamma: np.ndarray) -> tuple[float, int]:
+    def root(lam: np.ndarray, gamma: np.ndarray) -> tuple[float, int]:
         return _discrepancy_root(lam, gamma, target, s2, start, max_iter)
 
-    lam, gamma = op.misfit_spectrum(f_delta, root=lambda lam, gamma: search(lam, gamma)[0])
-    a, iterations = search(lam, gamma)
+    a, iterations = root(*op.misfit_spectrum(f_delta, root))
     return a, vr_solve(op, f_delta, a), iterations

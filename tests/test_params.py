@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsmsolve import DenseOperator, choose_a, params, phi, vr_newton, vr_solve
+from dsmsolve import DenseOperator, choose_a, linalg, params, phi, vr_newton, vr_solve
 from dsmsolve.problems import heat_instance
 
 
@@ -309,9 +309,10 @@ def test_golub_kahan_does_not_stop_while_the_root_moves(monkeypatch):
     """A triangular Toeplitz A that does not smooth (n = 800, first column
     N(0, 1) e^{-i/40}) moves the projected root for hundreds of steps: at 5%
     and 1% noise a fixed k = 25 leaves a off by 6e-3 and 3e-2, and k = 100 by
-    6e-7 and 9e-5. The route either settles where its a is within 1e-12 of
-    the tridiagonal route's, on the same matrix nudged one ulp off Toeplitz,
-    or it falls back to that route after at most k_max = 100 steps."""
+    6e-7 and 9e-5. The route must not stop there: once a 5-step extension
+    shrinks the root's change less than fourfold it falls back to the
+    tridiagonal route, before the bound of 60 steps, and its a matches that
+    of the same matrix nudged one ulp off Toeplitz within 1e-12."""
     n = 800
     rng = np.random.default_rng(0)
     c = rng.standard_normal(n) * np.exp(-np.arange(n) / 40)
@@ -327,10 +328,24 @@ def test_golub_kahan_does_not_stop_while_the_root_moves(monkeypatch):
         f = b + noise * (delta / np.linalg.norm(noise))
         sizes.clear()
         a, _, _ = vr_newton(op, f, delta)
-        assert max(size - 1 for size in sizes if size < n) <= 100
-        a_ref, _, _ = vr_newton(reference, f, delta)
         assert sizes[-1] == n
+        assert 0 < len(sizes) - 1 < linalg._GOLUB_KAHAN_MAX_STEPS // 5
+        sizes.clear()
+        a_ref, _, _ = vr_newton(reference, f, delta)
+        assert sizes == [n]
         assert abs(a - a_ref) <= 1e-12 * a_ref
+
+
+def test_golub_kahan_falls_back_after_60_steps(monkeypatch):
+    """A projected misfit floor that stays above C delta (heat n = 600 at a
+    delta 1e-12 times the true one) takes the root search every 5 steps up
+    to the bound of 60, whatever n is, and then the eigenpairs of A A^T,
+    which name the error."""
+    inst = heat_instance(600, 1e-3, 0)
+    sizes = record_spectrum_sizes(monkeypatch)
+    with pytest.raises(ValueError, match="misfit floor"):
+        vr_newton(inst.A, inst.b_noisy, 1e-12 * inst.delta)
+    assert sizes == [k + 1 for k in range(5, linalg._GOLUB_KAHAN_MAX_STEPS + 1, 5)] + [600]
 
 
 def no_root_cases():
@@ -352,15 +367,15 @@ def no_root_cases():
 def test_newton_no_root_messages_are_the_tridiagonal_route_s(A, f, delta):
     """Each no-root error carries the tridiagonal route's message, its
     figures read from the eigenpairs of A A^T: a projected floor above
-    C delta never raises; it extends the bidiagonalization and, at k_max,
-    falls back."""
+    C delta never raises; it extends the bidiagonalization and, after 60
+    steps, falls back."""
     op = DenseOperator(A)
     target = 1.01 * delta
     norm_f = float(np.linalg.norm(f))
     if target >= norm_f:
         expected = f"no root: C*delta = {target:.6g} is not below ||f_delta|| = {norm_f:.6g}"
     else:
-        lam, gamma = op.misfit_spectrum(f)
+        lam, gamma = linalg._eigen_coefficients(op.gram_right, f)
         lo = 1e-16 * op.norm**2
         floor = lo * float(np.linalg.norm(gamma / (lam + lo)))
         assert floor >= target

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dsmsolve import (
@@ -205,7 +205,10 @@ def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
     assert np.array_equal(poisoned.damped_solve(a, b), x)
     assert np.array_equal(poisoned._factor_shifted(a).lower, op._factor_shifted(a).lower)
     assert np.array_equal(poisoned.damped_solve(a, B), X)
-    for poisoned_part, part in zip(poisoned.misfit_spectrum(f), op.misfit_spectrum(f)):
+    def unused_root(lam, gamma):
+        raise AssertionError("a dense A takes the eigenpairs of A A^T without a root search")
+
+    for poisoned_part, part in zip(poisoned.misfit_spectrum(f, unused_root), op.misfit_spectrum(f, unused_root)):
         assert np.array_equal(poisoned_part, part)
 
     shifted = gram(A) + a * np.eye(n)
@@ -467,20 +470,24 @@ def test_fft_route_keeps_the_damping_steps_and_solutions(seed, delta_rel):
 NEWTON_RTOL = 1e-8
 
 
-@settings(max_examples=10)
-@given(n=st.integers(512, 1100), kappa=st.floats(0.8, 1.25), delta_rel=st.sampled_from((0.05, 0.01, 0.001)),
+# Bounds on (a, u) relative, per noise level, for the Golub-Kahan route
+# against the tridiagonal one. At 0.1% noise the one-ulp nudge alone moves
+# a by up to 2.7e-12 and u by up to 1.1e-11 when both sides take the
+# tridiagonal route (heat n = 512-1100, 30 draws), so that level gets ten
+# times the bounds of the others.
+GOLUB_KAHAN_BOUNDS = {0.05: (1e-12, 1e-11), 0.01: (1e-12, 1e-11), 0.001: (1e-11, 1e-10)}
+
+
+@given(n=st.integers(512, 1100), kappa=st.floats(0.8, 1.25), delta_rel=st.sampled_from(sorted(GOLUB_KAHAN_BOUNDS)),
        seed=SEEDS)
 def test_golub_kahan_root_matches_the_tridiagonal_one(n, kappa, delta_rel, seed):
     """vr_newton on a heat operator from n = 512, which takes its misfit
     spectrum from a Golub-Kahan bidiagonalization, against the same matrix
     with one entry moved by one ulp, which is no longer Toeplitz and reduces
-    A A^T by dsytrd: the same Newton iterations; a within 1e-14 / delta_rel
-    relative and u within 1e-13 / delta_rel, i.e. 1e-12 and 1e-11 at 1%
-    noise; and phi(a) within NEWTON_RTOL C delta of C delta under the
-    nudged operator's dense phi. The tolerances grow as the noise falls
-    because the root's own roundoff does: at 0.1% noise the one-ulp nudge
-    alone moves a by up to 2.7e-12 and u by 1.1e-11 when both sides take
-    the tridiagonal route."""
+    A A^T by dsytrd: the same Newton iterations; a within 1e-12 relative and
+    u within 1e-11 at 5% and 1% noise, ten times that at 0.1% (see
+    GOLUB_KAHAN_BOUNDS); and phi(a) within NEWTON_RTOL C delta of C delta
+    under the nudged operator's dense phi."""
     inst = heat_instance(n, delta_rel, seed, kappa=kappa)
     f, delta = inst.b_noisy, inst.delta
     nudged = inst.A.copy()
@@ -490,7 +497,8 @@ def test_golub_kahan_root_matches_the_tridiagonal_one(n, kappa, delta_rel, seed)
     a, u, iterations = vr_newton(op, f, delta)
     a_ref, u_ref, ref_iterations = vr_newton(reference, f, delta)
     assert iterations == ref_iterations
-    assert abs(a - a_ref) <= 1e-14 / delta_rel * a_ref
-    assert np.linalg.norm(u - u_ref) <= 1e-13 / delta_rel * np.linalg.norm(u_ref)
+    a_bound, u_bound = GOLUB_KAHAN_BOUNDS[delta_rel]
+    assert abs(a - a_ref) <= a_bound * a_ref
+    assert np.linalg.norm(u - u_ref) <= u_bound * np.linalg.norm(u_ref)
     target = 1.01 * delta
     assert abs(phi(reference, f, a) - target) <= NEWTON_RTOL * target
