@@ -5,6 +5,7 @@ from .linalg import (
     DenseOperator,
     EigenDecomposition,
     SpdFactorization,
+    as_operator,
     cond_estimate,
     gram,
     op_norm,
@@ -49,6 +50,7 @@ __all__ = [
     "SpdFactorization",
     "add_noise",
     "apriori_steps",
+    "as_operator",
     "build_preconditioner",
     "choose_a",
     "cond_estimate",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DenseOperator, cond_estimate
+from .linalg import as_operator, cond_estimate
 from .operators import build_preconditioner
 from .params import choose_a, start_damping, vr_newton, vr_solve
 from .problems import heat_instance, heat_matrix, load_matrix, load_vector, save_vector
@@ -142,7 +142,7 @@ def cmd_bench(args) -> int:
     wall: dict[tuple[int, str], float] = {}
     failed = False
     for n in args.n_list:
-        op = DenseOperator(heat_matrix(n))  # the heat operator does not depend on the seed
+        op = as_operator(heat_matrix(n))  # the heat operator does not depend on the seed
         for seed in range(args.seed, args.seed + args.seeds):
             inst = heat_instance(n, args.delta_rel, seed)
             try:
@@ -215,7 +215,7 @@ def cmd_solve(args) -> int:
             f"right-hand side {args.rhs} has length {f.shape[0]}"
         )
 
-    op = DenseOperator(A)
+    op = as_operator(A)
     a = args.a
     trace = None
     if args.method in ("dsm", "vr_i"):
@@ -252,7 +252,7 @@ def cmd_plot_data(args) -> int:
         print("error: n must be at least 1", file=sys.stderr)
         return 2
     inst = heat_instance(args.n, args.delta_rel, args.seed)
-    op = DenseOperator(inst.A)
+    op = as_operator(inst.A)
     trace = choose_a(op, inst.b_noisy, inst.delta)
     dsm = _run_method("dsm", op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
     u_newton = _run_method("vr_n", op, inst.b_noisy, inst.delta, SolveConfig(), None).solution

@@ -105,20 +105,37 @@ class _ToeplitzFFT:
         return self._apply(self._adjoint, y)
 
 
-def _toeplitz_gram_lower(c: np.ndarray, right: bool) -> np.ndarray:
-    """Lower triangle of L L^T (right=True) or L^T L, in Fortran order, for
-    the lower-triangular Toeplitz L with first column c, in O(n^2).
+def _gram_in_range(G: np.ndarray, nonzero: bool) -> np.ndarray:
+    """G, the Gram triangle of a matrix that is nonzero when nonzero is true;
+    raises ValueError, rather than return inf or zeros, when an entry
+    overflows or when the Gram matrix of a nonzero matrix underflows to zero."""
+    if not np.all(np.isfinite(G)):
+        raise ValueError("Gram matrix overflows float64; scale A, f_delta and delta down by a common factor")
+    if not G.any() and nonzero:
+        raise ValueError("Gram matrix underflows float64; scale A, f_delta and delta up by a common factor")
+    return G
 
-    Each column follows from its neighbour by one multiply and one add on
+
+def _toeplitz_gram_lower(c: np.ndarray, lower: bool, right: bool) -> np.ndarray:
+    """Lower triangle of A^T A (or A A^T when right=True), in Fortran order,
+    for the triangular Toeplitz A given by (c, lower), as
+    _triangular_toeplitz returns it, in O(n^2), with the range check of
+    _gram_in_range.
+
+    For the lower-triangular Toeplitz L with first column c, A = L has
+    A^T A = L^T L and A A^T = L L^T, and A = L^T the two swapped. Each
+    column follows from its neighbour by one multiply and one add on
     contiguous memory, written straight into the output:
     (L L^T)[i+1, j+1] = (L L^T)[i, j] + c[i+1] c[j+1] from column 0 = c[0] c,
     and (L^T L)[i-1, j-1] = (L^T L)[i, j] + c[n-i] c[n-j] from column n-1,
-    each last row being c[0] c[n-1-j].
+    each last row being c[0] c[n-1-j]. Every entry is then
+    within 2 n eps (|A|^T |A|, or |A| |A|^T) of numpy's A^T A (A A^T), though
+    not bit for bit, as the terms are summed in another order.
     """
     n = c.shape[0]
     G = np.zeros((n, n), order="F")
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflow
-        if right:
+    with np.errstate(over="ignore", invalid="ignore"):  # _gram_in_range names an overflow
+        if right == lower:
             np.multiply(c, c[0], out=G[:, 0])
             for j in range(1, n):
                 column = np.multiply(c[j:], c[j], out=G[j:, j])
@@ -129,53 +146,40 @@ def _toeplitz_gram_lower(c: np.ndarray, right: bool) -> np.ndarray:
             for j in range(n - 2, -1, -1):
                 column = np.multiply(reversed_c[j:], c[n - 1 - j], out=G[j:, j])
                 np.add(column[:-1], G[j + 1 :, j + 1], out=column[:-1])
-    return G
+    return _gram_in_range(G, c.any())
 
 
-def _gram_lower(M: np.ndarray, right: bool, toeplitz: tuple[np.ndarray, bool] | None) -> np.ndarray:
+def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
     """Lower triangle of M^T M (or M M^T when right=True), in Fortran order,
-    with the strict upper triangle zero. toeplitz is _triangular_toeplitz(M).
+    with the strict upper triangle zero, with the range check of
+    _gram_in_range.
 
-    A square M that is lower- or upper-triangular Toeplitz, exactly (such as
-    heat_matrix), gets its Gram matrix in O(n^2) from its first column, or
-    first row, by a column recurrence; every entry is then within
-    2 n eps (|M|^T |M|, or |M| |M|^T) of numpy's M^T M (M M^T), though not
-    bit for bit, as the terms are summed in another order. Any other M takes
-    one dsyrk, numpy's bit for bit, from whichever of M and M^T is
+    One dsyrk, numpy's bit for bit, from whichever of M and M^T is
     F-contiguous, so M is not copied; a strided M is copied once into
-    Fortran order. M must be a validated float64 matrix. Raises ValueError,
-    rather than return inf or zeros, when an entry overflows or when a
-    nonzero M's Gram matrix underflows to zero.
+    Fortran order. M must be a validated float64 matrix.
     """
     if M.size == 0:  # BLAS rejects empty operands
         k = M.shape[0] if right else M.shape[1]
         return np.zeros((k, k), order="F")
-    if toeplitz is not None:
-        c, lower = toeplitz  # M M^T of L^T is L^T L, and M^T M is L L^T
-        G = _toeplitz_gram_lower(c, right=(right == lower))
-    else:
-        if M.flags.c_contiguous and not M.flags.f_contiguous:
-            M, right = M.T, not right  # M^T M is the right Gram matrix of M^T
-        G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), trans=0 if right else 1, lower=1)
-    if not np.all(np.isfinite(G)):
-        raise ValueError("Gram matrix overflows float64; scale A, f_delta and delta down by a common factor")
-    if not G.any() and M.any():
-        raise ValueError("Gram matrix underflows float64; scale A, f_delta and delta up by a common factor")
-    return G
+    if M.flags.c_contiguous and not M.flags.f_contiguous:
+        M, right = M.T, not right  # M^T M is the right Gram matrix of M^T
+    G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), trans=0 if right else 1, lower=1)
+    return _gram_in_range(G, M.any())
 
 
 def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
-    """Gram matrix M^T M (or M M^T when right=True), exactly symmetric.
+    """Gram matrix M^T M (or M M^T when right=True), exactly symmetric, of
+    the operator as_operator(M).
 
     The lower triangle is formed once and mirrored, so the result equals
     numpy's M.T @ M (M @ M.T) bit for bit on C- and F-ordered M, except for
     a square triangular Toeplitz M: that one is formed in O(n^2), each entry
-    within 2 n eps (|M|^T |M|) of numpy's (see _gram_lower). Raises
+    within 2 n eps (|M|^T |M|) of numpy's (see _toeplitz_gram_lower). Raises
     ValueError, rather than return inf or zeros, when an entry overflows or
     when a nonzero M's Gram matrix underflows to zero.
     """
-    M = as_matrix(M)
-    G = _gram_lower(M, right, _triangular_toeplitz(M))
+    op = as_operator(M)
+    G = op.gram_right if right else op.gram
     return G + np.tril(G, -1).T
 
 
@@ -270,7 +274,7 @@ def _toeplitz_cholesky(c: np.ndarray, lower: bool, product: Callable[[np.ndarray
     then holds, and h[k], so up to rounding none falls below sqrt(shift)
     and the algorithm never breaks down. It can still lose a to roundoff
     in M, so the caller keeps shift well above it (see
-    DenseOperator._factor_shifted). An upper A = L^T has A^T A + shift I = M,
+    ToeplitzOperator._factor). An upper A = L^T has A^T A + shift I = M,
     factored by R; a lower A = L has L^T L = J L L^T J, as L is persymmetric,
     so its factorization is R with reversed solves.
     """
@@ -477,7 +481,7 @@ def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray,
 
 def op_norm(M: np.ndarray) -> float:
     """Spectral norm (largest singular value) of a rectangular matrix."""
-    return DenseOperator(M).norm
+    return as_operator(M).norm
 
 
 class DenseOperator:
@@ -485,95 +489,63 @@ class DenseOperator:
     decomposition of A: A^T A, A A^T, ||A||, the SVD and the Cholesky factor
     of A^T A + a I for the last a, each formed on first use.
 
-    matvec and rmatvec apply A and A^T. gram and gram_right hold the lower
-    triangles of A^T A and A A^T in Fortran order, their strict upper
-    triangles zero: the one form that is factored, multiplied by and
-    reduced. Mirrored, they are gram(A) and gram(A, right=True) bit for bit,
-    and so numpy's A^T A and A A^T bit for bit, except for a square
-    triangular Toeplitz A such as heat_matrix, whose triangles take O(n^2)
-    and lie within 2 n eps (|A|^T |A|) of numpy's. Such an A, found once per
-    operator, also gets the factor of A^T A + a I in O(n^2) when
-    a > eps (sum |c_i|)^2 for its first column c (see _factor_shifted); from
-    order n = 512 it is applied by FFT in O(n log n), neither ||A|| nor
-    that factor forms A^T A, and misfit_spectrum forms no A A^T: it
-    bidiagonalizes from the data by FFT products until the root settles,
-    and falls back to A A^T's eigenpairs when the root stalls or after 60
-    steps.
-    norm is the one place ||A|| is computed.
-    A is validated and used as given, flags untouched; it must not change
-    while the operator is in use.
+    matvec and rmatvec apply A and A^T, numpy's A @ x and A.T @ y bit for
+    bit. gram and gram_right hold the lower triangles of A^T A and A A^T in
+    Fortran order, their strict upper triangles zero: the one form that is
+    factored, multiplied by and reduced. Each is one dsyrk; mirrored, they
+    are numpy's A^T A and A A^T bit for bit. norm is the one place ||A|| is
+    computed. A is validated and used as given, flags untouched; it must not
+    change while the operator is in use.
+
+    Every A takes this dense route when the class is called directly.
+    as_operator picks ToeplitzOperator instead for an exactly triangular
+    Toeplitz A, which overrides the products, the Gram triangles, the damped
+    factor and the misfit spectrum.
     """
+
+    _damped: tuple[float, SpdFactorization] | None = None
 
     def __init__(self, A):
         self.A = as_matrix(A)
-        self._damped: tuple[float, SpdFactorization] | None = None
 
-    @cached_property
-    def _toeplitz(self) -> tuple[np.ndarray, bool] | None:
-        """_triangular_toeplitz(A), found once for both Gram matrices, the
-        damped factor and the FFT products."""
-        return _triangular_toeplitz(self.A)
-
-    @cached_property
-    def _schur_floor(self) -> float:
-        """eps (sum |c_i|)^2 for a triangular Toeplitz A with first column
-        c. It bounds eps ||A||^2 from above, since ||A||^2 <= ||A||_1
-        ||A||_inf = (sum |c_i|)^2, and scales exactly with A by powers of two."""
-        c, _ = self._toeplitz
-        l1 = float(np.sum(np.abs(c)))
-        return np.finfo(float).eps * l1 * l1
-
-    @cached_property
-    def _fft(self) -> _ToeplitzFFT | None:
-        """The FFT products of a triangular Toeplitz A of order n >= 512,
-        else None; decided once per operator, so a product costs no test."""
-        if self.A.shape[0] < _FFT_FLOOR or self._toeplitz is None:
-            return None
-        return _ToeplitzFFT(*self._toeplitz)
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.A.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for a float vector x, or a block with one vector per column.
-
-        numpy's A @ x, bit for bit, except for a triangular Toeplitz A of
-        order n >= 512, which takes zero-padded real FFTs of a length N < 4n
-        in O(n log n), within a small multiple of log2(N) eps ||A||_F ||x||
-        of it, normwise."""
-        fft = self._fft
-        return self.A @ x if fft is None else fft.matvec(x)
+        """A x for a float vector x, or a block with one vector per column."""
+        return self.A @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A^T y, as matvec applies A: numpy's A.T @ y bit for bit, or by FFT."""
-        fft = self._fft
-        return self.A.T @ y if fft is None else fft.rmatvec(y)
+        """A^T y for a float vector y, or a block with one vector per column."""
+        return self.A.T @ y
 
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (A^T A + shift I) x: one dsymv (dsymm for a block) on the
-        lower triangle of A^T A, or, on the FFT route, A^T (A x) + shift x,
-        which forms no A^T A. The product refers to the triangle or to the
-        FFT spectra, never to the operator, which keeps it in its factor.
-        Raises the Gram matrix's overflow or underflow error either way."""
-        fft = self._fft
-        if fft is None:
-            return _triangle_product(self.gram, shift)
-        if not fft.gram_in_range:
-            _ = self.gram  # raises the named error
-        return lambda x: fft.rmatvec(fft.matvec(x)) + shift * x
+        """x -> (A^T A + shift I) x, by one dsymv (dsymm for a block) on the
+        lower triangle of A^T A. The product refers to the triangle, never to
+        the operator, which keeps it in its factor. Raises the Gram matrix's
+        overflow or underflow error."""
+        return _triangle_product(self.gram, shift)
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return _gram_lower(self.A, right=False, toeplitz=self._toeplitz)
+        return self._form_gram(right=False)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
-        return _gram_lower(self.A, right=True, toeplitz=self._toeplitz)
+        return self._form_gram(right=True)
+
+    def _form_gram(self, right: bool) -> np.ndarray:
+        """The lower triangle of A^T A (A A^T when right=True) that gram
+        (gram_right) keeps: one dsyrk."""
+        return _gram_lower(self.A, right=right)
 
     @cached_property
     def norm(self) -> float:
-        """||A|| by power iteration on A^T A, one _gram_product per step (a
-        dsymv on its lower triangle, or on the FFT route an FFT product each
-        way), from a fixed all-ones start vector, so repeated calls give the
-        same value. Zero for an empty or zero A."""
-        n = self.A.shape[1]
+        """||A|| by power iteration on A^T A, one _gram_product per step,
+        from a fixed all-ones start vector, so repeated calls give the same
+        value. Zero for an empty or zero A."""
+        n = self.shape[1]
         if n == 0:
             return 0.0
         product = self._gram_product(0.0)
@@ -595,7 +567,7 @@ class DenseOperator:
     def check_data(self, f_delta) -> np.ndarray:
         """f_delta as a vector, checked to have one entry per row of A and a
         norm that is finite in float64, and nonzero unless f_delta is."""
-        f_delta = as_vector(f_delta, self.A.shape[0], name="data")
+        f_delta = as_vector(f_delta, self.shape[0], name="data")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(f_delta)
         if not np.isfinite(norm):
@@ -618,62 +590,47 @@ class DenseOperator:
         return self._factor_shifted(a).solve(b)
 
     def _factor_shifted(self, a: float) -> SpdFactorization:
-        """Cholesky factor of A^T A + a I, its solves refined against
-        _gram_product(a). A triangular Toeplitz A is factored in O(n^2) by
-        the generalized Schur algorithm (_toeplitz_cholesky) when
-        a > eps (sum |c_i|)^2, which never fails; from order 512 it then
-        forms no A^T A, as its refinement takes FFT products. At or below
-        that bound, roundoff in A^T A can swamp a, and, like any other A, it
-        is factored in O(n^3) by LAPACK's Cholesky of the shifted triangle,
-        refined against that triangle. Only the last a's factor is kept,
-        keyed by the exact float; another a drops it before factoring, so no
-        two n x n factors are held at once. Raises ValueError when a is not
-        positive and finite, and when the shifted matrix is not finite or
-        not positive definite."""
+        """The factor of A^T A + a I from _factor(a), kept for the last a
+        only, keyed by the exact float; another a drops it before factoring,
+        so no two n x n factors are held at once. Raises ValueError when a is
+        not positive and finite, and as _factor does."""
         if not 0.0 < a < np.inf:
             raise ValueError(f"damping parameter must be positive and finite, got {a}")
         if self._damped is not None and self._damped[0] == a:
             return self._damped[1]
         self._damped = None
-        if self._toeplitz is not None and a > self._schur_floor:
-            factor = _toeplitz_cholesky(*self._toeplitz, self._gram_product(a), a)
-        else:
-            triangle = self.gram  # outside the try: a Gram error keeps its own message
-            try:
-                factor = _cholesky(triangle, a)
-            except ValueError:
-                raise ValueError(
-                    f"damped Gram matrix could not be factored; a={a} is too small "
-                    "for this operator at working precision"
-                ) from None
+        factor = self._factor(a)
         self._damped = (a, factor)
         return factor
+
+    def _factor(self, a: float) -> SpdFactorization:
+        """Cholesky factor of A^T A + a I in O(n^3), by LAPACK's Cholesky of
+        the shifted triangle, its solves refined against that triangle.
+        Raises ValueError when the shifted matrix is not finite or not
+        positive definite."""
+        triangle = self.gram  # outside the try: a Gram error keeps its own message
+        try:
+            return _cholesky(triangle, a)
+        except ValueError:
+            raise ValueError(
+                f"damped Gram matrix could not be factored; a={a} is too small "
+                "for this operator at working precision"
+            ) from None
 
     def misfit_spectrum(self, f: np.ndarray,
                         root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
                         ) -> tuple[np.ndarray, np.ndarray]:
         """(lam, gamma) with lam ascending and nonnegative, such that the
-        damped misfit of the checked data f is approximated or given by
-        phi(a)^2 = sum (a gamma_i / (lam_i + a))^2.
+        damped misfit of the checked data f is given (here) or approximated
+        (by a ToeplitzOperator) by phi(a)^2 = sum (a gamma_i / (lam_i + a))^2.
 
         root maps such a spectrum to (a, iterations) for its root of
         phi(a) = C delta (vr_newton passes its own search) and raises
-        ValueError when there is none. A triangular Toeplitz A of order
-        n >= 512, the one that matvec applies by FFT, gets the spectrum of a
-        Golub-Kahan bidiagonalization from f, O(k n log n + k^2 n) for k
-        steps: k grows by 5 until the projected misfit floor is below
-        C delta and the root agrees with the one 5 steps earlier within
-        1e-12 relative (see _bidiagonal_spectrum). It forms neither Gram
-        matrix. If the root's change shrinks less than fourfold in 5 steps,
-        or it has not settled by k = 60, the spectrum is that of A A^T,
-        exact: its eigenvalues, clamped at 0, and the coefficients of f in
-        its eigenvectors, from one tridiagonal reduction of A A^T per call,
-        O(m^3). Any other A gets that spectrum without a call to root."""
-        fft = self._fft
-        if fft is not None:
-            spectrum = _bidiagonal_spectrum(fft, f, root)
-            if spectrum is not None:
-                return spectrum
+        ValueError when there is none; a route that takes its spectrum in
+        steps calls it to decide when to stop, and this one does not call it.
+        The spectrum is that of A A^T, exact: its eigenvalues, clamped at 0,
+        and the coefficients of f in its eigenvectors, from one tridiagonal
+        reduction of A A^T per call, O(m^3)."""
         return _eigen_coefficients(self.gram_right, f)
 
     @cached_property
@@ -690,9 +647,98 @@ class DenseOperator:
         return s[::-1], U[:, ::-1].copy(), Vt[::-1].copy().T
 
 
+class ToeplitzOperator(DenseOperator):
+    """A square A that is exactly L (lower=True) or L^T for the
+    lower-triangular Toeplitz L with first column c, such as heat_matrix, as
+    as_operator finds it; A is the matrix as as_operator validated it.
+
+    Its Gram triangles take O(n^2) from c (see _toeplitz_gram_lower), each
+    entry within 2 n eps (|A|^T |A|) of numpy's. The factor of A^T A + a I
+    takes O(n^2) by the generalized Schur algorithm when
+    a > eps (sum |c_i|)^2 (see _factor). From order n = 512, A is applied by
+    FFT in O(n log n); neither ||A|| nor that factor then forms A^T A, and
+    misfit_spectrum forms no A A^T: it bidiagonalizes from the data by FFT
+    products until the root settles, and falls back to A A^T's eigenpairs
+    when the root stalls or after 60 steps.
+    """
+
+    def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
+        self.A, self.c, self.lower = A, c, lower
+
+    @cached_property
+    def _schur_floor(self) -> float:
+        """eps (sum |c_i|)^2. It bounds eps ||A||^2 from above, since
+        ||A||^2 <= ||A||_1 ||A||_inf = (sum |c_i|)^2, and scales exactly with
+        A by powers of two."""
+        l1 = float(np.sum(np.abs(self.c)))
+        return np.finfo(float).eps * l1 * l1
+
+    @cached_property
+    def _fft(self) -> _ToeplitzFFT | None:
+        """The FFT products of A when its order is n >= 512, else None;
+        decided once per operator, so a product costs no test."""
+        return None if self.A.shape[0] < _FFT_FLOOR else _ToeplitzFFT(self.c, self.lower)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x, as DenseOperator.matvec gives it below order 512; from there
+        by zero-padded real FFTs of a length N < 4n in O(n log n), within a
+        small multiple of log2(N) eps ||A||_F ||x|| of it, normwise."""
+        return self.A @ x if self._fft is None else self._fft.matvec(x)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y, as matvec applies A: numpy's A.T @ y bit for bit, or by FFT."""
+        return self.A.T @ y if self._fft is None else self._fft.rmatvec(y)
+
+    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (A^T A + shift I) x on the route matvec takes: on the FFT route
+        A^T (A x) + shift x, which forms no A^T A and refers only to the FFT
+        spectra, but still raises the Gram matrix's overflow or underflow
+        error; below it DenseOperator's dsymv on the triangle."""
+        fft = self._fft
+        if fft is None:
+            return super()._gram_product(shift)
+        if not fft.gram_in_range:
+            _ = self.gram  # raises the named error
+        return lambda x: fft.rmatvec(fft.matvec(x)) + shift * x
+
+    def _form_gram(self, right: bool) -> np.ndarray:
+        """The Gram triangle by the O(n^2) recurrence on c."""
+        return _toeplitz_gram_lower(self.c, self.lower, right=right)
+
+    def _factor(self, a: float) -> SpdFactorization:
+        """The factor of A^T A + a I in O(n^2) by the generalized Schur
+        algorithm (_toeplitz_cholesky) when a > eps (sum |c_i|)^2, which
+        never fails; its solves refine against _gram_product(a), so from
+        order 512 it forms no A^T A. At or below that bound, roundoff in
+        A^T A can swamp a, and A is factored as DenseOperator factors it."""
+        if a > self._schur_floor:
+            return _toeplitz_cholesky(self.c, self.lower, self._gram_product(a), a)
+        return super()._factor(a)
+
+    def misfit_spectrum(self, f: np.ndarray,
+                        root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """From order n = 512, the spectrum of a Golub-Kahan bidiagonalization
+        from f, O(k n log n + k^2 n) for k steps: k grows by 5 until the
+        projected misfit floor is below C delta and the root agrees with the
+        one 5 steps earlier within 1e-12 relative (see _bidiagonal_spectrum).
+        It forms neither Gram matrix. If the root's change shrinks less than
+        fourfold in 5 steps, or it has not settled by k = 60, and below order
+        512, the spectrum is DenseOperator's, exact."""
+        spectrum = None if self._fft is None else _bidiagonal_spectrum(self._fft, f, root)
+        return super().misfit_spectrum(f, root) if spectrum is None else spectrum
+
+
 def as_operator(A) -> DenseOperator:
-    """A itself if it is a DenseOperator, else a fresh one for this call."""
-    return A if isinstance(A, DenseOperator) else DenseOperator(A)
+    """A itself if it is an operator, else a fresh one for this call: A is
+    validated once, and a ToeplitzOperator is returned when A is exactly
+    lower- or upper-triangular Toeplitz (_triangular_toeplitz), a
+    DenseOperator otherwise. The one place the structure is decided."""
+    if isinstance(A, DenseOperator):
+        return A
+    op = DenseOperator(A)
+    structure = _triangular_toeplitz(op.A)
+    return op if structure is None else ToeplitzOperator(op.A, *structure)
 
 
 def cond_estimate(M: np.ndarray) -> float:

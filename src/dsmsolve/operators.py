@@ -10,7 +10,8 @@ from .linalg import as_operator, as_vector, gram
 class Preconditioner:
     """Applies P = (A^T A + a I)^{-1} A^T and the contractions T = P A, Q = A P.
 
-    A plain (operator, a) pair: A is an array or a DenseOperator, kept as op.
+    A plain (operator, a) pair: A is an array or an operator, kept as
+    op = as_operator(A).
     Every product with A is op.matvec or op.rmatvec, and every damped solve
     is op.damped_solve(a, .), which reuses the factor the operator keeps for
     its last a. The factor is built at construction,
@@ -24,7 +25,6 @@ class Preconditioner:
         a = float(a)
         op._factor_shifted(a)
         self.op = op
-        self.A = op.A
         self.a = a
 
     @property
@@ -34,11 +34,11 @@ class Preconditioner:
         return s2 / (s2 + self.a)
 
     def apply_p(self, r) -> np.ndarray:
-        r = as_vector(r, self.A.shape[0], name="residual")
+        r = as_vector(r, self.op.shape[0], name="residual")
         return self.op.damped_solve(self.a, self.op.rmatvec(r))
 
     def apply_t(self, x) -> np.ndarray:
-        return self.apply_p(self.op.matvec(as_vector(x, self.A.shape[1], name="input")))
+        return self.apply_p(self.op.matvec(as_vector(x, self.op.shape[1], name="input")))
 
     def apply_q(self, y) -> np.ndarray:
         return self.op.matvec(self.apply_p(y))
@@ -49,7 +49,7 @@ class Preconditioner:
         Built from damped solves, independently of the SVD behind
         continuous.spectral_t, and the reference that path is checked against.
         """
-        T = self.op.damped_solve(self.a, gram(self.A))
+        T = self.op.damped_solve(self.a, gram(self.op.A))
         return 0.5 * (T + T.T)
 
     def assemble_q(self) -> np.ndarray:
@@ -58,7 +58,7 @@ class Preconditioner:
         Built from damped solves, independently of the SVD behind
         continuous.spectral_q, and the reference that path is checked against.
         """
-        Q = self.A @ self.op.damped_solve(self.a, self.A.T)
+        Q = self.op.A @ self.op.damped_solve(self.a, self.op.A.T)
         return 0.5 * (Q + Q.T)
 
 

@@ -1,6 +1,7 @@
 """Selection of the damping parameter from the noise level.
 
-Every function here takes A as an array or as a DenseOperator.
+Every function here takes A as an array or as an operator from
+linalg.as_operator.
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ def _discrepancy_root(lam: np.ndarray, gamma: np.ndarray, target: float, s2: flo
     by the bracket and safeguarded Newton search that vr_newton describes,
     from start clamped into the bracket; s2 is ||A||^2. Each probe costs
     O(len(lam)). The one root finder on a misfit spectrum: vr_newton runs
-    it on the spectrum that DenseOperator.misfit_spectrum returns, and that
-    method runs it to decide how far to extend a bidiagonalization. Raises
+    it on the spectrum that the operator's misfit_spectrum returns, and
+    ToeplitzOperator.misfit_spectrum runs it to decide how far to extend a
+    bidiagonalization. Raises
     ValueError, naming the reason, when there is no root or no convergence
     within max_iter Newton steps."""
 
@@ -174,12 +176,12 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     G'(a) = 2 a <z, z> - 2 a^2 <z, (A A^T + a I)^{-1} z>. The search runs on
     a misfit spectrum (lambda, gamma), in which z = gamma / (lambda + a), so
     each bracket probe and Newton step costs O(len(lambda)), and the only
-    factorization is the final vr_solve. The spectrum comes from
-    DenseOperator.misfit_spectrum: for most A the eigenpairs of A A^T, from
-    one tridiagonal reduction per call; for a triangular Toeplitz A of order
+    factorization is the final vr_solve. The spectrum comes from the
+    operator's misfit_spectrum: for a DenseOperator the eigenpairs of A A^T,
+    from one tridiagonal reduction per call; for a ToeplitzOperator of order
     n >= 512 that of a Golub-Kahan bidiagonalization from f_delta, extended
-    until its root settles, with the eigenpairs as fallback (see that
-    method). Steps that leave the current bracket fall back to its
+    until its root settles, with the eigenpairs as fallback (see
+    ToeplitzOperator.misfit_spectrum). Steps that leave the current bracket fall back to its
     geometric midpoint, so iterates stay inside the initial bracket.
 
     Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.

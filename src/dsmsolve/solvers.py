@@ -94,7 +94,7 @@ def apriori_steps(delta: float, h: float, apriori_C: float, gamma: float) -> int
 
 def dsm_step(precond: Preconditioner, h: float, u: np.ndarray, f_delta: np.ndarray) -> np.ndarray:
     """One damped update u - h P (A u - f_delta)."""
-    u = as_vector(u, precond.A.shape[1], name="u")
+    u = as_vector(u, precond.op.shape[1], name="u")
     f_delta = precond.op.check_data(f_delta)
     return u - h * precond.apply_p(precond.op.matvec(u) - f_delta)
 
@@ -118,7 +118,7 @@ def _run_iteration(step, op, f_delta, delta, config, u0, a_used):
     the residual the history records. The a-priori rule runs the same loop
     with threshold -inf, which no residual crosses.
     """
-    cols = op.A.shape[1]
+    cols = op.shape[1]
     u = np.zeros(cols) if u0 is None else as_vector(u0, cols, name="initial guess").copy()
     r = op.matvec(u) - f_delta
     residual = float(np.linalg.norm(r))
@@ -148,7 +148,7 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
 
     Parameters
     ----------
-    A : array_like or DenseOperator
+    A : array_like or operator (see linalg.as_operator)
         Operator of the linear system, shape (m, n).
     f_delta : array_like
         Noisy right-hand side, length m.
@@ -176,9 +176,9 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     in (0, 1] for h * ||T|| < 2.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
-    if precond.A.shape != op.A.shape:
-        rows, cols = precond.A.shape
-        raise ValueError(f"preconditioner was built for a {rows}x{cols} operator, got {op.A.shape}")
+    if precond.op.shape != op.shape:
+        rows, cols = precond.op.shape
+        raise ValueError(f"preconditioner was built for a {rows}x{cols} operator, got {op.shape}")
     # ||T|| = s^2 / (s^2 + a) <= 1 also in floating point, so only h >= 2
     # can violate the bound, and the norm is needed only then.
     if config.h >= 2.0 and (h_t := config.h * precond.t_norm) >= 2.0:
@@ -194,9 +194,9 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
                     u0=None) -> SolveResult:
     """Plain gradient iteration u_{n+1} = u_n - h A^T (A u_n - f_delta).
 
-    A is an array or a DenseOperator. Same stopping contracts as solve_dsm.
-    Requires h < 2 / ||A||^2, which is the undamped analog of the step size
-    bound. Kept as the baseline the damped iteration is measured against.
+    A is an array or an operator (see linalg.as_operator). Same stopping
+    contracts as solve_dsm. Requires h < 2 / ||A||^2, which is the undamped
+    analog of the step size bound. Kept as the baseline the damped iteration is measured against.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
     s2 = op.norm**2

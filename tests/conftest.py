@@ -1,8 +1,10 @@
-"""Shared pytest plumbing: the hypothesis profile, and acceptance verdicts for
-the terminal summary."""
+"""Shared pytest plumbing: the hypothesis profile, the Gram formation
+counter, and acceptance verdicts for the terminal summary."""
 
 import pytest
 from hypothesis import settings
+
+from dsmsolve import linalg
 
 # Derandomized, so every run draws the same examples; few of them, so the
 # property tests stay a small part of the suite's runtime.
@@ -10,6 +12,22 @@ settings.register_profile("dsmsolve", derandomize=True, deadline=None, max_examp
 settings.load_profile("dsmsolve")
 
 VERDICTS: list[str] = []
+
+
+@pytest.fixture
+def formed_grams(monkeypatch) -> list:
+    """The Gram triangles formed from here on, in order, each named by its
+    side, "A^T A" or "A A^T": by dsyrk for a DenseOperator
+    (linalg._gram_lower) or by the recurrence for a ToeplitzOperator
+    (linalg._toeplitz_gram_lower)."""
+    formed = []
+    for name in ("_gram_lower", "_toeplitz_gram_lower"):
+        def counting(*args, right, real=getattr(linalg, name)):
+            formed.append("A A^T" if right else "A^T A")
+            return real(*args, right=right)
+
+        monkeypatch.setattr(linalg, name, counting)
+    return formed
 
 
 def record_verdict(line: str) -> None:

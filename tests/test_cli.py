@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dsmsolve import choose_a, cli, linalg, op_norm
+from dsmsolve import as_operator, choose_a, cli, op_norm, vr_newton
 from dsmsolve.cli import BENCH_HEADER, SUMMARY_HEADER, main
 from dsmsolve.linalg import cond_estimate
 from dsmsolve.problems import heat_instance, heat_matrix, load_vector, save_matrix, save_vector
@@ -90,14 +90,12 @@ def test_bench_is_deterministic(tmp_path, capsys):
     )
 
 
-def test_bench_forms_each_gram_once_per_size(tmp_path, capsys):
+def test_bench_forms_each_gram_once_per_size(tmp_path, capsys, formed_grams):
     """heat_matrix(n) does not depend on the seed, so one operator serves
     every seed of a size: its A^T A and A A^T are formed once each."""
-    with mock.patch.object(linalg, "_gram_lower", wraps=linalg._gram_lower) as gram_lower:
-        rc, _, _ = run(["bench", "--n-list", "12", "--seeds", "3", "--out", str(tmp_path / "b.csv")], capsys)
+    rc, _, _ = run(["bench", "--n-list", "12", "--seeds", "3", "--out", str(tmp_path / "b.csv")], capsys)
     assert rc == 0
-    kinds = sorted(call.kwargs["right"] for call in gram_lower.call_args_list)
-    assert kinds == [False, True]
+    assert sorted(formed_grams) == ["A A^T", "A^T A"]
 
 
 def test_bench_landweber_leaves_a_used_blank(tmp_path, capsys):
@@ -246,6 +244,25 @@ def test_solve_vr_n_on_heat_files(tmp_path, capsys):
     assert pairs["stop_reason"] == "discrepancy_root"
     target = 1.01 * inst.delta
     assert float(pairs["residual"]) == pytest.approx(target, rel=1e-6)
+
+
+def test_solve_vr_n_on_heat_files_takes_the_toeplitz_route(tmp_path, capsys):
+    """At n = 600 the saved heat matrix, read back exactly, is picked up as
+    triangular Toeplitz: solve writes the bits of vr_newton on as_operator
+    of it, which takes the FFT products and the Golub-Kahan spectrum."""
+    mat, vec, inst = write_heat_problem(tmp_path, n=600, delta_rel=0.01, seed=1)
+    out = tmp_path / "u.csv"
+    rc, stdout, _ = run(
+        ["solve", "--matrix", str(mat), "--rhs", str(vec),
+         "--delta", format(inst.delta, ".17g"), "--method", "vr_n",
+         "--out", str(out)],
+        capsys,
+    )
+    assert rc == 0
+    a, u, iterations = vr_newton(as_operator(inst.A), inst.b_noisy, inst.delta)
+    pairs = parse_kv(stdout)
+    assert (pairs["a_used"], pairs["iterations"]) == (format(a, ".10e"), str(iterations))
+    assert np.array_equal(load_vector(out), u)
 
 
 def test_solve_dsm_on_heat_files(tmp_path, capsys):

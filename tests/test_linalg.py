@@ -1,4 +1,5 @@
-"""Tests for the dense kernels: coercion, factorization, eigen, norms."""
+"""Tests for the dense kernels: coercion, the choice of operator,
+factorization, eigen, norms."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from dsmsolve import (
     DenseOperator,
+    as_operator,
     build_preconditioner,
     choose_a,
     cond_estimate,
@@ -20,7 +22,7 @@ from dsmsolve import (
     vr_newton,
     vr_solve,
 )
-from dsmsolve.linalg import as_matrix, as_vector
+from dsmsolve.linalg import ToeplitzOperator, as_matrix, as_vector
 from dsmsolve.problems import heat_instance, heat_matrix
 
 
@@ -66,6 +68,30 @@ def test_as_vector_rejects_wrong_rank_and_nonfinite():
     assert as_vector([1.0, 2.0], 2, name="data").shape == (2,)
     with pytest.raises(ValueError, match="^dimension mismatch: data has length 2, expected 3$"):
         as_vector([1.0, 2.0], 3, name="data")
+
+
+@pytest.mark.parametrize("lower", (True, False))
+def test_as_operator_picks_the_toeplitz_operator_exactly_for_triangular_toeplitz(lower):
+    """A lower- or upper-triangular Toeplitz A gets a ToeplitzOperator holding
+    its first column (lower) or row, in C order, F order and as a transposed
+    view; n = 1, a copy with one entry moved by one ulp, a rectangular and a
+    random matrix get a DenseOperator, and an operator is returned as is."""
+    c = np.random.default_rng(0).standard_normal(7)
+    L = scipy.linalg.toeplitz(c, np.zeros(7))
+    base = L if lower else np.ascontiguousarray(L.T)
+    for M in (base, np.asfortranarray(base), np.ascontiguousarray(base.T).T):
+        op = as_operator(M)
+        assert type(op) is ToeplitzOperator
+        assert op.lower == lower and np.array_equal(op.c, c) and op.A is M
+        assert as_operator(op) is op
+    nudged = base.copy()
+    nudged[5, 5] = np.nextafter(nudged[5, 5], np.inf)
+    rectangular = np.vstack((base, base[:1]))
+    random = np.random.default_rng(1).standard_normal((7, 7))
+    for M in (base[:1, :1], nudged, rectangular, random, [[2.0]]):
+        op = as_operator(M)
+        assert type(op) is DenseOperator
+        assert as_operator(op) is op
 
 
 def test_gram_left_and_right():

@@ -1,5 +1,5 @@
 """Tests for the damped preconditioner, the smoothed operators T and Q, and
-the shared DenseOperator."""
+the shared operator that as_operator returns."""
 
 import gc
 import weakref
@@ -16,6 +16,7 @@ from dsmsolve import (
     Preconditioner,
     SolveConfig,
     SolveResult,
+    as_operator,
     build_preconditioner,
     choose_a,
     cli,
@@ -32,6 +33,7 @@ from dsmsolve import (
     vr_newton,
     vr_solve,
 )
+from dsmsolve.linalg import ToeplitzOperator
 from dsmsolve.problems import heat_instance, heat_matrix
 
 
@@ -71,7 +73,7 @@ def test_apply_p_matches_direct_normal_equations():
 
 def test_apply_p_checks_dimensions():
     P = Preconditioner(random_operator(0, 5, 3), 0.1)
-    assert P.A.shape == (5, 3)
+    assert P.op.shape == (5, 3)
     with pytest.raises(ValueError, match="dimension mismatch"):
         P.apply_p(np.ones(3))
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -148,16 +150,21 @@ def _outcome(call):
 
 
 @given(
-    shape=st.sampled_from(("tall", "wide", "rank_deficient")),
+    shape=st.sampled_from(("tall", "wide", "rank_deficient", "lower_toeplitz", "upper_toeplitz")),
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from((1e-3, 1.0, 1e3)),
 )
 def test_operator_and_array_give_the_same_bits(shape, seed, scale):
-    """One DenseOperator shared by every call gives the bits of passing the array."""
+    """One operator from as_operator, shared by every call, gives the bits of
+    passing the array; a triangular Toeplitz A shares a ToeplitzOperator."""
     rng = np.random.default_rng(seed)
-    m, n = {"tall": (9, 5), "wide": (5, 9), "rank_deficient": (8, 8)}[shape]
+    m, n = {"tall": (9, 5), "wide": (5, 9)}.get(shape, (8, 8))
     if shape == "rank_deficient":
         A = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    elif shape.endswith("toeplitz"):
+        A = scipy.linalg.toeplitz(rng.standard_normal(n), np.zeros(n))
+        if shape == "upper_toeplitz":
+            A = np.ascontiguousarray(A.T)
     else:
         A = rng.standard_normal((m, n))
     A *= scale
@@ -167,7 +174,8 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
     f, delta = clean + noise, float(np.linalg.norm(noise))
     a = choose_a(A, f, delta).chosen_a
     landweber = SolveConfig(h=1.0 / op_norm(A) ** 2, max_iter=200)
-    op = DenseOperator(A)
+    op = as_operator(A)
+    assert isinstance(op, ToeplitzOperator) == shape.endswith("toeplitz")
 
     def flow(A):
         precond = build_preconditioner(A, a)
@@ -217,17 +225,10 @@ def test_newton_factors_only_for_the_final_solve(monkeypatch):
         assert [factor.lower.shape for factor in factored] == [(n, n)]
 
 
-def test_one_operator_forms_each_gram_once(monkeypatch):
-    formed = []
-    real_gram = linalg._gram_lower
-
-    def counting_gram(M, right, toeplitz):
-        formed.append("A A^T" if right else "A^T A")
-        return real_gram(M, right, toeplitz)
-
-    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
+def test_one_operator_forms_each_gram_once(formed_grams):
+    formed = formed_grams
     inst = heat_instance(30, 0.05, 0)
-    op = DenseOperator(inst.A)
+    op = as_operator(inst.A)
     a = choose_a(op, inst.b_noisy, inst.delta).chosen_a
     build_preconditioner(op, a)
     vr_solve(op, inst.b_noisy, a)
@@ -237,7 +238,7 @@ def test_one_operator_forms_each_gram_once(monkeypatch):
     # The CLI's dispatch runs every method on one operator with the same two,
     # and so does the damped iteration's step-size guard (h >= 2 reads ||A||).
     formed.clear()
-    op = DenseOperator(inst.A)
+    op = as_operator(inst.A)
     for method in cli.METHODS:
         cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), a)
     assert sorted(formed) == ["A A^T", "A^T A"]
@@ -246,52 +247,38 @@ def test_one_operator_forms_each_gram_once(monkeypatch):
     assert len(formed) == 2
 
 
-def test_fft_route_forms_no_left_gram(monkeypatch):
+def test_fft_route_forms_no_left_gram(formed_grams):
     """On heat n = 600, which takes the FFT products, choose_a, the dsm
     preconditioner and its solve, and vr_solve form no A^T A: ||A|| and the
     damped factor's refinement use FFT products instead. The same matrix
     with one entry moved by one ulp is no longer Toeplitz and forms it once."""
-    formed = []
-    real_gram = linalg._gram_lower
-
-    def counting_gram(M, right, toeplitz):
-        formed.append(right)
-        return real_gram(M, right, toeplitz)
-
-    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
+    formed = formed_grams
     inst = heat_instance(600, 0.01, 1)
     nudged = inst.A.copy()
     nudged[599, 599] = np.nextafter(nudged[599, 599], np.inf)
-    for A, expected in ((inst.A, []), (nudged, [False])):
+    for A, expected in ((inst.A, []), (nudged, ["A^T A"])):
         formed.clear()
-        op = DenseOperator(A)
+        op = as_operator(A)
         a = choose_a(op, inst.b_noisy, inst.delta).chosen_a
         solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a))
         vr_solve(op, inst.b_noisy, a)
         assert formed == expected
 
 
-def test_fft_route_newton_forms_no_gram(monkeypatch):
+def test_fft_route_newton_forms_no_gram(formed_grams):
     """On heat n = 600 vr_newton takes its misfit spectrum from a Golub-Kahan
     bidiagonalization by FFT products: it forms neither A^T A nor A A^T and
     calls no dsytrd. The same matrix with one entry moved by one ulp is no
     longer Toeplitz and forms each Gram matrix once (A^T A for ||A|| and the
     final solve, A A^T for its spectrum) and reduces A A^T by one dsytrd."""
-    formed = []
-    real_gram = linalg._gram_lower
-
-    def counting_gram(M, right, toeplitz):
-        formed.append(right)
-        return real_gram(M, right, toeplitz)
-
-    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
+    formed = formed_grams
     inst = heat_instance(600, 0.01, 1)
     nudged = inst.A.copy()
     nudged[599, 599] = np.nextafter(nudged[599, 599], np.inf)
-    for A, grams, reductions in ((inst.A, [], 0), (nudged, [False, True], 1)):
+    for A, grams, reductions in ((inst.A, [], 0), (nudged, ["A A^T", "A^T A"], 1)):
         formed.clear()
         with mock.patch.object(scipy.linalg.lapack, "dsytrd", wraps=scipy.linalg.lapack.dsytrd) as dsytrd:
-            vr_newton(DenseOperator(A), inst.b_noisy, inst.delta)
+            vr_newton(as_operator(A), inst.b_noisy, inst.delta)
         assert sorted(formed) == grams
         assert dsytrd.call_count == reductions
 
@@ -303,9 +290,9 @@ def test_dropped_operator_frees_its_spectrum_route_without_the_collector():
     inst = heat_instance(600, 0.01, 1)
     gc.disable()
     try:
-        op = DenseOperator(inst.A)
+        op = as_operator(inst.A)
         vr_newton(op, inst.b_noisy, inst.delta)
-        assert op._fft is not None and "gram_right" not in vars(op)
+        assert isinstance(op, ToeplitzOperator) and "gram_right" not in vars(op)
         ref = weakref.ref(op)
         del op
         assert ref() is None
@@ -320,8 +307,8 @@ def test_dropped_operator_frees_its_factor_without_the_collector():
     left holding their n x n arrays until a collection."""
     gc.disable()
     try:
-        op = DenseOperator(heat_matrix(600))
-        assert op._fft is not None
+        op = as_operator(heat_matrix(600))
+        assert isinstance(op, ToeplitzOperator)
         factor = op._factor_shifted(1e-3 * op.norm**2)
         refs = (weakref.ref(op), weakref.ref(factor))
         del op, factor
@@ -330,24 +317,17 @@ def test_dropped_operator_frees_its_factor_without_the_collector():
         gc.enable()
 
 
-def test_t_norm_reads_the_shared_operator(monkeypatch):
+def test_t_norm_reads_the_shared_operator(formed_grams):
     """A preconditioner's t_norm comes from the ||A|| of the operator it was
     built from: one A^T A in all, and the value of a fresh operator's."""
-    formed = []
-    real_gram = linalg._gram_lower
-
-    def counting_gram(M, right, toeplitz):
-        formed.append(right)
-        return real_gram(M, right, toeplitz)
-
-    monkeypatch.setattr(linalg, "_gram_lower", counting_gram)
+    formed = formed_grams
     inst = heat_instance(30, 0.05, 0)
     a = 1e-3
-    for A in (DenseOperator(inst.A), inst.A):
+    for A in (as_operator(inst.A), inst.A):
         formed.clear()
         t_norm = build_preconditioner(A, a).t_norm
-        assert formed == [False]
-        s2 = DenseOperator(inst.A).norm ** 2
+        assert formed == ["A^T A"]
+        s2 = as_operator(inst.A).norm ** 2
         assert t_norm == s2 / (s2 + a)
 
 
@@ -357,7 +337,7 @@ def test_shared_operator_factors_once_per_damping(monkeypatch):
     final solve makes the other."""
     factored = count_factorizations(monkeypatch)
     inst = heat_instance(100, 0.01, 1)
-    op = DenseOperator(inst.A)
+    op = as_operator(inst.A)
     trace = choose_a(op, inst.b_noisy, inst.delta)
     assert trace.evaluations == 1
     results = {method: cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
@@ -369,10 +349,10 @@ def test_two_dampings_share_the_operator_svd_and_keep_their_bits(monkeypatch):
     """Preconditioners at two dampings on one operator take one SVD between
     them, and interleaved applies give the bits of separate operators."""
     inst = heat_instance(40, 0.01, 2)
-    op = DenseOperator(inst.A)
+    op = as_operator(inst.A)
     dampings = (1e-4, 3e-3)
     shared = [build_preconditioner(op, a) for a in dampings]
-    fresh = [build_preconditioner(DenseOperator(inst.A), a) for a in dampings]
+    fresh = [build_preconditioner(as_operator(inst.A), a) for a in dampings]
     rng = np.random.default_rng(0)
     for _ in range(3):
         r = rng.standard_normal(40)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsmsolve import DenseOperator, choose_a, linalg, params, phi, vr_newton, vr_solve
+from dsmsolve import as_operator, choose_a, linalg, params, phi, vr_newton, vr_solve
 from dsmsolve.problems import heat_instance
 
 
@@ -319,7 +319,7 @@ def test_golub_kahan_does_not_stop_while_the_root_moves(monkeypatch):
     A = scipy.linalg.toeplitz(c, np.zeros(n))
     nudged = A.copy()
     nudged[n - 1, n - 1] = np.nextafter(nudged[n - 1, n - 1], np.inf)
-    op, reference = DenseOperator(A), DenseOperator(nudged)
+    op, reference = as_operator(A), as_operator(nudged)
     b = A @ np.sin(np.linspace(0.0, np.pi, n))
     noise = rng.standard_normal(n)
     sizes = record_spectrum_sizes(monkeypatch)
@@ -369,7 +369,7 @@ def test_newton_no_root_messages_are_the_tridiagonal_route_s(A, f, delta):
     figures read from the eigenpairs of A A^T: a projected floor above
     C delta never raises; it extends the bidiagonalization and, after 60
     steps, falls back."""
-    op = DenseOperator(A)
+    op = as_operator(A)
     target = 1.01 * delta
     norm_f = float(np.linalg.norm(f))
     if target >= norm_f:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dsmsolve import (
     DenseOperator,
     SolveConfig,
+    as_operator,
     build_preconditioner,
     choose_a,
     gram,
@@ -29,7 +30,7 @@ from dsmsolve import (
     vr_newton,
     vr_solve,
 )
-from dsmsolve.linalg import _cholesky, _gram_lower, _triangular_toeplitz
+from dsmsolve.linalg import ToeplitzOperator, _cholesky
 from dsmsolve.problems import heat_instance, heat_matrix
 
 SHAPES = st.sampled_from(("tall", "wide", "rank_deficient"))
@@ -225,7 +226,8 @@ def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
 def test_structured_gram_of_a_triangular_toeplitz_matrix(lower, n, seed, log_scale, leading_zeros, nudged):
     """A lower- or upper-triangular Toeplitz M, C-ordered, F-ordered or a
     transposed view, gets the F-order lower triangle of its Gram matrices
-    without a dsyrk, each entry within 2 n eps (|M|^T |M|) of numpy's; a copy
+    from as_operator without a dsyrk, each entry within 2 n eps (|M|^T |M|)
+    of numpy's (n = 1 is not Toeplitz and takes the dsyrk); a copy
     with one nonzero entry moved by one ulp is no longer Toeplitz, takes
     the dsyrk and equals numpy bit for bit. M is persymmetric, J M J = M^T
     for the reversal J, so M M^T = J M^T M J; the two recurrences sum the
@@ -240,11 +242,13 @@ def test_structured_gram_of_a_triangular_toeplitz_matrix(lower, n, seed, log_sca
     layouts = (base, np.asfortranarray(base), np.ascontiguousarray(base.T).T, np.asfortranarray(base.T).T)
     eps = np.finfo(float).eps
     for M in layouts:
+        op = as_operator(M)
+        assert isinstance(op, ToeplitzOperator) == (n > 1)
         for right in (False, True):
             numpy_gram = M @ M.T if right else M.T @ M
             bound = 2 * n * eps * (np.abs(M) @ np.abs(M).T if right else np.abs(M).T @ np.abs(M))
             with mock.patch.object(scipy.linalg.blas, "dsyrk", wraps=scipy.linalg.blas.dsyrk) as dsyrk:
-                G = _gram_lower(M, right, _triangular_toeplitz(M))
+                G = op.gram_right if right else op.gram
             assert dsyrk.call_count == (n == 1)
             assert G.flags.f_contiguous
             assert not np.triu(G, 1).any()
@@ -279,10 +283,10 @@ def test_structured_gram_keeps_the_damping_and_the_solution(seed):
     triangles, the same evaluations and steps, and dsm solutions within 1e-12."""
     inst = heat_instance(200, 0.01, seed)
     F = np.asfortranarray(inst.A)
-    reference = DenseOperator(inst.A)
+    reference = as_operator(inst.A)
     reference.gram = scipy.linalg.blas.dsyrk(1.0, F, trans=1, lower=1)
     reference.gram_right = scipy.linalg.blas.dsyrk(1.0, F, trans=0, lower=1)
-    op = DenseOperator(inst.A)
+    op = as_operator(inst.A)
     assert not np.array_equal(op.gram, reference.gram)
     assert abs(op.norm - reference.norm) <= 1e-15 * reference.norm
 
@@ -325,7 +329,7 @@ def test_schur_factor_of_a_triangular_toeplitz_operator(lower, n, seed, decay, l
     (600 probes reached 4.5e-16), even where cond(M) nears 1 / eps."""
     A, floor = triangular_toeplitz(lower, n, seed, decay, leading_zeros)
     a = floor * 10.0**log_gap
-    op = DenseOperator(A)
+    op = as_operator(A)
     rng = np.random.default_rng(seed)
     b, B = rng.standard_normal(n), rng.standard_normal((n, 3))
     with mock.patch.object(scipy.linalg, "cholesky", wraps=scipy.linalg.cholesky) as cholesky:
@@ -353,7 +357,7 @@ def test_schur_factor_keeps_its_bits_under_power_of_two_scaling(lower, n, seed, 
     times 4^-k, bit for bit."""
     A, floor = triangular_toeplitz(lower, n, seed, decay)
     a = floor * 10.0**log_gap
-    op, scaled = DenseOperator(A), DenseOperator(np.ldexp(A, k))
+    op, scaled = as_operator(A), as_operator(np.ldexp(A, k))
     b = np.random.default_rng(seed).standard_normal(n)
     with mock.patch.object(scipy.linalg, "cholesky", wraps=scipy.linalg.cholesky) as cholesky:
         factor, scaled_factor = op._factor_shifted(a), scaled._factor_shifted(np.ldexp(a, 2 * k))
@@ -370,7 +374,7 @@ def test_heat_operator_is_factored_without_lapack_cholesky(n, seed):
     longer Toeplitz, and its preconditioner makes one."""
     inst = heat_instance(n, 0.01, seed)
     with mock.patch.object(scipy.linalg, "cholesky", wraps=scipy.linalg.cholesky) as cholesky:
-        op = DenseOperator(inst.A)
+        op = as_operator(inst.A)
         a = choose_a(op, inst.b_noisy, inst.delta).chosen_a
         solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a))
         assert cholesky.call_count == 0
@@ -390,7 +394,7 @@ def test_lapack_route_at_and_below_the_schur_floor(lower, n, seed, decay, log_ra
     Schur route."""
     A, floor = triangular_toeplitz(lower, n, seed, decay)
     a = floor * 10.0**log_ratio
-    op = DenseOperator(A)
+    op = as_operator(A)
     b = np.random.default_rng(seed).standard_normal(n)
     try:
         expected = _cholesky(op.gram, a).solve(b)
@@ -412,7 +416,7 @@ def test_fft_products_of_a_triangular_toeplitz_operator(lower, n, seed, decay, c
     numpy's A x and A^T y, normwise (Frobenius for a block); 300 probes
     reached 0.014 of that bound."""
     A, _ = triangular_toeplitz(lower, n, seed, decay)
-    op = DenseOperator(A)
+    op = as_operator(A)
     N = op._fft.length
     assert N >= 2 * n - 1 and N & (N - 1) == 0
     bound = np.log2(N) * np.finfo(float).eps * np.linalg.norm(A)
@@ -428,9 +432,23 @@ def test_products_below_the_fft_floor_are_numpy_s(lower):
     """At n = 511 a triangular Toeplitz A is applied as any other A: matvec
     and rmatvec are numpy's A x and A^T y, bit for bit."""
     A, _ = triangular_toeplitz(lower, 511, 5, 0.02)
-    op = DenseOperator(A)
+    op = as_operator(A)
+    assert isinstance(op, ToeplitzOperator)
     rng = np.random.default_rng(5)
     for x in (rng.standard_normal(511), rng.standard_normal((511, 3))):
+        assert np.array_equal(op.matvec(x), A @ x)
+        assert np.array_equal(op.rmatvec(x), A.T @ x)
+
+
+@pytest.mark.parametrize("lower", (True, False))
+def test_dense_operator_products_are_numpy_s_above_the_fft_floor(lower):
+    """DenseOperator called directly takes the dense route for any A: on
+    heat_matrix(600), or its transpose, which as_operator applies by FFT,
+    matvec and rmatvec are numpy's A x and A^T y, bit for bit."""
+    A = heat_matrix(600) if lower else np.ascontiguousarray(heat_matrix(600).T)
+    op = DenseOperator(A)
+    rng = np.random.default_rng(6)
+    for x in (rng.standard_normal(600), rng.standard_normal((600, 3))):
         assert np.array_equal(op.matvec(x), A @ x)
         assert np.array_equal(op.rmatvec(x), A.T @ x)
 
@@ -449,15 +467,15 @@ def test_fft_route_keeps_the_damping_steps_and_solutions(seed, delta_rel):
     nudged[599, 599] = np.nextafter(nudged[599, 599], np.inf)
     runs = []
     for A in (inst.A, nudged):
-        op = DenseOperator(A)
+        op = as_operator(A)
         trace = choose_a(op, f, delta)
         dsm = solve_dsm(op, f, delta, build_preconditioner(op, trace.chosen_a))
         u_i = vr_solve(op, f, trace.chosen_a)
         _, u_n, newton_iterations = vr_newton(op, f, delta)
         assert residuals_nonincreasing(dsm.residual_history)
-        runs.append((op._fft, trace, dsm, (dsm.solution, u_i, u_n), newton_iterations))
-    (fft, trace, dsm, solutions, iterations), (no_fft, ref_trace, ref_dsm, ref_solutions, ref_iterations) = runs
-    assert fft is not None and no_fft is None
+        runs.append((isinstance(op, ToeplitzOperator), trace, dsm, (dsm.solution, u_i, u_n), newton_iterations))
+    (structured, trace, dsm, solutions, iterations), (dense, ref_trace, ref_dsm, ref_solutions, ref_iterations) = runs
+    assert structured and not dense
     assert abs(trace.chosen_a - ref_trace.chosen_a) <= 1e-14 * ref_trace.chosen_a
     assert trace.evaluations == ref_trace.evaluations
     assert (dsm.iterations, dsm.stop_reason) == (ref_dsm.iterations, ref_dsm.stop_reason)
@@ -492,8 +510,8 @@ def test_golub_kahan_root_matches_the_tridiagonal_one(n, kappa, delta_rel, seed)
     f, delta = inst.b_noisy, inst.delta
     nudged = inst.A.copy()
     nudged[n - 1, n - 1] = np.nextafter(nudged[n - 1, n - 1], np.inf)
-    op, reference = DenseOperator(inst.A), DenseOperator(nudged)
-    assert op._fft is not None and reference._fft is None
+    op, reference = as_operator(inst.A), as_operator(nudged)
+    assert isinstance(op, ToeplitzOperator) and not isinstance(reference, ToeplitzOperator)
     a, u, iterations = vr_newton(op, f, delta)
     a_ref, u_ref, ref_iterations = vr_newton(reference, f, delta)
     assert iterations == ref_iterations
