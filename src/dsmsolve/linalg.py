@@ -85,10 +85,6 @@ class _ToeplitzFFT:
         self.length = 1 << (2 * self.n - 2).bit_length()
         spectrum = np.fft.rfft(c, self.length)
         self._forward, self._adjoint = (spectrum, spectrum.conj()) if lower else (spectrum.conj(), spectrum)
-        # A^T A is not formed here, so its range is checked on c: c . c is
-        # its largest entry, and it is zero only when every entry is.
-        cc = float(c @ c)
-        self.gram_in_range = math.isfinite(cc) and (cc > 0.0 or not c.any())
 
     def _apply(self, spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.n:
@@ -106,7 +102,8 @@ class _ToeplitzFFT:
 
 
 def _gram_in_range(G: np.ndarray, nonzero: bool) -> np.ndarray:
-    """G, the Gram triangle of a matrix that is nonzero when nonzero is true;
+    """G, the Gram triangle of a matrix that is nonzero when nonzero is true,
+    or a scalar that stands for it (see ToeplitzOperator._check_gram_range);
     raises ValueError, rather than return inf or zeros, when an entry
     overflows or when the Gram matrix of a nonzero matrix underflows to zero."""
     if not np.all(np.isfinite(G)):
@@ -114,39 +111,6 @@ def _gram_in_range(G: np.ndarray, nonzero: bool) -> np.ndarray:
     if not G.any() and nonzero:
         raise ValueError("Gram matrix underflows float64; scale A, f_delta and delta up by a common factor")
     return G
-
-
-def _toeplitz_gram_lower(c: np.ndarray, lower: bool, right: bool) -> np.ndarray:
-    """Lower triangle of A^T A (or A A^T when right=True), in Fortran order,
-    for the triangular Toeplitz A given by (c, lower), as
-    _triangular_toeplitz returns it, in O(n^2), with the range check of
-    _gram_in_range.
-
-    For the lower-triangular Toeplitz L with first column c, A = L has
-    A^T A = L^T L and A A^T = L L^T, and A = L^T the two swapped. Each
-    column follows from its neighbour by one multiply and one add on
-    contiguous memory, written straight into the output:
-    (L L^T)[i+1, j+1] = (L L^T)[i, j] + c[i+1] c[j+1] from column 0 = c[0] c,
-    and (L^T L)[i-1, j-1] = (L^T L)[i, j] + c[n-i] c[n-j] from column n-1,
-    each last row being c[0] c[n-1-j]. Every entry is then
-    within 2 n eps (|A|^T |A|, or |A| |A|^T) of numpy's A^T A (A A^T), though
-    not bit for bit, as the terms are summed in another order.
-    """
-    n = c.shape[0]
-    G = np.zeros((n, n), order="F")
-    with np.errstate(over="ignore", invalid="ignore"):  # _gram_in_range names an overflow
-        if right == lower:
-            np.multiply(c, c[0], out=G[:, 0])
-            for j in range(1, n):
-                column = np.multiply(c[j:], c[j], out=G[j:, j])
-                np.add(column, G[j - 1 : n - 1, j - 1], out=column)
-        else:
-            reversed_c = c[::-1].copy()
-            G[n - 1, n - 1] = c[0] * c[0]
-            for j in range(n - 2, -1, -1):
-                column = np.multiply(reversed_c[j:], c[n - 1 - j], out=G[j:, j])
-                np.add(column[:-1], G[j + 1 :, j + 1], out=column[:-1])
-    return _gram_in_range(G, c.any())
 
 
 def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
@@ -168,18 +132,15 @@ def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
 
 
 def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
-    """Gram matrix M^T M (or M M^T when right=True), exactly symmetric, of
-    the operator as_operator(M).
+    """Gram matrix M^T M (or M M^T when right=True), exactly symmetric.
 
-    The lower triangle is formed once and mirrored, so the result equals
-    numpy's M.T @ M (M @ M.T) bit for bit on C- and F-ordered M, except for
-    a square triangular Toeplitz M: that one is formed in O(n^2), each entry
-    within 2 n eps (|M|^T |M|) of numpy's (see _toeplitz_gram_lower). Raises
-    ValueError, rather than return inf or zeros, when an entry overflows or
-    when a nonzero M's Gram matrix underflows to zero.
+    The lower triangle is formed once, by _gram_lower, and mirrored, so the
+    result equals numpy's M.T @ M (M @ M.T) bit for bit on C- and F-ordered
+    M, a triangular Toeplitz M included. Raises ValueError, rather than
+    return inf or zeros, when an entry overflows or when a nonzero M's Gram
+    matrix underflows to zero.
     """
-    op = as_operator(M)
-    G = op.gram_right if right else op.gram
+    G = _gram_lower(as_matrix(M), right)
     return G + np.tril(G, -1).T
 
 
@@ -491,16 +452,16 @@ class DenseOperator:
 
     matvec and rmatvec apply A and A^T, numpy's A @ x and A.T @ y bit for
     bit. gram and gram_right hold the lower triangles of A^T A and A A^T in
-    Fortran order, their strict upper triangles zero: the one form that is
-    factored, multiplied by and reduced. Each is one dsyrk; mirrored, they
-    are numpy's A^T A and A A^T bit for bit. norm is the one place ||A|| is
-    computed. A is validated and used as given, flags untouched; it must not
-    change while the operator is in use.
+    Fortran order, their strict upper triangles zero, each one dsyrk
+    (_gram_lower) on every operator; mirrored, they are numpy's A^T A and
+    A A^T bit for bit. norm is the one place ||A|| is computed. A is
+    validated and used as given, flags untouched; it must not change while
+    the operator is in use.
 
     Every A takes this dense route when the class is called directly.
     as_operator picks ToeplitzOperator instead for an exactly triangular
-    Toeplitz A, which overrides the products, the Gram triangles, the damped
-    factor and the misfit spectrum.
+    Toeplitz A, which overrides the products, the Gram range check, the
+    damped factor and the misfit spectrum, but not the Gram triangles.
     """
 
     _damped: tuple[float, SpdFactorization] | None = None
@@ -529,22 +490,25 @@ class DenseOperator:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return self._form_gram(right=False)
+        return _gram_lower(self.A, right=False)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
-        return self._form_gram(right=True)
+        return _gram_lower(self.A, right=True)
 
-    def _form_gram(self, right: bool) -> np.ndarray:
-        """The lower triangle of A^T A (A A^T when right=True) that gram
-        (gram_right) keeps: one dsyrk."""
-        return _gram_lower(self.A, right=right)
+    def _check_gram_range(self) -> None:
+        """Raise the Gram matrix's overflow or underflow error, if A^T A has
+        one; here by forming it."""
+        _ = self.gram
 
     @cached_property
     def norm(self) -> float:
         """||A|| by power iteration on A^T A, one _gram_product per step,
         from a fixed all-ones start vector, so repeated calls give the same
-        value. Zero for an empty or zero A."""
+        value. Zero for an empty or zero A. When the Rayleigh quotient has
+        not settled within 1e-10 relative after 10,000 steps (a top singular
+        value nearly double, say), ||A|| is the largest of A's singular
+        values from LAPACK instead."""
         n = self.shape[1]
         if n == 0:
             return 0.0
@@ -562,6 +526,8 @@ class DenseOperator:
             if norm_w == 0.0:
                 return 0.0
             v = w / norm_w
+        else:
+            return float(scipy.linalg.svdvals(self.A)[0])
         return float(np.sqrt(max(rayleigh, 0.0)))
 
     def check_data(self, f_delta) -> np.ndarray:
@@ -572,13 +538,13 @@ class DenseOperator:
             norm = np.linalg.norm(f_delta)
         if not np.isfinite(norm):
             # Name an overflowing A^T A first, since A must then be scaled too.
-            _ = self.gram
+            self._check_gram_range()
             raise ValueError(
                 "data norm overflows float64; scale f_delta and delta down by a common factor"
             )
         if norm == 0.0 and f_delta.any():
             # Likewise an underflowing A^T A.
-            _ = self.gram
+            self._check_gram_range()
             raise ValueError(
                 "data norm underflows float64; scale f_delta and delta up by a common factor"
             )
@@ -652,14 +618,15 @@ class ToeplitzOperator(DenseOperator):
     lower-triangular Toeplitz L with first column c, such as heat_matrix, as
     as_operator finds it; A is the matrix as as_operator validated it.
 
-    Its Gram triangles take O(n^2) from c (see _toeplitz_gram_lower), each
-    entry within 2 n eps (|A|^T |A|) of numpy's. The factor of A^T A + a I
-    takes O(n^2) by the generalized Schur algorithm when
-    a > eps (sum |c_i|)^2 (see _factor). From order n = 512, A is applied by
-    FFT in O(n log n); neither ||A|| nor that factor then forms A^T A, and
-    misfit_spectrum forms no A A^T: it bidiagonalizes from the data by FFT
-    products until the root settles, and falls back to A A^T's eigenpairs
-    when the root stalls or after 60 steps.
+    Its Gram triangles, when formed, are DenseOperator's, by dsyrk; its Gram
+    range errors are told from c alone (see _check_gram_range), so raising
+    one forms no Gram matrix. The factor of A^T A + a I takes O(n^2) by the
+    generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
+    From order n = 512, A is applied by FFT in O(n log n); neither ||A|| nor
+    that factor then forms A^T A, and misfit_spectrum forms no A A^T: it
+    bidiagonalizes from the data by FFT products until the root settles,
+    and falls back to A A^T's eigenpairs when the root stalls or after 60
+    steps.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
@@ -689,28 +656,32 @@ class ToeplitzOperator(DenseOperator):
         """A^T y, as matvec applies A: numpy's A.T @ y bit for bit, or by FFT."""
         return self.A.T @ y if self._fft is None else self._fft.rmatvec(y)
 
+    def _check_gram_range(self) -> None:
+        """Raise the Gram matrix's overflow or underflow error from c . c, in
+        O(n) at every order: c . c is the largest entry of A^T A and of
+        A A^T, and it is zero only when every entry underflows."""
+        with np.errstate(over="ignore"):  # _gram_in_range names an overflow
+            _gram_in_range(self.c @ self.c, self.c.any())
+
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (A^T A + shift I) x on the route matvec takes: on the FFT route
-        A^T (A x) + shift x, which forms no A^T A and refers only to the FFT
-        spectra, but still raises the Gram matrix's overflow or underflow
-        error; below it DenseOperator's dsymv on the triangle."""
+        """x -> (A^T A + shift I) x on the route matvec takes, after the range
+        check: on the FFT route A^T (A x) + shift x, which forms no A^T A and
+        refers only to the FFT spectra; below it DenseOperator's dsymv on the
+        triangle."""
+        self._check_gram_range()
         fft = self._fft
         if fft is None:
             return super()._gram_product(shift)
-        if not fft.gram_in_range:
-            _ = self.gram  # raises the named error
         return lambda x: fft.rmatvec(fft.matvec(x)) + shift * x
 
-    def _form_gram(self, right: bool) -> np.ndarray:
-        """The Gram triangle by the O(n^2) recurrence on c."""
-        return _toeplitz_gram_lower(self.c, self.lower, right=right)
-
     def _factor(self, a: float) -> SpdFactorization:
-        """The factor of A^T A + a I in O(n^2) by the generalized Schur
-        algorithm (_toeplitz_cholesky) when a > eps (sum |c_i|)^2, which
-        never fails; its solves refine against _gram_product(a), so from
-        order 512 it forms no A^T A. At or below that bound, roundoff in
-        A^T A can swamp a, and A is factored as DenseOperator factors it."""
+        """The factor of A^T A + a I, after the range check, in O(n^2) by the
+        generalized Schur algorithm (_toeplitz_cholesky) when
+        a > eps (sum |c_i|)^2, which never fails; its solves refine against
+        _gram_product(a), so from order 512 it forms no A^T A. At or below
+        that bound, roundoff in A^T A can swamp a, and A is factored as
+        DenseOperator factors it."""
+        self._check_gram_range()
         if a > self._schur_floor:
             return _toeplitz_cholesky(self.c, self.lower, self._gram_product(a), a)
         return super()._factor(a)

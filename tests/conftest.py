@@ -17,16 +17,15 @@ VERDICTS: list[str] = []
 @pytest.fixture
 def formed_grams(monkeypatch) -> list:
     """The Gram triangles formed from here on, in order, each named by its
-    side, "A^T A" or "A A^T": by dsyrk for a DenseOperator
-    (linalg._gram_lower) or by the recurrence for a ToeplitzOperator
-    (linalg._toeplitz_gram_lower)."""
+    side, "A^T A" or "A A^T": every one is a dsyrk in linalg._gram_lower."""
     formed = []
-    for name in ("_gram_lower", "_toeplitz_gram_lower"):
-        def counting(*args, right, real=getattr(linalg, name)):
-            formed.append("A A^T" if right else "A^T A")
-            return real(*args, right=right)
+    real = linalg._gram_lower
 
-        monkeypatch.setattr(linalg, name, counting)
+    def counting(M, right):
+        formed.append("A A^T" if right else "A^T A")
+        return real(M, right)
+
+    monkeypatch.setattr(linalg, "_gram_lower", counting)
     return formed
 
 

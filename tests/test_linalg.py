@@ -228,6 +228,19 @@ def test_op_norm_edge_cases():
     assert op_norm(2.5 * M) == pytest.approx(2.5 * op_norm(M), rel=1e-9)
 
 
+def test_norm_past_the_power_iteration_cap_is_the_largest_singular_value():
+    """A triangular Toeplitz A that does not smooth (n = 800, first column
+    N(0, 1) e^{-i/40}, s_2 / s_1 = 0.999895) keeps the power iteration's
+    Rayleigh quotient moving for all 10,000 steps, which stopped 1.3e-6
+    relative low; both operators then return s_1 from LAPACK."""
+    n = 800
+    c = np.random.default_rng(0).standard_normal(n) * np.exp(-np.arange(n) / 40)
+    A = scipy.linalg.toeplitz(c, np.zeros(n))
+    expected = np.linalg.norm(A, 2)
+    for op in (as_operator(A), DenseOperator(A)):
+        assert abs(op.norm - expected) <= 1e-14 * expected
+
+
 @pytest.mark.parametrize("entry, n", at_heat_sizes([
     lambda A, f, delta: choose_a(A, f, delta),
     lambda A, f, delta: vr_newton(A, f, delta),
@@ -236,12 +249,14 @@ def test_op_norm_edge_cases():
     lambda A, f, delta: build_preconditioner(A, 1.0),
     lambda A, f, delta: phi(A, f, 1.0),
 ], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
-def test_overflowing_gram_is_named(entry, n):
-    """A, f and delta scaled by 1e200: A^T A overflows, and every entry point says so."""
+def test_overflowing_gram_is_named(entry, n, formed_grams):
+    """A, f and delta scaled by 1e200: A^T A overflows, and every entry point
+    says so; at n = 600 without forming a Gram matrix."""
     inst = heat_instance(n, 0.01, 0)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="Gram matrix overflows float64; scale A, f_delta and delta"):
             entry(1e200 * inst.A, 1e200 * inst.b_noisy, 1e200 * inst.delta)
+    assert n < 600 or formed_grams == []
 
 
 @pytest.mark.parametrize("entry, n", at_heat_sizes([
@@ -253,12 +268,14 @@ def test_overflowing_gram_is_named(entry, n):
     lambda A, f, delta: vr_solve(A, f, 1.0),
     lambda A, f, delta: dsm_step(build_preconditioner(A, 1.0), 1.0, np.zeros(A.shape[1]), f),
 ], ["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"]))
-def test_overflowing_data_norm_is_named(entry, n):
+def test_overflowing_data_norm_is_named(entry, n, formed_grams):
     """f and delta scaled by 1e160 with A as is: A^T A is finite but ||f|| overflows,
-    and every entry point that takes data says so instead of running on inf."""
+    and every entry point that takes data says so instead of running on inf;
+    at n = 600 without forming a Gram matrix."""
     inst = heat_instance(n, 0.01, 0)
     with pytest.raises(ValueError, match="data norm overflows float64; scale f_delta and delta"):
         entry(inst.A, 1e160 * inst.b_noisy, 1e160 * inst.delta)
+    assert n < 600 or formed_grams == []
 
 
 @pytest.mark.parametrize("entry, n", at_heat_sizes([
@@ -269,13 +286,15 @@ def test_overflowing_data_norm_is_named(entry, n):
     lambda A, f, delta: build_preconditioner(A, 1e-300),
     lambda A, f, delta: phi(A, f, 1e-300),
 ], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
-def test_underflowing_gram_is_named(entry, n):
+def test_underflowing_gram_is_named(entry, n, formed_grams):
     """A, f and delta scaled by 1e-200: A^T A and ||f|| underflow to zero, and
     every entry point says so instead of answering for a zero operator or zero
-    data (u = 0, ||A|| = 0, entries of P near 1e99)."""
+    data (u = 0, ||A|| = 0, entries of P near 1e99); at n = 600 without
+    forming a Gram matrix."""
     inst = heat_instance(n, 0.01, 0)
     with pytest.raises(ValueError, match="Gram matrix underflows float64; scale A, f_delta and delta up"):
         entry(1e-200 * inst.A, 1e-200 * inst.b_noisy, 1e-200 * inst.delta)
+    assert n < 600 or formed_grams == []
 
 
 @pytest.mark.parametrize("entry, n", at_heat_sizes([
@@ -287,12 +306,14 @@ def test_underflowing_gram_is_named(entry, n):
     lambda A, f, delta: vr_solve(A, f, 1.0),
     lambda A, f, delta: dsm_step(build_preconditioner(A, 1.0), 1.0, np.zeros(A.shape[1]), f),
 ], ["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"]))
-def test_underflowing_data_norm_is_named(entry, n):
+def test_underflowing_data_norm_is_named(entry, n, formed_grams):
     """f and delta scaled by 1e-200 with A as is: ||f|| underflows to zero
-    although f does not, and every entry point that takes data says so."""
+    although f does not, and every entry point that takes data says so; at
+    n = 600 without forming a Gram matrix."""
     inst = heat_instance(n, 0.01, 0)
     with pytest.raises(ValueError, match="data norm underflows float64; scale f_delta and delta up"):
         entry(inst.A, 1e-200 * inst.b_noisy, 1e-200 * inst.delta)
+    assert n < 600 or formed_grams == []
 
 
 def test_zero_operator_and_zero_data_keep_their_messages():
