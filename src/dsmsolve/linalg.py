@@ -60,10 +60,12 @@ def _triangular_toeplitz(M: np.ndarray) -> tuple[np.ndarray, bool] | None:
     return np.ascontiguousarray(M[:, 0] if lower else M[0, :]), lower
 
 
-# Order from which a triangular Toeplitz A is applied by FFT, not gemv. The
-# FFT pair overtakes gemv between n = 400 and 600 (per product, 1 BLAS
-# thread: 27-34 against 39-45 us at n = 400, 62 against 44-49 us at 500,
-# 140 against 35-47 us at 600).
+# Order from which as_operator makes a ToeplitzOperator of a triangular
+# Toeplitz A. At 1 BLAS thread the FFT product pair overtakes gemv between
+# n = 400 and 600 (27-34 against 39-45 us at 400, 140 against 35-47 at 600),
+# and below it the Schur factor of A^T A + a I is no faster than dpotrf
+# (heat, a = 1e-4: 0.39 against 0.08 ms at n = 100, 1.68 against 1.51 at 400,
+# 2.19 against 3.21 at 511, where both pay dsyrk's 0.08, 2.2 and 4.9 ms).
 _FFT_FLOOR = 512
 
 
@@ -458,10 +460,10 @@ class DenseOperator:
     validated and used as given, flags untouched; it must not change while
     the operator is in use.
 
-    Every A takes this dense route when the class is called directly.
-    as_operator picks ToeplitzOperator instead for an exactly triangular
-    Toeplitz A, which overrides the products, the Gram range check, the
-    damped factor and the misfit spectrum, but not the Gram triangles.
+    Every A takes this dense route when the class is called directly, and
+    from as_operator unless it is exactly triangular Toeplitz of order
+    n >= 512: a ToeplitzOperator, which overrides the products, the Gram
+    range check, the damped factor and the misfit spectrum.
     """
 
     _damped: tuple[float, SpdFactorization] | None = None
@@ -504,31 +506,34 @@ class DenseOperator:
     @cached_property
     def norm(self) -> float:
         """||A|| by power iteration on A^T A, one _gram_product per step,
-        from a fixed all-ones start vector, so repeated calls give the same
-        value. Zero for an empty or zero A. When the Rayleigh quotient has
-        not settled within 1e-10 relative after 10,000 steps (a top singular
-        value nearly double, say), ||A|| is the largest of A's singular
-        values from LAPACK instead."""
+        from a fixed all-ones start vector, until the Rayleigh quotient
+        settles within 1e-10 relative, so repeated calls give the same value.
+        Zero for an empty or zero A. Once the quotient's change has not
+        shrunk tenfold over 100 steps (a top singular value nearly double,
+        say), ||A|| is the largest of A's singular values from LAPACK."""
         n = self.shape[1]
         if n == 0:
             return 0.0
         product = self._gram_product(0.0)
         v = np.full(n, 1.0 / np.sqrt(n))
-        rayleigh = 0.0
         previous = -np.inf
-        for _ in range(10_000):
+        checkpoint = np.inf
+        for step in range(1, 10_001):
             w = product(v)
             rayleigh = float(v @ w)
-            if abs(rayleigh - previous) <= 1e-10 * max(abs(rayleigh), 1e-300):
-                break
+            change = abs(rayleigh - previous)
+            if change <= 1e-10 * max(abs(rayleigh), 1e-300):
+                return float(np.sqrt(max(rayleigh, 0.0)))
+            if step % 100 == 0:
+                if change > 0.1 * checkpoint:
+                    break
+                checkpoint = change
             previous = rayleigh
             norm_w = float(np.linalg.norm(w))
             if norm_w == 0.0:
                 return 0.0
             v = w / norm_w
-        else:
-            return float(scipy.linalg.svdvals(self.A)[0])
-        return float(np.sqrt(max(rayleigh, 0.0)))
+        return float(scipy.linalg.svdvals(self.A)[0])
 
     def check_data(self, f_delta) -> np.ndarray:
         """f_delta as a vector, checked to have one entry per row of A and a
@@ -616,21 +621,23 @@ class DenseOperator:
 class ToeplitzOperator(DenseOperator):
     """A square A that is exactly L (lower=True) or L^T for the
     lower-triangular Toeplitz L with first column c, such as heat_matrix, as
-    as_operator finds it; A is the matrix as as_operator validated it.
+    _triangular_toeplitz finds it; A is the validated matrix. as_operator
+    makes one from order n = 512; built directly, it works at any order.
 
-    Its Gram triangles, when formed, are DenseOperator's, by dsyrk; its Gram
-    range errors are told from c alone (see _check_gram_range), so raising
-    one forms no Gram matrix. The factor of A^T A + a I takes O(n^2) by the
-    generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
-    From order n = 512, A is applied by FFT in O(n log n); neither ||A|| nor
-    that factor then forms A^T A, and misfit_spectrum forms no A A^T: it
-    bidiagonalizes from the data by FFT products until the root settles,
-    and falls back to A A^T's eigenpairs when the root stalls or after 60
-    steps.
+    A is applied by FFT in O(n log n), so neither ||A|| nor the damped
+    factor forms A^T A, and misfit_spectrum forms no A A^T: it
+    bidiagonalizes from the data by FFT products until the root settles, and
+    falls back to A A^T's eigenpairs when the root stalls or after 60 steps.
+    The factor of A^T A + a I takes O(n^2) by the generalized Schur
+    algorithm when a > eps (sum |c_i|)^2 (see _factor). Its Gram range
+    errors are told from c alone (see _check_gram_range), so raising one
+    forms no Gram matrix; its Gram triangles, when formed, are
+    DenseOperator's, by dsyrk.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
         self.A, self.c, self.lower = A, c, lower
+        self._fft = _ToeplitzFFT(c, lower)
 
     @cached_property
     def _schur_floor(self) -> float:
@@ -640,47 +647,37 @@ class ToeplitzOperator(DenseOperator):
         l1 = float(np.sum(np.abs(self.c)))
         return np.finfo(float).eps * l1 * l1
 
-    @cached_property
-    def _fft(self) -> _ToeplitzFFT | None:
-        """The FFT products of A when its order is n >= 512, else None;
-        decided once per operator, so a product costs no test."""
-        return None if self.A.shape[0] < _FFT_FLOOR else _ToeplitzFFT(self.c, self.lower)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x, as DenseOperator.matvec gives it below order 512; from there
-        by zero-padded real FFTs of a length N < 4n in O(n log n), within a
-        small multiple of log2(N) eps ||A||_F ||x|| of it, normwise."""
-        return self.A @ x if self._fft is None else self._fft.matvec(x)
+        """A x by zero-padded real FFTs of a length N < 4n in O(n log n),
+        within a small multiple of log2(N) eps ||A||_F ||x|| of numpy's
+        A @ x, normwise."""
+        return self._fft.matvec(x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A^T y, as matvec applies A: numpy's A.T @ y bit for bit, or by FFT."""
-        return self.A.T @ y if self._fft is None else self._fft.rmatvec(y)
+        """A^T y by FFT, as matvec applies A."""
+        return self._fft.rmatvec(y)
 
     def _check_gram_range(self) -> None:
         """Raise the Gram matrix's overflow or underflow error from c . c, in
-        O(n) at every order: c . c is the largest entry of A^T A and of
-        A A^T, and it is zero only when every entry underflows."""
+        O(n): c . c is the largest entry of A^T A and of A A^T, and it is
+        zero only when every entry underflows."""
         with np.errstate(over="ignore"):  # _gram_in_range names an overflow
             _gram_in_range(self.c @ self.c, self.c.any())
 
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (A^T A + shift I) x on the route matvec takes, after the range
-        check: on the FFT route A^T (A x) + shift x, which forms no A^T A and
-        refers only to the FFT spectra; below it DenseOperator's dsymv on the
-        triangle."""
+        """x -> A^T (A x) + shift x by FFT, after the range check; it forms
+        no A^T A and refers only to the FFT spectra."""
         self._check_gram_range()
         fft = self._fft
-        if fft is None:
-            return super()._gram_product(shift)
         return lambda x: fft.rmatvec(fft.matvec(x)) + shift * x
 
     def _factor(self, a: float) -> SpdFactorization:
         """The factor of A^T A + a I, after the range check, in O(n^2) by the
         generalized Schur algorithm (_toeplitz_cholesky) when
         a > eps (sum |c_i|)^2, which never fails; its solves refine against
-        _gram_product(a), so from order 512 it forms no A^T A. At or below
-        that bound, roundoff in A^T A can swamp a, and A is factored as
-        DenseOperator factors it."""
+        _gram_product(a), so it forms no A^T A. At or below that bound,
+        roundoff in A^T A can swamp a, and A is factored as DenseOperator
+        factors it."""
         self._check_gram_range()
         if a > self._schur_floor:
             return _toeplitz_cholesky(self.c, self.lower, self._gram_product(a), a)
@@ -689,27 +686,28 @@ class ToeplitzOperator(DenseOperator):
     def misfit_spectrum(self, f: np.ndarray,
                         root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """From order n = 512, the spectrum of a Golub-Kahan bidiagonalization
-        from f, O(k n log n + k^2 n) for k steps: k grows by 5 until the
+        """The spectrum of a Golub-Kahan bidiagonalization from f by FFT
+        products, O(k n log n + k^2 n) for k steps: k grows by 5 until the
         projected misfit floor is below C delta and the root agrees with the
         one 5 steps earlier within 1e-12 relative (see _bidiagonal_spectrum).
         It forms neither Gram matrix. If the root's change shrinks less than
-        fourfold in 5 steps, or it has not settled by k = 60, and below order
-        512, the spectrum is DenseOperator's, exact."""
-        spectrum = None if self._fft is None else _bidiagonal_spectrum(self._fft, f, root)
+        fourfold in 5 steps, or it has not settled by k = 60, the spectrum is
+        DenseOperator's, exact."""
+        spectrum = _bidiagonal_spectrum(self._fft, f, root)
         return super().misfit_spectrum(f, root) if spectrum is None else spectrum
 
 
 def as_operator(A) -> DenseOperator:
     """A itself if it is an operator, else a fresh one for this call: A is
     validated once, and a ToeplitzOperator is returned when A is exactly
-    lower- or upper-triangular Toeplitz (_triangular_toeplitz), a
-    DenseOperator otherwise. The one place the structure is decided."""
+    lower- or upper-triangular Toeplitz (_triangular_toeplitz) of order
+    n >= 512, a DenseOperator otherwise. The one place the class is decided."""
     if isinstance(A, DenseOperator):
         return A
     op = DenseOperator(A)
-    structure = _triangular_toeplitz(op.A)
-    return op if structure is None else ToeplitzOperator(op.A, *structure)
+    if op.shape[0] < _FFT_FLOOR or (structure := _triangular_toeplitz(op.A)) is None:
+        return op
+    return ToeplitzOperator(op.A, *structure)
 
 
 def cond_estimate(M: np.ndarray) -> float:

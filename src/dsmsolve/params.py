@@ -178,11 +178,12 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     each bracket probe and Newton step costs O(len(lambda)), and the only
     factorization is the final vr_solve. The spectrum comes from the
     operator's misfit_spectrum: for a DenseOperator the eigenpairs of A A^T,
-    from one tridiagonal reduction per call; for a ToeplitzOperator of order
-    n >= 512 that of a Golub-Kahan bidiagonalization from f_delta, extended
-    until its root settles, with the eigenpairs as fallback (see
-    ToeplitzOperator.misfit_spectrum). Steps that leave the current bracket fall back to its
-    geometric midpoint, so iterates stay inside the initial bracket.
+    from one tridiagonal reduction per call; for a ToeplitzOperator that of
+    a Golub-Kahan bidiagonalization from f_delta, extended until its root
+    settles, with the eigenpairs as fallback (see
+    ToeplitzOperator.misfit_spectrum). Steps that leave the current bracket
+    fall back to its geometric midpoint, so iterates stay inside the
+    initial bracket.
 
     Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.
     When C delta sits below the roundoff noise of the misfit itself, that

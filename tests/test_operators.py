@@ -149,33 +149,22 @@ def _outcome(call):
     return tuple(p.tobytes() if isinstance(p, np.ndarray) else p for p in parts)
 
 
-@given(
-    shape=st.sampled_from(("tall", "wide", "rank_deficient", "lower_toeplitz", "upper_toeplitz")),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from((1e-3, 1.0, 1e3)),
-)
-def test_operator_and_array_give_the_same_bits(shape, seed, scale):
-    """One operator from as_operator, shared by every call, gives the bits of
-    passing the array; a triangular Toeplitz A shares a ToeplitzOperator."""
-    rng = np.random.default_rng(seed)
-    m, n = {"tall": (9, 5), "wide": (5, 9)}.get(shape, (8, 8))
-    if shape == "rank_deficient":
-        A = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
-    elif shape.endswith("toeplitz"):
-        A = scipy.linalg.toeplitz(rng.standard_normal(n), np.zeros(n))
-        if shape == "upper_toeplitz":
-            A = np.ascontiguousarray(A.T)
-    else:
-        A = rng.standard_normal((m, n))
-    A *= scale
-    clean = A @ rng.standard_normal(n)
-    noise = rng.standard_normal(m)
+def _noisy_data(A, rng):
+    """(f, delta): f = A x + 1% noise for a Gaussian x, and delta the noise norm."""
+    clean = A @ rng.standard_normal(A.shape[1])
+    noise = rng.standard_normal(A.shape[0])
     noise *= 0.01 * np.linalg.norm(clean) / np.linalg.norm(noise)
-    f, delta = clean + noise, float(np.linalg.norm(noise))
+    return clean + noise, float(np.linalg.norm(noise))
+
+
+def _assert_shared_operator_gives_the_array_s_bits(A, f, delta, kind):
+    """One operator from as_operator, of type kind, shared by every call,
+    gives the bits of passing the array."""
     a = choose_a(A, f, delta).chosen_a
     landweber = SolveConfig(h=1.0 / op_norm(A) ** 2, max_iter=200)
     op = as_operator(A)
-    assert isinstance(op, ToeplitzOperator) == shape.endswith("toeplitz")
+    assert type(op) is kind
+    n = A.shape[1]
 
     def flow(A):
         precond = build_preconditioner(A, a)
@@ -196,6 +185,42 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
         flow,
     ):
         assert _outcome(lambda: call(op)) == _outcome(lambda: call(A))
+
+
+@given(
+    shape=st.sampled_from(("tall", "wide", "rank_deficient", "lower_toeplitz", "upper_toeplitz")),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-3, 1.0, 1e3)),
+)
+def test_operator_and_array_give_the_same_bits(shape, seed, scale):
+    """One operator from as_operator, shared by every call, gives the bits of
+    passing the array; an 8 x 8 triangular Toeplitz A, below order 512,
+    shares a DenseOperator."""
+    rng = np.random.default_rng(seed)
+    m, n = {"tall": (9, 5), "wide": (5, 9)}.get(shape, (8, 8))
+    if shape == "rank_deficient":
+        A = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+    elif shape.endswith("toeplitz"):
+        A = scipy.linalg.toeplitz(rng.standard_normal(n), np.zeros(n))
+        if shape == "upper_toeplitz":
+            A = np.ascontiguousarray(A.T)
+    else:
+        A = rng.standard_normal((m, n))
+    A *= scale
+    _assert_shared_operator_gives_the_array_s_bits(A, *_noisy_data(A, rng), DenseOperator)
+
+
+@pytest.mark.parametrize("lower", (True, False))
+def test_toeplitz_operator_and_array_give_the_same_bits(lower):
+    """A lower- or upper-triangular Toeplitz A of order 512 shares a
+    ToeplitzOperator, which gives the bits of passing the array over the
+    same calls."""
+    rng = np.random.default_rng(512)
+    n = 512
+    A = scipy.linalg.toeplitz(rng.standard_normal(n) * np.exp(-np.arange(n) / 40), np.zeros(n))
+    if not lower:
+        A = np.ascontiguousarray(A.T)
+    _assert_shared_operator_gives_the_array_s_bits(A, *_noisy_data(A, rng), ToeplitzOperator)
 
 
 def count_factorizations(monkeypatch) -> list:

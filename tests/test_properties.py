@@ -30,7 +30,7 @@ from dsmsolve import (
     vr_newton,
     vr_solve,
 )
-from dsmsolve.linalg import ToeplitzOperator, _cholesky
+from dsmsolve.linalg import ToeplitzOperator, _cholesky, _triangular_toeplitz
 from dsmsolve.problems import heat_instance, heat_matrix
 
 SHAPES = st.sampled_from(("tall", "wide", "rank_deficient"))
@@ -172,7 +172,8 @@ def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
     nothing else: gram() mirrors it into numpy's M^T M and M M^T bit for bit
     on C-ordered, F-ordered and transposed M, and on a lower- or
     upper-triangular Toeplitz M with leading zeros in its first column, as
-    heat_matrix has at large n, whose operator keeps the same triangles;
+    heat_matrix has at large n, whose ToeplitzOperator keeps the same
+    triangles;
     factoring A^T A + a I leaves it
     as it was; NaN in its upper triangle changes no bit of ||A||, the factor,
     its solves or A A^T's spectrum; and the solves agree with spd_factor of
@@ -197,8 +198,7 @@ def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
         assert np.array_equal(gram(M), M.T @ M)
         assert np.array_equal(gram(M, right=True), M @ M.T)
     for M in toeplitz:
-        structured = as_operator(M)
-        assert isinstance(structured, ToeplitzOperator)
+        structured = toeplitz_operator(M)
         assert np.array_equal(structured.gram, np.tril(M.T @ M))
         assert np.array_equal(structured.gram_right, np.tril(M @ M.T))
 
@@ -239,6 +239,12 @@ def test_structured_gram_names_overflow_and_underflow():
                 gram(np.ldexp(A, k), right=right)
 
 
+def toeplitz_operator(A):
+    """A ToeplitzOperator on the triangular Toeplitz A at any order, with FFT
+    products, as as_operator builds one from order 512."""
+    return ToeplitzOperator(A, *_triangular_toeplitz(A))
+
+
 def triangular_toeplitz(lower, n, seed, decay, leading_zeros=0):
     """(A, floor): A is the lower-triangular Toeplitz L, or L^T, whose first
     column c is Gaussian damped by exp(-decay j) after leading_zeros zeros,
@@ -265,7 +271,7 @@ def test_schur_factor_of_a_triangular_toeplitz_operator(lower, n, seed, decay, l
     (600 probes reached 4.5e-16), even where cond(M) nears 1 / eps."""
     A, floor = triangular_toeplitz(lower, n, seed, decay, leading_zeros)
     a = floor * 10.0**log_gap
-    op = as_operator(A)
+    op = toeplitz_operator(A)
     rng = np.random.default_rng(seed)
     b, B = rng.standard_normal(n), rng.standard_normal((n, 3))
     with mock.patch.object(scipy.linalg, "cholesky", wraps=scipy.linalg.cholesky) as cholesky:
@@ -293,7 +299,7 @@ def test_schur_factor_keeps_its_bits_under_power_of_two_scaling(lower, n, seed, 
     times 4^-k, bit for bit."""
     A, floor = triangular_toeplitz(lower, n, seed, decay)
     a = floor * 10.0**log_gap
-    op, scaled = as_operator(A), as_operator(np.ldexp(A, k))
+    op, scaled = toeplitz_operator(A), toeplitz_operator(np.ldexp(A, k))
     b = np.random.default_rng(seed).standard_normal(n)
     with mock.patch.object(scipy.linalg, "cholesky", wraps=scipy.linalg.cholesky) as cholesky:
         factor, scaled_factor = op._factor_shifted(a), scaled._factor_shifted(np.ldexp(a, 2 * k))
@@ -303,14 +309,16 @@ def test_schur_factor_keeps_its_bits_under_power_of_two_scaling(lower, n, seed, 
     assert np.array_equal(scaled_x, np.ldexp(x, -2 * k))
 
 
-@pytest.mark.parametrize("n, seed", ((30, 1), (200, 2)))
+@pytest.mark.parametrize("n, seed", ((600, 1), (1000, 2)))
 def test_heat_operator_is_factored_without_lapack_cholesky(n, seed):
     """choose_a, the dsm preconditioner and its solve make no LAPACK Cholesky
-    on heat_matrix; the same matrix with one entry moved by one ulp is no
-    longer Toeplitz, and its preconditioner makes one."""
+    on heat_matrix from order 512, whose operator is a ToeplitzOperator; the
+    same matrix with one entry moved by one ulp is no longer Toeplitz, and
+    its preconditioner makes one."""
     inst = heat_instance(n, 0.01, seed)
     with mock.patch.object(scipy.linalg, "cholesky", wraps=scipy.linalg.cholesky) as cholesky:
         op = as_operator(inst.A)
+        assert type(op) is ToeplitzOperator
         a = choose_a(op, inst.b_noisy, inst.delta).chosen_a
         solve_dsm(op, inst.b_noisy, inst.delta, build_preconditioner(op, a))
         assert cholesky.call_count == 0
@@ -330,7 +338,7 @@ def test_lapack_route_at_and_below_the_schur_floor(lower, n, seed, decay, log_ra
     Schur route."""
     A, floor = triangular_toeplitz(lower, n, seed, decay)
     a = floor * 10.0**log_ratio
-    op = as_operator(A)
+    op = toeplitz_operator(A)
     b = np.random.default_rng(seed).standard_normal(n)
     try:
         expected = _cholesky(op.gram, a).solve(b)
@@ -364,29 +372,21 @@ def test_fft_products_of_a_triangular_toeplitz_operator(lower, n, seed, decay, c
 
 
 @pytest.mark.parametrize("lower", (True, False))
-def test_products_below_the_fft_floor_are_numpy_s(lower):
-    """At n = 511 a triangular Toeplitz A is applied as any other A: matvec
-    and rmatvec are numpy's A x and A^T y, bit for bit."""
-    A, _ = triangular_toeplitz(lower, 511, 5, 0.02)
-    op = as_operator(A)
-    assert isinstance(op, ToeplitzOperator)
-    rng = np.random.default_rng(5)
-    for x in (rng.standard_normal(511), rng.standard_normal((511, 3))):
-        assert np.array_equal(op.matvec(x), A @ x)
-        assert np.array_equal(op.rmatvec(x), A.T @ x)
-
-
-@pytest.mark.parametrize("lower", (True, False))
 def test_dense_operator_products_are_numpy_s_above_the_fft_floor(lower):
-    """DenseOperator called directly takes the dense route for any A: on
+    """DenseOperator takes the dense route for any A: called directly on
     heat_matrix(600), or its transpose, which as_operator applies by FFT,
-    matvec and rmatvec are numpy's A x and A^T y, bit for bit."""
+    and from as_operator on a triangular Toeplitz A at n = 511, matvec and
+    rmatvec are numpy's A x and A^T y, bit for bit."""
     A = heat_matrix(600) if lower else np.ascontiguousarray(heat_matrix(600).T)
-    op = DenseOperator(A)
+    below, _ = triangular_toeplitz(lower, 511, 5, 0.02)
+    below_op = as_operator(below)
+    assert type(below_op) is DenseOperator
     rng = np.random.default_rng(6)
-    for x in (rng.standard_normal(600), rng.standard_normal((600, 3))):
-        assert np.array_equal(op.matvec(x), A @ x)
-        assert np.array_equal(op.rmatvec(x), A.T @ x)
+    for op in (DenseOperator(A), below_op):
+        n = op.shape[0]
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            assert np.array_equal(op.matvec(x), op.A @ x)
+            assert np.array_equal(op.rmatvec(x), op.A.T @ x)
 
 
 @pytest.mark.parametrize("seed, delta_rel", ((1, 0.01), (2, 0.05)))
