@@ -170,6 +170,13 @@ def _triangle_product(triangle: np.ndarray, shift: float) -> Callable[[np.ndarra
     return product
 
 
+# A refined solve stops after its first correction once the residual
+# ||b - M x|| is at most _REFINE_STOP eps ||b||, per column for a block:
+# x is then backward stable (Skeel 1980; Higham, Accuracy and Stability of
+# Numerical Algorithms, 12.2), and a second correction moves it by roundoff.
+_REFINE_STOP = 4.0
+
+
 @dataclass(frozen=True)
 class SpdFactorization:
     """Cholesky factor of a symmetric positive definite M, M = L L^T, with
@@ -178,9 +185,13 @@ class SpdFactorization:
     lower is L in Fortran order, its strict upper triangle zero. product
     applies M to a vector or a block; it is the only way to M, so it must
     not refer back to whoever keeps the factor. solve() takes a vector or a
-    block, one right-hand side per column, and runs two passes of residual
-    correction, each residual taken as b - product(x); a bare triangular
-    solve loses too many digits once the condition number gets near 1e12.
+    block, one right-hand side per column. A raw solve of a vector is two
+    triangular solves (dtrsv) with L and L^T; a block takes cho_solve. The
+    raw solve is refined by residual correction, each residual taken as
+    b - product(x): after one correction it stops when that residual is at
+    most _REFINE_STOP eps ||b|| in every column, and otherwise makes a
+    second, the last; a bare triangular solve loses too many digits once
+    the condition number gets near 1e12.
     """
 
     lower: np.ndarray
@@ -192,13 +203,21 @@ class SpdFactorization:
         return self.lower.shape[0]
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
+        if b.ndim == 2:
+            return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
+        if b.shape[0] == 0:  # BLAS rejects empty operands
+            return np.zeros(0)
+        y = scipy.linalg.blas.dtrsv(self.lower, b, lower=1)
+        return scipy.linalg.blas.dtrsv(self.lower, y, lower=1, trans=1, overwrite_x=1)
 
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
         x = self._raw_solve(b)
-        for _ in range(2):
-            x = x + self._raw_solve(b - self.product(x))
-        return x
+        x = x + self._raw_solve(b - self.product(x))
+        r = b - self.product(x)
+        bound = _REFINE_STOP * np.finfo(float).eps * np.linalg.norm(b, axis=0)
+        if np.all(np.linalg.norm(r, axis=0) <= bound):
+            return x
+        return x + self._raw_solve(r)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if np.ndim(b) != 2:
@@ -701,13 +720,19 @@ def as_operator(A) -> DenseOperator:
     """A itself if it is an operator, else a fresh one for this call: A is
     validated once, and a ToeplitzOperator is returned when A is exactly
     lower- or upper-triangular Toeplitz (_triangular_toeplitz) of order
-    n >= 512, a DenseOperator otherwise. The one place the class is decided."""
+    n >= 512, a DenseOperator otherwise. The one place the class is decided.
+
+    The structure test runs first, so a triangular Toeplitz A is checked
+    finite on c alone, in O(n): the exact test makes every entry of A an
+    entry of c or zero. Every other A, one whose NaN breaks the structure
+    included, goes to DenseOperator, which validates all of it."""
     if isinstance(A, DenseOperator):
         return A
-    op = DenseOperator(A)
-    if op.shape[0] < _FFT_FLOOR or (structure := _triangular_toeplitz(op.A)) is None:
-        return op
-    return ToeplitzOperator(op.A, *structure)
+    M = np.asarray(A, dtype=float)
+    structure = _triangular_toeplitz(M) if M.ndim == 2 and M.shape[0] >= _FFT_FLOOR else None
+    if structure is None or not np.all(np.isfinite(structure[0])):
+        return DenseOperator(M)
+    return ToeplitzOperator(M, *structure)
 
 
 def cond_estimate(M: np.ndarray) -> float:

@@ -13,6 +13,8 @@ import scipy.linalg
 import dsmsolve
 from dsmsolve import (
     DenseOperator,
+    SolveConfig,
+    SpdFactorization,
     as_operator,
     build_preconditioner,
     choose_a,
@@ -107,6 +109,31 @@ def test_as_operator_picks_the_toeplitz_operator_exactly_for_triangular_toeplitz
         assert as_operator(op) is op
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_entries_of_a_near_toeplitz_matrix_are_named(value):
+    """heat n = 600 with one non-finite entry in the first column (inside,
+    and at the last row, which keeps the structure and puts it in c), in
+    the upper triangle, or along the whole diagonal (which keeps the
+    structure for +-inf): as_operator raises as for any matrix, whether it
+    checks c or the whole of A."""
+    n = 600
+    A = heat_matrix(n)
+    where = {
+        "first column": [(3, 0)],
+        "last row of the first column": [(n - 1, 0)],
+        "upper triangle": [(2, 7)],
+        "upper corner": [(0, n - 1)],
+        "diagonal": [(i, i) for i in range(n)],
+    }
+    for name, entries in where.items():
+        M = A.copy()
+        M[tuple(np.transpose(entries))] = value
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_operator(M)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_operator(np.ascontiguousarray(M.T))
+
+
 def test_gram_left_and_right():
     rng = np.random.default_rng(1)
     M = rng.standard_normal((5, 3))
@@ -178,29 +205,112 @@ def test_spd_solve_matrix_matches_column_solves():
 
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
-    """Solves reproduce lower-factor cho_solve with two refinements, each
-    residual from one symmetric product (dsymv, dsymm for a block) on M."""
+    """Solves reproduce the lower-factor kernel written out: a raw solve is
+    dtrsv with L, then with L^T, for a vector and cho_solve for a block; one
+    correction, then a second only when some column's residual, from one
+    symmetric product (dsymv, dsymm for a block) on M, exceeds 4 eps ||b||.
+    At n >= 7 both branches are taken, the one for right-hand sides in M's
+    range, the other for most random ones. Each solve stays within a few
+    cond(M) eps of the former kernel, cho_solve with two corrections."""
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n + 2, n))
     M = B.T @ B + 1e-3 * np.eye(n)
     M = 0.5 * (M + M.T)
     factor = spd_factor(M)
+    L = factor.lower
+    eps = np.finfo(float).eps
 
     def product(x):
         if x.ndim == 1:
             return scipy.linalg.blas.dsymv(1.0, M, x, lower=1)
         return scipy.linalg.blas.dsymm(1.0, M, x, lower=1)
 
+    def raw(b):
+        if b.ndim == 2:
+            return scipy.linalg.cho_solve((L, True), b, check_finite=False)
+        return scipy.linalg.blas.dtrsv(L, scipy.linalg.blas.dtrsv(L, b, lower=1), lower=1, trans=1)
+
     def reference(b):
-        x = scipy.linalg.cho_solve((factor.lower, True), b, check_finite=False)
+        x = raw(b)
+        x = x + raw(b - product(x))
+        r = b - product(x)
+        if np.all(np.linalg.norm(r, axis=0) <= 4.0 * eps * np.linalg.norm(b, axis=0)):
+            return x, 2
+        return x + raw(r), 3
+
+    def former(b):
+        x = scipy.linalg.cho_solve((L, True), b, check_finite=False)
         for _ in range(2):
-            x = x + scipy.linalg.cho_solve((factor.lower, True), b - product(x), check_finite=False)
+            x = x + scipy.linalg.cho_solve((L, True), b - product(x), check_finite=False)
         return x
 
-    b = rng.standard_normal(n)
-    assert np.array_equal(factor.solve(b), reference(b))
-    block = rng.standard_normal((n, 5))
-    assert np.array_equal(factor.solve(block), reference(block))
+    bound = 4.0 * np.linalg.cond(M) * eps
+    branches = set()
+    for shape in ((n,), (n, 5)):
+        for b in (M @ rng.standard_normal(shape), rng.standard_normal(shape)):
+            x, raw_solves = reference(b)
+            branches.add(raw_solves)
+            assert np.array_equal(factor.solve(b), x)
+            assert np.linalg.norm(x - former(b)) <= bound * np.linalg.norm(former(b))
+    assert branches == ({2, 3} if n > 1 else {2})
+
+
+@pytest.fixture
+def raw_solves(monkeypatch) -> list:
+    """The raw solves each refined solve makes from here on, one count per
+    refined solve, on either factorization class."""
+    per_solve, total = [], [0]
+    raw, refined = SpdFactorization._raw_solve, SpdFactorization._refined_solve
+
+    def counting_raw(self, b):
+        total[0] += 1
+        return raw(self, b)
+
+    def counting_refined(self, b):
+        before = total[0]
+        x = refined(self, b)
+        per_solve.append(total[0] - before)
+        return x
+
+    monkeypatch.setattr(SpdFactorization, "_raw_solve", counting_raw)
+    monkeypatch.setattr(SpdFactorization, "_refined_solve", counting_refined)
+    return per_solve
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+@pytest.mark.parametrize("delta_rel", [0.05, 0.01])
+def test_refined_solves_on_heat_stop_after_one_correction(n, delta_rel, raw_solves):
+    """The damping search, the damped iteration with either stopping rule
+    and vr_newton on heat data at 5% and 1% noise: every refined solve
+    makes exactly two raw solves, its residual at roundoff after one
+    correction."""
+    inst = heat_instance(n, delta_rel, 0)
+    op, f, delta = as_operator(inst.A), inst.b_noisy, inst.delta
+    precond = build_preconditioner(op, choose_a(op, f, delta).chosen_a)
+    solve_dsm(op, f, delta, precond)
+    solve_dsm(op, f, delta, precond, SolveConfig(h=0.1, stopping="apriori"))
+    vr_newton(op, f, delta)
+    assert len(raw_solves) > 10
+    assert set(raw_solves) == {2}
+
+
+def test_refinement_against_a_noisy_product_stops_at_the_cap(raw_solves):
+    """A product that disagrees with the factor at about 1e-10 relative
+    keeps the residual far above roundoff: each solve makes three raw
+    solves, the cap, for a vector and for a block."""
+    M, _, _ = rotated_spd(4, 30, 1e3)
+    factor = spd_factor(M)
+    noise = np.random.default_rng(5)
+
+    def noisy(x):
+        y = M @ x
+        return y + 1e-10 * np.linalg.norm(y, axis=0) * noise.standard_normal(y.shape)
+
+    off = SpdFactorization(lower=factor.lower, product=noisy, shift=0.0)
+    rng = np.random.default_rng(6)
+    off.solve(rng.standard_normal(30))
+    off.solve(rng.standard_normal((30, 3)))
+    assert raw_solves == [3, 3]
 
 
 def test_sym_eigen_reconstructs_and_sorts():

@@ -7,12 +7,15 @@ from dsmsolve import (
     Preconditioner,
     SolveConfig,
     apriori_steps,
+    as_operator,
     build_preconditioner,
+    choose_a,
     dsm_step,
     landweber_solve,
     residuals_nonincreasing,
     solve_dsm,
 )
+from dsmsolve.linalg import ToeplitzOperator
 from dsmsolve.problems import heat_instance
 
 
@@ -251,6 +254,25 @@ def test_monotone_on_noisy_heat_instances():
         result = solve_dsm(inst.A, inst.b_noisy, inst.delta, precond)
         assert residuals_nonincreasing(result.residual_history)
         assert result.stop_reason == "discrepancy_met"
+
+
+@pytest.mark.parametrize("delta_rel", [0.05, 0.01, 0.001])
+def test_monotone_on_the_structured_route(delta_rel):
+    """Criterion 02 on heat n = 600, a ToeplitzOperator whose damped solves
+    refine against FFT products: at choose_a's damping, the damped iteration
+    at h = 1 with discrepancy stopping and at h = 0.1 with the a-priori rule
+    never raises the residual by more than RESIDUAL_SLACK, and stops as its
+    rule says."""
+    for seed in range(3):
+        inst = heat_instance(600, delta_rel, seed)
+        op = as_operator(inst.A)
+        assert type(op) is ToeplitzOperator
+        precond = build_preconditioner(op, choose_a(op, inst.b_noisy, inst.delta).chosen_a)
+        for config, reason in ((SolveConfig(h=1.0), "discrepancy_met"),
+                               (SolveConfig(h=0.1, stopping="apriori"), "apriori_reached")):
+            result = solve_dsm(op, inst.b_noisy, inst.delta, precond, config)
+            assert residuals_nonincreasing(result.residual_history), f"seed {seed}"
+            assert result.stop_reason == reason, f"seed {seed}"
 
 
 def test_residuals_nonincreasing_helper():
