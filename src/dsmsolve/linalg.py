@@ -502,12 +502,13 @@ class DenseOperator:
         """A^T y for a float vector y, or a block with one vector per column."""
         return self.A.T @ y
 
-    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (A^T A + shift I) x, by one dsymv (dsymm for a block) on the
-        lower triangle of A^T A. The product refers to the triangle, never to
-        the operator, which keeps it in its factor. Raises the Gram matrix's
-        overflow or underflow error."""
-        return _triangle_product(self.gram, shift)
+    def _gram_product(self, shift: float, right: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (A^T A + shift I) x, or (A A^T + shift I) x when right=True,
+        by one dsymv (dsymm for a block) on the lower triangle of that Gram
+        matrix, formed once per operator. The product refers to the
+        triangle, never to the operator, which keeps it in its factor.
+        Raises the Gram matrix's overflow or underflow error."""
+        return _triangle_product(self.gram_right if right else self.gram, shift)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -529,7 +530,9 @@ class DenseOperator:
         settles within 1e-10 relative, so repeated calls give the same value.
         Zero for an empty or zero A. Once the quotient's change has not
         shrunk tenfold over 100 steps (a top singular value nearly double,
-        say), ||A|| is the largest of A's singular values from LAPACK."""
+        say), or once the quotient or the iterate's norm overflows (which
+        an A^T A in range can do: ||A||^2 or the norm of A^T A v above
+        1.8e308), ||A|| is the largest of A's singular values from LAPACK."""
         n = self.shape[1]
         if n == 0:
             return 0.0
@@ -540,6 +543,8 @@ class DenseOperator:
         for step in range(1, 10_001):
             w = product(v)
             rayleigh = float(v @ w)
+            if not math.isfinite(rayleigh):
+                break
             change = abs(rayleigh - previous)
             if change <= 1e-10 * max(abs(rayleigh), 1e-300):
                 return float(np.sqrt(max(rayleigh, 0.0)))
@@ -548,11 +553,27 @@ class DenseOperator:
                     break
                 checkpoint = change
             previous = rayleigh
-            norm_w = float(np.linalg.norm(w))
+            with np.errstate(over="ignore"):  # an overflow ends the iteration
+                norm_w = float(np.linalg.norm(w))
             if norm_w == 0.0:
                 return 0.0
+            if norm_w == math.inf:
+                break
             v = w / norm_w
         return float(scipy.linalg.svdvals(self.A)[0])
+
+    @property
+    def norm_squared(self) -> float:
+        """||A||^2, the scale of every step-size bound and damping; raises
+        ValueError when it overflows float64, as it can although A^T A and
+        ||A|| do not."""
+        try:
+            s2 = self.norm**2
+        except OverflowError:  # a Python float's power raises, not rounds to inf
+            s2 = math.inf
+        if s2 == math.inf:
+            raise ValueError("||A||^2 overflows float64; scale A, f_delta and delta down by a common factor")
+        return s2
 
     def check_data(self, f_delta) -> np.ndarray:
         """f_delta as a vector, checked to have one entry per row of A and a
@@ -683,11 +704,14 @@ class ToeplitzOperator(DenseOperator):
         with np.errstate(over="ignore"):  # _gram_in_range names an overflow
             _gram_in_range(self.c @ self.c, self.c.any())
 
-    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> A^T (A x) + shift x by FFT, after the range check; it forms
-        no A^T A and refers only to the FFT spectra."""
+    def _gram_product(self, shift: float, right: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> A^T (A x) + shift x, or A (A^T x) + shift x when right=True,
+        by FFT, after the range check; it forms no Gram matrix and refers
+        only to the FFT spectra."""
         self._check_gram_range()
         fft = self._fft
+        if right:
+            return lambda x: fft.matvec(fft.rmatvec(x)) + shift * x
         return lambda x: fft.rmatvec(fft.matvec(x)) + shift * x
 
     def _factor(self, a: float) -> SpdFactorization:

@@ -30,7 +30,7 @@ class Preconditioner:
     @property
     def t_norm(self) -> float:
         """Spectral norm of T = P A, equal to s^2 / (s^2 + a) for s = ||A||."""
-        s2 = self.op.norm**2
+        s2 = self.op.norm_squared
         return s2 / (s2 + self.a)
 
     def apply_p(self, r) -> np.ndarray:

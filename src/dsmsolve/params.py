@@ -81,7 +81,7 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
     norm_f = float(np.linalg.norm(f_delta))
     if norm_f == 0.0:
         raise ValueError("data vector is zero; no damping parameter to select")
-    if op.norm**2 == 0.0:
+    if op.norm_squared == 0.0:
         raise ValueError("operator norm is zero; the misfit does not depend on a")
 
     a = start_damping(delta, op.norm, norm_f)
@@ -203,7 +203,7 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
         raise ValueError(
             f"no root: C*delta = {target:.6g} is not below ||f_delta|| = {norm_f:.6g}"
         )
-    s2 = op.norm**2
+    s2 = op.norm_squared
     if s2 == 0.0:
         raise ValueError("no root: operator is zero, the misfit is constant")
     start = start_damping(delta, op.norm, norm_f)

@@ -351,6 +351,22 @@ def test_op_norm_edge_cases():
     assert op_norm(2.5 * M) == pytest.approx(2.5 * op_norm(M), rel=1e-9)
 
 
+def test_norm_whose_square_overflows_is_the_largest_singular_value():
+    """A^T A in range, but a power step overflows: the identity with a first
+    row of 1e154 has ||A|| = 2e154 and ||A||^2 = 4e308, and 1e100 I has
+    ||A^T A v|| = 1e200, whose sum of squares overflows. ||A|| is then the
+    largest singular value from LAPACK (the power iteration returned inf
+    and 0.0), and every entry point scaled by ||A||^2 names its overflow."""
+    A = np.eye(4)
+    A[0, :] = 1e154
+    for M in (A, 1e100 * np.eye(4)):
+        assert op_norm(M) == scipy.linalg.svdvals(M)[0]
+    message = r"^\|\|A\|\|\^2 overflows float64; scale A, f_delta and delta down by a common factor$"
+    for entry in (choose_a, vr_newton, landweber_solve):
+        with pytest.raises(ValueError, match=message):
+            entry(A, np.ones(4), 0.01)
+
+
 def test_norm_past_the_power_iteration_cap_is_the_largest_singular_value():
     """A triangular Toeplitz A that does not smooth (n = 800, first column
     N(0, 1) e^{-i/40}, s_2 / s_1 = 0.999895) keeps the power iteration's

@@ -38,10 +38,14 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def noisy_system(shape, seed):
-    """(A, f_delta, delta) with 1% noise; rank_deficient is an 8x8 of rank 3."""
+    """(A, f_delta, delta) with 1% noise; rank_deficient is an 8x8 of rank 3,
+    lower_toeplitz and upper_toeplitz the 8x8 L and L^T of
+    triangular_toeplitz at decay 0.2."""
     rng = np.random.default_rng(seed)
-    m, n = {"tall": (9, 5), "wide": (5, 9), "rank_deficient": (8, 8)}[shape]
-    if shape == "rank_deficient":
+    m, n = {"tall": (9, 5), "wide": (5, 9)}.get(shape, (8, 8))
+    if shape.endswith("toeplitz"):
+        A, _ = triangular_toeplitz(shape == "lower_toeplitz", n, seed, 0.2)
+    elif shape == "rank_deficient":
         A = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
     else:
         A = rng.standard_normal((m, n))
@@ -100,20 +104,23 @@ def test_newton_finds_the_root_below_a_low_misfit_floor(shape):
         assert abs(phi(A, f, a) - target) <= 1e-8 * target, seed
 
 
-@given(shape=SHAPES, seed=SEEDS, log_a=st.floats(-3.0, 1.0), fraction=st.floats(0.05, 0.99))
+@given(shape=st.sampled_from(("tall", "wide", "rank_deficient", "lower_toeplitz", "upper_toeplitz")),
+       seed=SEEDS, log_a=st.floats(-3.0, 1.0), fraction=st.floats(0.05, 0.99))
 def test_residuals_fall_and_the_stop_is_the_first_crossing(shape, seed, log_a, fraction):
     """For h ||T|| < 2 (damped) and h ||A||^2 < 2 (plain) every residual history
     is nonincreasing, and a discrepancy stop lands on the first n with
-    ||A u_n - f_delta|| <= C delta."""
+    ||A u_n - f_delta|| <= C delta. The plain run's history comes from its
+    residual recurrence, so ||A u - f_delta|| of the returned u, taken
+    directly, must also agree with its last entry within 1e-12 ||f_delta||.
+    The Toeplitz shapes run as ToeplitzOperators, on FFT products."""
     A, f, delta = noisy_system(shape, seed)
-    s2 = op_norm(A) ** 2
-    precond = build_preconditioner(A, s2 * 10.0**log_a)
-    runs = (
-        solve_dsm(A, f, delta, precond, SolveConfig(h=2.0 * fraction / precond.t_norm, max_iter=300)),
-        landweber_solve(A, f, delta, SolveConfig(h=2.0 * fraction / s2, max_iter=300)),
-    )
+    op = toeplitz_operator(A) if shape.endswith("toeplitz") else as_operator(A)
+    s2 = op.norm**2
+    precond = build_preconditioner(op, s2 * 10.0**log_a)
+    damped = solve_dsm(op, f, delta, precond, SolveConfig(h=2.0 * fraction / precond.t_norm, max_iter=300))
+    landweber = landweber_solve(op, f, delta, SolveConfig(h=2.0 * fraction / s2, max_iter=300))
     threshold = 1.01 * delta
-    for result in runs:
+    for result in (damped, landweber):
         history = result.residual_history
         assert residuals_nonincreasing(history)
         above = [r > threshold for r in history]
@@ -121,6 +128,8 @@ def test_residuals_fall_and_the_stop_is_the_first_crossing(shape, seed, log_a, f
             assert above.index(False) == result.iterations == len(history) - 1
         else:
             assert result.stop_reason == "max_iter" and all(above)
+    direct = float(np.linalg.norm(A @ landweber.solution - f))
+    assert abs(direct - landweber.residual_history[-1]) <= 1e-12 * np.linalg.norm(f)
 
 
 def spread_operator(shape, seed, scale, decades):

@@ -1,9 +1,12 @@
 """Tests for the damped and plain gradient iterations and their stopping rules."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from dsmsolve import (
+    DenseOperator,
     Preconditioner,
     SolveConfig,
     apriori_steps,
@@ -193,6 +196,68 @@ def test_landweber_step_size_guard():
         landweber_solve(2.0 * A, f, 0.01)
     with pytest.raises(ValueError, match="dimension mismatch"):
         landweber_solve(A, np.ones(3), 0.01)
+
+
+def gradient_reference(op, f, delta, config):
+    """The plain gradient iteration in its iterate form, u <- u - h A^T r,
+    with r = A u - f_delta taken directly after every step; discrepancy
+    stopping from u = 0. Returns (u, steps, history, stop_reason)."""
+    u = np.zeros(op.shape[1])
+    r = op.matvec(u) - f
+    history = [float(np.linalg.norm(r))]
+    for n in range(1, config.max_iter + 1):
+        u = u - config.h * op.rmatvec(r)
+        r = op.matvec(u) - f
+        history.append(float(np.linalg.norm(r)))
+        if history[-1] <= config.C * delta:
+            return u, n, history, "discrepancy_met"
+    return u, config.max_iter, history, "max_iter"
+
+
+@pytest.mark.parametrize("n, delta_rel, max_iter", [
+    *((n, delta_rel, 10_000) for n in (100, 400, 600) for delta_rel in (0.05, 0.01)),
+    *((n, 0.001, 3000) for n in (100, 400, 600)),
+])
+def test_landweber_recurrence_matches_the_iterate_form(n, delta_rel, max_iter):
+    """landweber_solve advances the residual by r <- r - h A A^T r and forms
+    u once at the end; against the iterate form on heat data (dense below
+    n = 512, FFT products at 600) it takes the same steps and stops for the
+    same reason, its solution and every history entry agree within 1e-12
+    relative, and so does ||A u - f_delta|| of its solution, taken directly,
+    with its last history entry."""
+    inst = heat_instance(n, delta_rel, 104729)
+    f, delta = inst.b_noisy, inst.delta
+    op = as_operator(inst.A)
+    assert (type(op) is ToeplitzOperator) == (n >= 512)
+    config = SolveConfig(max_iter=max_iter)
+    result = landweber_solve(op, f, delta, config)
+    u, steps, history, reason = gradient_reference(op, f, delta, config)
+    assert (result.iterations, result.stop_reason) == (steps, reason)
+    assert np.linalg.norm(result.solution - u) <= 1e-12 * np.linalg.norm(u)
+    assert len(result.residual_history) == len(history)
+    for value, expected in zip(result.residual_history, history):
+        assert abs(value - expected) <= 1e-12 * expected
+    direct = float(np.linalg.norm(inst.A @ result.solution - f))
+    assert abs(direct - result.residual_history[-1]) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("n", [100, 600])
+def test_landweber_applies_a_and_its_transpose_once(n, formed_grams):
+    """Whatever the step count, one landweber_solve makes one product with A
+    (the initial residual) and one with A^T (the solution); every step is a
+    product with A A^T, which a DenseOperator forms once as a Gram triangle
+    and a ToeplitzOperator never forms."""
+    inst = heat_instance(n, 0.01, 1)
+    op = as_operator(inst.A)
+    with mock.patch.object(op, "matvec", wraps=op.matvec) as matvec, \
+            mock.patch.object(op, "rmatvec", wraps=op.rmatvec) as rmatvec:
+        result = landweber_solve(op, inst.b_noisy, inst.delta)
+    assert result.stop_reason == "discrepancy_met" and result.iterations > 100
+    assert matvec.call_count == rmatvec.call_count == 1
+    if n < 512:
+        assert type(op) is DenseOperator and formed_grams.count("A A^T") == 1
+    else:
+        assert type(op) is ToeplitzOperator and formed_grams == []
 
 
 def test_dsm_step_is_one_damped_update():
