@@ -5,7 +5,7 @@ The flow u'(t) = -T u(t) + P f has the closed form solution
     u(t) = exp(-t T) u0 + g(t, T) P f,   g(t, lam) = (1 - exp(-t lam)) / lam,
 
 so it is propagated coefficient-wise in an eigenbasis of T. With the SVD
-A = U diag(s) V^T, T = (A^T A + a I)^{-1} A^T A and Q = A (A^T A + a I)^{-1} A^T
+A = U diag(s) V^T, T = A^T (A A^T + a I)^{-1} A and Q = (A A^T + a I)^{-1} A A^T
 share the spectrum s^2 / (s^2 + a), with eigenvectors V and U; one SVD of A,
 cached on the preconditioner's operator, gives both at every damping a. The
 flow is dense-only and test-scale: the SVD costs O(n^3) time and keeps two

@@ -63,9 +63,10 @@ def _triangular_toeplitz(M: np.ndarray) -> tuple[np.ndarray, bool] | None:
 # Order from which as_operator makes a ToeplitzOperator of a triangular
 # Toeplitz A. At 1 BLAS thread the FFT product pair overtakes gemv between
 # n = 400 and 600 (27-34 against 39-45 us at 400, 140 against 35-47 at 600),
-# and below it the Schur factor of A^T A + a I is no faster than dpotrf
-# (heat, a = 1e-4: 0.39 against 0.08 ms at n = 100, 1.68 against 1.51 at 400,
-# 2.19 against 3.21 at 511, where both pay dsyrk's 0.08, 2.2 and 4.9 ms).
+# and below it the Schur factor of a damped Gram matrix is no faster than
+# dpotrf (heat, a = 1e-4: 0.39 against 0.08 ms at n = 100, 1.68 against 1.51
+# at 400, 2.19 against 3.21 at 511, where both pay dsyrk's 0.08, 2.2 and 4.9
+# ms).
 _FFT_FLOOR = 512
 
 
@@ -105,7 +106,7 @@ class _ToeplitzFFT:
 
 def _gram_in_range(G: np.ndarray, nonzero: bool) -> np.ndarray:
     """G, the Gram triangle of a matrix that is nonzero when nonzero is true,
-    or a scalar that stands for it (see ToeplitzOperator._check_gram_range);
+    or a scalar that stands for it (see ToeplitzOperator._gram_product);
     raises ValueError, rather than return inf or zeros, when an entry
     overflows or when the Gram matrix of a nonzero matrix underflows to zero."""
     if not np.all(np.isfinite(G)):
@@ -170,17 +171,24 @@ def _triangle_product(triangle: np.ndarray, shift: float) -> Callable[[np.ndarra
     return product
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| by BLAS dnrm2, which scales as it sums, so it overflows only
+    when the norm itself does; an empty v, which BLAS rejects, has norm 0."""
+    return float(scipy.linalg.blas.dnrm2(v)) if v.size else 0.0
+
+
 # A refined solve stops after its first correction once the residual
-# ||b - M x|| is at most _REFINE_STOP eps ||b||, per column for a block:
-# x is then backward stable (Skeel 1980; Higham, Accuracy and Stability of
-# Numerical Algorithms, 12.2), and a second correction moves it by roundoff.
+# ||b - M x|| is at most _REFINE_STOP eps (mu ||x|| + ||b||), mu >= ||M||,
+# per column for a block: x then has a normwise backward error of a few eps
+# (Rigal and Gaches 1967; Higham, Accuracy and Stability of Numerical
+# Algorithms, 7.1 and 12.2), and a second correction moves it by roundoff.
 _REFINE_STOP = 4.0
 
 
 @dataclass(frozen=True)
 class SpdFactorization:
     """Cholesky factor of a symmetric positive definite M, M = L L^T, with
-    M = G + shift I for a Gram matrix G.
+    M = G + shift I for a Gram matrix G and bound an upper bound on ||M||.
 
     lower is L in Fortran order, its strict upper triangle zero. product
     applies M to a vector or a block; it is the only way to M, so it must
@@ -189,14 +197,15 @@ class SpdFactorization:
     triangular solves (dtrsv) with L and L^T; a block takes cho_solve. The
     raw solve is refined by residual correction, each residual taken as
     b - product(x): after one correction it stops when that residual is at
-    most _REFINE_STOP eps ||b|| in every column, and otherwise makes a
-    second, the last; a bare triangular solve loses too many digits once
-    the condition number gets near 1e12.
+    most _REFINE_STOP eps (bound ||x|| + ||b||) in every column, and
+    otherwise makes a second, the last; a bare triangular solve loses too
+    many digits once the condition number gets near 1e12.
     """
 
     lower: np.ndarray
     product: Callable[[np.ndarray], np.ndarray]
     shift: float
+    bound: float
 
     @property
     def dimension(self) -> int:
@@ -214,8 +223,9 @@ class SpdFactorization:
         x = self._raw_solve(b)
         x = x + self._raw_solve(b - self.product(x))
         r = b - self.product(x)
-        bound = _REFINE_STOP * np.finfo(float).eps * np.linalg.norm(b, axis=0)
-        if np.all(np.linalg.norm(r, axis=0) <= bound):
+        tol = _REFINE_STOP * np.finfo(float).eps
+        columns = (v.T if v.ndim == 2 else (v,) for v in (r, x, b))
+        if all(_norm(rc) <= tol * (self.bound * _norm(xc) + _norm(bc)) for rc, xc, bc in zip(*columns)):
             return x
         return x + self._raw_solve(r)
 
@@ -240,11 +250,11 @@ class _ReversedFactorization(SpdFactorization):
 
 
 def _toeplitz_cholesky(c: np.ndarray, lower: bool, product: Callable[[np.ndarray], np.ndarray],
-                       shift: float) -> SpdFactorization:
-    """Factor M = A^T A + shift I for the triangular Toeplitz A given by
-    (c, lower), as _triangular_toeplitz returns it, in O(n^2) by the
-    generalized Schur algorithm; M is never formed, and the solves refine
-    against product, which applies M.
+                       shift: float, bound: float) -> SpdFactorization:
+    """Factor M = A A^T + shift I, with bound >= ||M||, for the triangular
+    Toeplitz A given by (c, lower), as _triangular_toeplitz returns it, in
+    O(n^2) by the generalized Schur algorithm; M is never formed, and the
+    solves refine against product, which applies M.
 
     The lower-triangular Toeplitz L with first column c commutes with the
     down-shift Z, so M = L L^T + shift I has M - Z M Z^T = g g^T + h h^T for
@@ -256,9 +266,9 @@ def _toeplitz_cholesky(c: np.ndarray, lower: bool, product: Callable[[np.ndarray
     then holds, and h[k], so up to rounding none falls below sqrt(shift)
     and the algorithm never breaks down. It can still lose a to roundoff
     in M, so the caller keeps shift well above it (see
-    ToeplitzOperator._factor). An upper A = L^T has A^T A + shift I = M,
-    factored by R; a lower A = L has L^T L = J L L^T J, as L is persymmetric,
-    so its factorization is R with reversed solves.
+    ToeplitzOperator._factor). A lower A = L has A A^T + shift I = M,
+    factored by R; an upper A = L^T has L^T L = J L L^T J, as L is
+    persymmetric, so its factorization is R with reversed solves.
     """
     n = c.shape[0]
     R = np.zeros((n, n), order="F")
@@ -270,8 +280,8 @@ def _toeplitz_cholesky(c: np.ndarray, lower: bool, product: Callable[[np.ndarray
         r = math.hypot(g[0], h[k])
         drot(g, h, g[0] / r, h[k] / r, n=n - k, offy=k, overwrite_x=1, overwrite_y=1)
         R[k:, k] = g[: n - k]
-    factorization = _ReversedFactorization if lower else SpdFactorization
-    return factorization(lower=R, product=product, shift=shift)
+    factorization = SpdFactorization if lower else _ReversedFactorization
+    return factorization(lower=R, product=product, shift=shift, bound=bound)
 
 
 def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
@@ -279,15 +289,18 @@ def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
 
     The triangle is copied once into Fortran order, shifted on the diagonal
     and factored in place; triangle itself is not modified. Its entries are
-    taken as finite, so only the shifted diagonal is checked.
+    taken as finite, so only the shifted diagonal is checked. The factor's
+    bound on the 2-norm is the shifted triangle's largest row sum plus its
+    largest column sum (dlantr), at least the symmetric matrix's row sums.
     """
     W = triangle.copy(order="F")
     diagonal = W.reshape(-1, order="F")[:: W.shape[0] + 1]
     diagonal += shift
     if np.all(np.isfinite(diagonal)):
+        bound = sum(scipy.linalg.lapack.dlantr(norm, W, uplo="L") for norm in ("I", "1"))
         try:
             L = scipy.linalg.cholesky(W, lower=True, overwrite_a=True, check_finite=False)
-            return SpdFactorization(lower=L, product=_triangle_product(triangle, shift), shift=shift)
+            return SpdFactorization(lower=L, product=_triangle_product(triangle, shift), shift=shift, bound=bound)
         except np.linalg.LinAlgError:
             pass
     raise ValueError("spd_factor: matrix is not positive definite")
@@ -468,16 +481,16 @@ def op_norm(M: np.ndarray) -> float:
 
 class DenseOperator:
     """Dense A, the one owner of every product with A and every
-    decomposition of A: A^T A, A A^T, ||A||, the SVD and the Cholesky factor
-    of A^T A + a I for the last a, each formed on first use.
+    decomposition of A: A A^T, ||A||, the SVD and the Cholesky factor of
+    A A^T + a I for the last a, each formed on first use.
 
     matvec and rmatvec apply A and A^T, numpy's A @ x and A.T @ y bit for
-    bit. gram and gram_right hold the lower triangles of A^T A and A A^T in
-    Fortran order, their strict upper triangles zero, each one dsyrk
-    (_gram_lower) on every operator; mirrored, they are numpy's A^T A and
-    A A^T bit for bit. norm is the one place ||A|| is computed. A is
-    validated and used as given, flags untouched; it must not change while
-    the operator is in use.
+    bit. gram_right holds the lower triangle of A A^T, the one Gram matrix,
+    in Fortran order, its strict upper triangle zero, one dsyrk
+    (_gram_lower); mirrored, it is numpy's A A^T bit for bit. ||A|| (norm,
+    its one source), the damped solves, Landweber's steps and the misfit
+    spectrum all read it. A is validated and used as given, flags
+    untouched; it must not change while the operator is in use.
 
     Every A takes this dense route when the class is called directly, and
     from as_operator unless it is exactly triangular Toeplitz of order
@@ -502,42 +515,32 @@ class DenseOperator:
         """A^T y for a float vector y, or a block with one vector per column."""
         return self.A.T @ y
 
-    def _gram_product(self, shift: float, right: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (A^T A + shift I) x, or (A A^T + shift I) x when right=True,
-        by one dsymv (dsymm for a block) on the lower triangle of that Gram
-        matrix, formed once per operator. The product refers to the
+    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (A A^T + shift I) x by one dsymv (dsymm for a block) on
+        gram_right, formed once per operator. The product refers to the
         triangle, never to the operator, which keeps it in its factor.
         Raises the Gram matrix's overflow or underflow error."""
-        return _triangle_product(self.gram_right if right else self.gram, shift)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return _gram_lower(self.A, right=False)
+        return _triangle_product(self.gram_right, shift)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
         return _gram_lower(self.A, right=True)
 
-    def _check_gram_range(self) -> None:
-        """Raise the Gram matrix's overflow or underflow error, if A^T A has
-        one; here by forming it."""
-        _ = self.gram
-
     @cached_property
     def norm(self) -> float:
-        """||A|| by power iteration on A^T A, one _gram_product per step,
+        """||A|| by power iteration on A A^T, one _gram_product per step,
         from a fixed all-ones start vector, until the Rayleigh quotient
         settles within 1e-10 relative, so repeated calls give the same value.
         Zero for an empty or zero A. Once the quotient's change has not
         shrunk tenfold over 100 steps (a top singular value nearly double,
         say), or once the quotient or the iterate's norm overflows (which
-        an A^T A in range can do: ||A||^2 or the norm of A^T A v above
+        an A A^T in range can do: ||A||^2 or the norm of A A^T v above
         1.8e308), ||A|| is the largest of A's singular values from LAPACK."""
-        n = self.shape[1]
-        if n == 0:
+        m = self.shape[0]
+        if m == 0:
             return 0.0
         product = self._gram_product(0.0)
-        v = np.full(n, 1.0 / np.sqrt(n))
+        v = np.full(m, 1.0 / np.sqrt(m))
         previous = -np.inf
         checkpoint = np.inf
         for step in range(1, 10_001):
@@ -565,12 +568,9 @@ class DenseOperator:
     @property
     def norm_squared(self) -> float:
         """||A||^2, the scale of every step-size bound and damping; raises
-        ValueError when it overflows float64, as it can although A^T A and
+        ValueError when it overflows float64, as it can although A A^T and
         ||A|| do not."""
-        try:
-            s2 = self.norm**2
-        except OverflowError:  # a Python float's power raises, not rounds to inf
-            s2 = math.inf
+        s2 = self.norm * self.norm  # a Python float's product rounds to inf, its power raises
         if s2 == math.inf:
             raise ValueError("||A||^2 overflows float64; scale A, f_delta and delta down by a common factor")
         return s2
@@ -582,28 +582,33 @@ class DenseOperator:
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(f_delta)
         if not np.isfinite(norm):
-            # Name an overflowing A^T A first, since A must then be scaled too.
-            self._check_gram_range()
+            # Name an overflowing A A^T first, since A must then be scaled too.
+            self._gram_product(0.0)
             raise ValueError(
                 "data norm overflows float64; scale f_delta and delta down by a common factor"
             )
         if norm == 0.0 and f_delta.any():
-            # Likewise an underflowing A^T A.
-            self._check_gram_range()
+            # Likewise an underflowing A A^T.
+            self._gram_product(0.0)
             raise ValueError(
                 "data norm underflows float64; scale f_delta and delta up by a common factor"
             )
         return f_delta
 
     def damped_solve(self, a: float, b) -> np.ndarray:
-        """(A^T A + a I)^{-1} b for a vector b, or a block b with one
-        right-hand side per column. a must be positive and finite."""
-        return self._factor_shifted(a).solve(b)
+        """(A A^T + a I)^{-1} b for a vector b of length m, or a block b with
+        one right-hand side per column. a must be positive and finite, and
+        ||b|| / a, a bound on the solution's norm, finite: checked first."""
+        factor = self._factor_shifted(a)
+        if _norm(np.asarray(b, dtype=float)) / float(a) == math.inf:
+            raise ValueError(f"damping parameter a={a} is too small for this right-hand side: "
+                             "(A A^T + a I)^{-1} b overflows float64")
+        return factor.solve(b)
 
     def _factor_shifted(self, a: float) -> SpdFactorization:
-        """The factor of A^T A + a I from _factor(a), kept for the last a
+        """The factor of A A^T + a I from _factor(a), kept for the last a
         only, keyed by the exact float; another a drops it before factoring,
-        so no two n x n factors are held at once. Raises ValueError when a is
+        so no two m x m factors are held at once. Raises ValueError when a is
         not positive and finite, and as _factor does."""
         if not 0.0 < a < np.inf:
             raise ValueError(f"damping parameter must be positive and finite, got {a}")
@@ -615,11 +620,11 @@ class DenseOperator:
         return factor
 
     def _factor(self, a: float) -> SpdFactorization:
-        """Cholesky factor of A^T A + a I in O(n^3), by LAPACK's Cholesky of
+        """Cholesky factor of A A^T + a I in O(m^3), by LAPACK's Cholesky of
         the shifted triangle, its solves refined against that triangle.
         Raises ValueError when the shifted matrix is not finite or not
         positive definite."""
-        triangle = self.gram  # outside the try: a Gram error keeps its own message
+        triangle = self.gram_right  # outside the try: a Gram error keeps its own message
         try:
             return _cholesky(triangle, a)
         except ValueError:
@@ -664,28 +669,20 @@ class ToeplitzOperator(DenseOperator):
     _triangular_toeplitz finds it; A is the validated matrix. as_operator
     makes one from order n = 512; built directly, it works at any order.
 
-    A is applied by FFT in O(n log n), so neither ||A|| nor the damped
-    factor forms A^T A, and misfit_spectrum forms no A A^T: it
-    bidiagonalizes from the data by FFT products until the root settles, and
-    falls back to A A^T's eigenpairs when the root stalls or after 60 steps.
-    The factor of A^T A + a I takes O(n^2) by the generalized Schur
-    algorithm when a > eps (sum |c_i|)^2 (see _factor). Its Gram range
-    errors are told from c alone (see _check_gram_range), so raising one
-    forms no Gram matrix; its Gram triangles, when formed, are
+    A is applied by FFT in O(n log n), so neither ||A||, the damped factor
+    nor Landweber's steps form A A^T: each takes A (A^T x) from the FFT
+    pair. misfit_spectrum bidiagonalizes from the data by FFT products until
+    the root settles, and falls back to A A^T's eigenpairs when the root
+    stalls or after 60 steps. The factor of A A^T + a I takes O(n^2) by the
+    generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
+    Its Gram range errors are told from c alone (see _gram_product), so
+    raising one forms no Gram matrix; its Gram triangle, when formed, is
     DenseOperator's, by dsyrk.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
         self.A, self.c, self.lower = A, c, lower
         self._fft = _ToeplitzFFT(c, lower)
-
-    @cached_property
-    def _schur_floor(self) -> float:
-        """eps (sum |c_i|)^2. It bounds eps ||A||^2 from above, since
-        ||A||^2 <= ||A||_1 ||A||_inf = (sum |c_i|)^2, and scales exactly with
-        A by powers of two."""
-        l1 = float(np.sum(np.abs(self.c)))
-        return np.finfo(float).eps * l1 * l1
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x by zero-padded real FFTs of a length N < 4n in O(n log n),
@@ -697,33 +694,29 @@ class ToeplitzOperator(DenseOperator):
         """A^T y by FFT, as matvec applies A."""
         return self._fft.rmatvec(y)
 
-    def _check_gram_range(self) -> None:
-        """Raise the Gram matrix's overflow or underflow error from c . c, in
-        O(n): c . c is the largest entry of A^T A and of A A^T, and it is
-        zero only when every entry underflows."""
+    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> A (A^T x) + shift x by FFT; it forms no Gram matrix and refers
+        only to the FFT spectra. It raises the Gram matrix's overflow or
+        underflow error first, told from c . c in O(n): c . c is the largest
+        entry of A A^T, and it is zero only when every entry underflows."""
         with np.errstate(over="ignore"):  # _gram_in_range names an overflow
             _gram_in_range(self.c @ self.c, self.c.any())
-
-    def _gram_product(self, shift: float, right: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> A^T (A x) + shift x, or A (A^T x) + shift x when right=True,
-        by FFT, after the range check; it forms no Gram matrix and refers
-        only to the FFT spectra."""
-        self._check_gram_range()
         fft = self._fft
-        if right:
-            return lambda x: fft.matvec(fft.rmatvec(x)) + shift * x
-        return lambda x: fft.rmatvec(fft.matvec(x)) + shift * x
+        return lambda x: fft.matvec(fft.rmatvec(x)) + shift * x
 
     def _factor(self, a: float) -> SpdFactorization:
-        """The factor of A^T A + a I, after the range check, in O(n^2) by the
+        """The factor of A A^T + a I, after the range check, in O(n^2) by the
         generalized Schur algorithm (_toeplitz_cholesky) when
         a > eps (sum |c_i|)^2, which never fails; its solves refine against
-        _gram_product(a), so it forms no A^T A. At or below that bound,
-        roundoff in A^T A can swamp a, and A is factored as DenseOperator
-        factors it."""
-        self._check_gram_range()
-        if a > self._schur_floor:
-            return _toeplitz_cholesky(self.c, self.lower, self._gram_product(a), a)
+        _gram_product(a), so it forms no A A^T, with the bound
+        (sum |c_i|)^2 + a, as ||A||^2 <= ||A||_1 ||A||_inf = (sum |c_i|)^2.
+        At or below eps times that, a floor that scales exactly with A by
+        powers of two, roundoff in A A^T can swamp a, and A is factored as
+        DenseOperator factors it."""
+        product = self._gram_product(a)  # the range check, before any Gram matrix is formed
+        l1 = float(np.sum(np.abs(self.c)))
+        if a > np.finfo(float).eps * l1 * l1:
+            return _toeplitz_cholesky(self.c, self.lower, product, a, float(l1 * l1 + a))
         return super()._factor(a)
 
     def misfit_spectrum(self, f: np.ndarray,
@@ -733,7 +726,7 @@ class ToeplitzOperator(DenseOperator):
         products, O(k n log n + k^2 n) for k steps: k grows by 5 until the
         projected misfit floor is below C delta and the root agrees with the
         one 5 steps earlier within 1e-12 relative (see _bidiagonal_spectrum).
-        It forms neither Gram matrix. If the root's change shrinks less than
+        It forms no Gram matrix. If the root's change shrinks less than
         fourfold in 5 steps, or it has not settled by k = 60, the spectrum is
         DenseOperator's, exact."""
         spectrum = _bidiagonal_spectrum(self._fft, f, root)

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_operator, as_vector, gram
+from .linalg import as_operator, as_vector
 
 
 class Preconditioner:
-    """Applies P = (A^T A + a I)^{-1} A^T and the contractions T = P A, Q = A P.
+    """Applies P = A^T (A A^T + a I)^{-1} and the contractions T = P A, Q = A P.
 
-    A plain (operator, a) pair: A is an array or an operator, kept as
-    op = as_operator(A).
+    P equals (A^T A + a I)^{-1} A^T. A plain (operator, a) pair: A is an
+    array or an operator, kept as op = as_operator(A).
     Every product with A is op.matvec or op.rmatvec, and every damped solve
     is op.damped_solve(a, .), which reuses the factor the operator keeps for
     its last a. The factor is built at construction,
@@ -21,11 +21,8 @@ class Preconditioner:
     """
 
     def __init__(self, A, a: float):
-        op = as_operator(A)
-        a = float(a)
-        op._factor_shifted(a)
-        self.op = op
-        self.a = a
+        self.op, self.a = as_operator(A), float(a)
+        self.op._factor_shifted(self.a)
 
     @property
     def t_norm(self) -> float:
@@ -35,7 +32,7 @@ class Preconditioner:
 
     def apply_p(self, r) -> np.ndarray:
         r = as_vector(r, self.op.shape[0], name="residual")
-        return self.op.damped_solve(self.a, self.op.rmatvec(r))
+        return self.op.rmatvec(self.op.damped_solve(self.a, r))
 
     def apply_t(self, x) -> np.ndarray:
         return self.apply_p(self.op.matvec(as_vector(x, self.op.shape[1], name="input")))
@@ -44,21 +41,21 @@ class Preconditioner:
         return self.op.matvec(self.apply_p(y))
 
     def assemble_t(self) -> np.ndarray:
-        """Dense T = (A^T A + a I)^{-1} A^T A, symmetrized. Dense-only, test-scale sizes.
+        """Dense T = A^T (A A^T + a I)^{-1} A, symmetrized. Dense-only, test-scale sizes.
 
         Built from damped solves, independently of the SVD behind
         continuous.spectral_t, and the reference that path is checked against.
         """
-        T = self.op.damped_solve(self.a, gram(self.op.A))
+        T = self.op.A.T @ self.op.damped_solve(self.a, self.op.A)
         return 0.5 * (T + T.T)
 
     def assemble_q(self) -> np.ndarray:
-        """Dense Q = A (A^T A + a I)^{-1} A^T, symmetrized. Dense-only, test-scale sizes.
+        """Dense Q = (A A^T + a I)^{-1} A A^T, symmetrized. Dense-only, test-scale sizes.
 
         Built from damped solves, independently of the SVD behind
         continuous.spectral_q, and the reference that path is checked against.
         """
-        Q = self.op.A @ self.op.damped_solve(self.a, self.op.A.T)
+        Q = self.op.damped_solve(self.a, self.op.A) @ self.op.A.T
         return 0.5 * (Q + Q.T)
 
 

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_operator
-from .operators import Preconditioner
+from .linalg import _norm, as_operator
 
 MAX_EVALUATIONS = 100
 
@@ -46,21 +45,19 @@ def start_damping(delta: float, norm_a: float, norm_f: float) -> float:
 
 
 def vr_solve(A, f_delta, a: float) -> np.ndarray:
-    """Damped least-squares solution (A^T A + a I)^{-1} A^T f_delta."""
+    """Damped least-squares solution A^T (A A^T + a I)^{-1} f_delta, which
+    equals (A^T A + a I)^{-1} A^T f_delta."""
     op = as_operator(A)
-    f_delta = op.check_data(f_delta)
-    return Preconditioner(op, a).apply_p(f_delta)
+    return op.rmatvec(op.damped_solve(a, op.check_data(f_delta)))
 
 
 def phi(A, f_delta, a: float) -> float:
-    """Data misfit ||A u_a - f_delta|| of the damped solution at damping a.
-
-    Increasing in a; analytically equal to a * ||(A A^T + a I)^{-1} f_delta||.
-    """
+    """Data misfit ||A u_a - f_delta|| of u_a = vr_solve(A, f_delta, a),
+    increasing in a; taken as a ||z|| for z = (A A^T + a I)^{-1} f_delta, as
+    A u_a - f_delta = -a z, so no two nearly equal vectors are subtracted."""
     op = as_operator(A)
-    f_delta = op.check_data(f_delta)
-    u = vr_solve(op, f_delta, a)
-    return float(np.linalg.norm(op.matvec(u) - f_delta))
+    z = op.damped_solve(a, op.check_data(f_delta))
+    return float(a) * _norm(z)
 
 
 def choose_a(A, f_delta, delta: float) -> ParamTrace:

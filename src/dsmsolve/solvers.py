@@ -76,8 +76,8 @@ def apriori_steps(delta: float, h: float, apriori_C: float, gamma: float) -> int
     Raises ValueError when that budget is not finite, as when h * delta**gamma
     underflows to zero.
     """
-    if not delta > 0.0:
-        raise ValueError("a-priori rule needs delta > 0")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"a-priori rule needs a finite delta > 0, got {delta}")
     if not h > 0.0:
         raise ValueError(f"step size h must be positive, got {h}")
     if not apriori_C > 0.0:
@@ -106,8 +106,8 @@ def _checked_inputs(A, f_delta, delta, config):
     config = SolveConfig() if config is None else config
     op = as_operator(A)
     f_delta = op.check_data(f_delta)
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     if config.stopping == "discrepancy" and delta == 0.0:
         raise ValueError("discrepancy stopping needs delta > 0")
     return op, f_delta, config
@@ -210,12 +210,13 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     and u_N = u_0 - h A^T (r_0 + ... + r_{N-1}) (Landweber 1951; Engl, Hanke
     and Neubauer 1996, 6.1). So each step is one product with A A^T, and A
     and A^T are applied once per call, for r_0 and for u_N. The product is
-    the operator's: one dsymv on the lower triangle of A A^T, formed once per
-    operator (m x m, so a tall A pays for the larger Gram matrix, as
-    vr_newton does), or the FFT pair A (A^T r) of a ToeplitzOperator, which
-    forms no Gram matrix. The history is ||r_n|| as the recurrence carries
-    it; on heat data (n = 100-1000, 0.1-5% noise, up to 10,000 steps) it
-    agrees with ||A u_n - f_delta|| taken directly within 5e-14 relative.
+    the operator's: one dsymv on the lower triangle of A A^T, its one Gram
+    matrix, which ||A|| reads too (m x m, so a tall A pays for the larger
+    Gram matrix, as every method does), or the FFT pair A (A^T r) of a
+    ToeplitzOperator, which forms no Gram matrix. The history is ||r_n|| as
+    the recurrence carries it; on heat data (n = 100-1000, 0.1-5% noise, up
+    to 10,000 steps) it agrees with ||A u_n - f_delta|| taken directly
+    within 5e-14 relative.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
     s2 = op.norm_squared
@@ -225,7 +226,7 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
             f"use h < 2/||A||^2 = {2.0 / s2:.6g}"
         )
     u, r = _start(op, f_delta, u0)
-    product = op._gram_product(0.0, right=True)
+    product = op._gram_product(0.0)
 
     def step(total, r):
         total += r

@@ -37,7 +37,7 @@ from dsmsolve.problems import heat_instance, heat_matrix
 def at_heat_sizes(entries, ids):
     """(entry, n) parameters: each entry on heat n = 20 under its own id, and
     on n = 600, where the triangular Toeplitz A is applied by FFT and
-    A^T A is not formed for ||A|| or the damped factor."""
+    A A^T is not formed for ||A|| or the damped factor."""
     return [pytest.param(entry, n, id=name if n == 20 else f"{name}-n600")
             for n in (20, 600) for entry, name in zip(entries, ids)]
 
@@ -208,10 +208,13 @@ def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
     """Solves reproduce the lower-factor kernel written out: a raw solve is
     dtrsv with L, then with L^T, for a vector and cho_solve for a block; one
     correction, then a second only when some column's residual, from one
-    symmetric product (dsymv, dsymm for a block) on M, exceeds 4 eps ||b||.
-    At n >= 7 both branches are taken, the one for right-hand sides in M's
-    range, the other for most random ones. Each solve stays within a few
-    cond(M) eps of the former kernel, cho_solve with two corrections."""
+    symmetric product (dsymv, dsymm for a block) on M, exceeds
+    4 eps (mu ||x|| + ||b||), with mu the largest row sum plus the largest
+    column sum of M's lower triangle. The factor's own product leaves every
+    residual at roundoff after one correction; a product off by 1e-6 ||M||
+    on the diagonal does not, so both branches are taken. Each solve stays
+    within a few cond(M) eps of the former kernel, cho_solve with two
+    corrections."""
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n + 2, n))
     M = B.T @ B + 1e-3 * np.eye(n)
@@ -219,6 +222,11 @@ def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
     factor = spd_factor(M)
     L = factor.lower
     eps = np.finfo(float).eps
+    lower = np.abs(np.tril(M))
+    mu = lower.sum(axis=1).max() + lower.sum(axis=0).max()
+    assert factor.bound == pytest.approx(mu, rel=1e-14)
+    shifted = M + 1e-6 * np.linalg.norm(M, 2) * np.eye(n)
+    off = SpdFactorization(lower=L, product=lambda x: shifted @ x, shift=0.0, bound=factor.bound)
 
     def product(x):
         if x.ndim == 1:
@@ -230,11 +238,12 @@ def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
             return scipy.linalg.cho_solve((L, True), b, check_finite=False)
         return scipy.linalg.blas.dtrsv(L, scipy.linalg.blas.dtrsv(L, b, lower=1), lower=1, trans=1)
 
-    def reference(b):
+    def reference(b, product):
         x = raw(b)
         x = x + raw(b - product(x))
         r = b - product(x)
-        if np.all(np.linalg.norm(r, axis=0) <= 4.0 * eps * np.linalg.norm(b, axis=0)):
+        norm = lambda v: np.linalg.norm(v, axis=0)
+        if np.all(norm(r) <= 4.0 * eps * (factor.bound * norm(x) + norm(b))):
             return x, 2
         return x + raw(r), 3
 
@@ -245,14 +254,17 @@ def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
         return x
 
     bound = 4.0 * np.linalg.cond(M) * eps
-    branches = set()
+    branches = {True: set(), False: set()}
     for shape in ((n,), (n, 5)):
         for b in (M @ rng.standard_normal(shape), rng.standard_normal(shape)):
-            x, raw_solves = reference(b)
-            branches.add(raw_solves)
+            x, raw_solves = reference(b, product)
+            branches[True].add(raw_solves)
             assert np.array_equal(factor.solve(b), x)
             assert np.linalg.norm(x - former(b)) <= bound * np.linalg.norm(former(b))
-    assert branches == ({2, 3} if n > 1 else {2})
+            x, raw_solves = reference(b, lambda v: shifted @ v)
+            branches[False].add(raw_solves)
+            assert np.array_equal(off.solve(b), x)
+    assert branches == {True: {2}, False: {3}}
 
 
 @pytest.fixture
@@ -278,12 +290,12 @@ def raw_solves(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("n", [600, 2000])
-@pytest.mark.parametrize("delta_rel", [0.05, 0.01])
+@pytest.mark.parametrize("delta_rel", [0.05, 0.01, 0.001])
 def test_refined_solves_on_heat_stop_after_one_correction(n, delta_rel, raw_solves):
     """The damping search, the damped iteration with either stopping rule
-    and vr_newton on heat data at 5% and 1% noise: every refined solve
-    makes exactly two raw solves, its residual at roundoff after one
-    correction."""
+    and vr_newton on heat data at 5%, 1% and 0.1% noise: every refined
+    solve makes exactly two raw solves, its residual at roundoff, against
+    the factor's bound, after one correction."""
     inst = heat_instance(n, delta_rel, 0)
     op, f, delta = as_operator(inst.A), inst.b_noisy, inst.delta
     precond = build_preconditioner(op, choose_a(op, f, delta).chosen_a)
@@ -306,7 +318,7 @@ def test_refinement_against_a_noisy_product_stops_at_the_cap(raw_solves):
         y = M @ x
         return y + 1e-10 * np.linalg.norm(y, axis=0) * noise.standard_normal(y.shape)
 
-    off = SpdFactorization(lower=factor.lower, product=noisy, shift=0.0)
+    off = SpdFactorization(lower=factor.lower, product=noisy, shift=0.0, bound=factor.bound)
     rng = np.random.default_rng(6)
     off.solve(rng.standard_normal(30))
     off.solve(rng.standard_normal((30, 3)))
@@ -352,13 +364,13 @@ def test_op_norm_edge_cases():
 
 
 def test_norm_whose_square_overflows_is_the_largest_singular_value():
-    """A^T A in range, but a power step overflows: the identity with a first
-    row of 1e154 has ||A|| = 2e154 and ||A||^2 = 4e308, and 1e100 I has
-    ||A^T A v|| = 1e200, whose sum of squares overflows. ||A|| is then the
+    """A A^T in range, but a power step overflows: the identity with a first
+    column of 1e154 has ||A|| = 2e154 and ||A||^2 = 4e308, and 1e100 I has
+    ||A A^T v|| = 1e200, whose sum of squares overflows. ||A|| is then the
     largest singular value from LAPACK (the power iteration returned inf
     and 0.0), and every entry point scaled by ||A||^2 names its overflow."""
     A = np.eye(4)
-    A[0, :] = 1e154
+    A[:, 0] = 1e154
     for M in (A, 1e100 * np.eye(4)):
         assert op_norm(M) == scipy.linalg.svdvals(M)[0]
     message = r"^\|\|A\|\|\^2 overflows float64; scale A, f_delta and delta down by a common factor$"
@@ -373,7 +385,7 @@ def test_norm_past_the_power_iteration_cap_is_the_largest_singular_value():
     Rayleigh quotient moving for thousands of steps, and 10,000 of them
     stopped 1.3e-6 relative low. Its change shrinks 295-fold over steps
     100-200 but 1.4-fold over steps 200-300, so both operators stop at the
-    third checkpoint, after 300 products with A^T A, and return s_1 from
+    third checkpoint, after 300 products with A A^T, and return s_1 from
     LAPACK."""
     n = 800
     c = np.random.default_rng(0).standard_normal(n) * np.exp(-np.arange(n) / 40)
@@ -405,7 +417,7 @@ def test_norm_past_the_power_iteration_cap_is_the_largest_singular_value():
     lambda A, f, delta: phi(A, f, 1.0),
 ], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
 def test_overflowing_gram_is_named(entry, n, formed_grams):
-    """A, f and delta scaled by 1e200: A^T A overflows, and every entry point
+    """A, f and delta scaled by 1e200: A A^T overflows, and every entry point
     says so; at n = 600 without forming a Gram matrix."""
     inst = heat_instance(n, 0.01, 0)
     with np.errstate(over="ignore"):
@@ -424,7 +436,7 @@ def test_overflowing_gram_is_named(entry, n, formed_grams):
     lambda A, f, delta: dsm_step(build_preconditioner(A, 1.0), 1.0, np.zeros(A.shape[1]), f),
 ], ["choose_a", "vr_newton", "solve_dsm", "landweber_solve", "phi", "vr_solve", "dsm_step"]))
 def test_overflowing_data_norm_is_named(entry, n, formed_grams):
-    """f and delta scaled by 1e160 with A as is: A^T A is finite but ||f|| overflows,
+    """f and delta scaled by 1e160 with A as is: A A^T is finite but ||f|| overflows,
     and every entry point that takes data says so instead of running on inf;
     at n = 600 without forming a Gram matrix."""
     inst = heat_instance(n, 0.01, 0)
@@ -442,7 +454,7 @@ def test_overflowing_data_norm_is_named(entry, n, formed_grams):
     lambda A, f, delta: phi(A, f, 1e-300),
 ], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
 def test_underflowing_gram_is_named(entry, n, formed_grams):
-    """A, f and delta scaled by 1e-200: A^T A and ||f|| underflow to zero, and
+    """A, f and delta scaled by 1e-200: A A^T and ||f|| underflow to zero, and
     every entry point says so instead of answering for a zero operator or zero
     data (u = 0, ||A|| = 0, entries of P near 1e99); at n = 600 without
     forming a Gram matrix."""
@@ -490,8 +502,8 @@ def test_empty_operators_give_empty_or_zero_results(shape):
     assert np.array_equal(gram(Z, right=True), np.zeros((m, m)))
     op = DenseOperator(Z)
     assert op.norm == 0.0
-    assert np.array_equal(op.damped_solve(1.0, np.ones(n)), np.ones(n))
-    assert op.damped_solve(1.0, np.ones((n, 2))).shape == (n, 2)
+    assert np.array_equal(op.damped_solve(1.0, np.ones(m)), np.ones(m))
+    assert op.damped_solve(1.0, np.ones((m, 2))).shape == (m, 2)
 
 
 def test_cond_estimate_diagonal_and_identity():

@@ -383,3 +383,39 @@ def test_newton_no_root_messages_are_the_tridiagonal_route_s(A, f, delta):
     with pytest.raises(ValueError) as error:
         vr_newton(op, f, delta)
     assert str(error.value) == expected
+
+
+# Relative bound on phi against its SVD form, per noise level.
+MISFIT_BOUNDS = {1e-5: 1e-11, 1e-8: 5e-7}
+
+
+@pytest.mark.parametrize("n, structured", [(100, False), (400, False), (100, True), (600, True)])
+@pytest.mark.parametrize("delta_rel", sorted(MISFIT_BOUNDS))
+def test_misfit_at_the_chosen_damping_matches_the_svd(n, structured, delta_rel):
+    """phi at choose_a's a on heat data (seed 1), dense and on a
+    ToeplitzOperator built directly, against a ||(s^2 + a)^{-1} U^T f_delta||
+    from the SVD A = U diag(s) V^T: within 1e-11 relative at 1e-5 noise and
+    5e-7 at 1e-8 (see MISFIT_BOUNDS); measured 1.3e-12 to 2.6e-12, and
+    9.5e-10 to 1.1e-7. The misfit taken as ||A u_a - f_delta|| loses digits
+    like ||f_delta|| / delta: 1.9e-11 to 1.7e-10, and 1.5e-6 to 8.2e-5."""
+    inst = heat_instance(n, delta_rel, 1)
+    A, f = inst.A, inst.b_noisy
+    op = linalg.ToeplitzOperator(A, *linalg._triangular_toeplitz(A)) if structured else linalg.DenseOperator(A)
+    trace = choose_a(op, f, inst.delta)
+    a = trace.chosen_a
+    U, s, _ = np.linalg.svd(A)
+    reference = a * float(np.linalg.norm((U.T @ f) / (s * s + a)))
+    assert trace.phi_at_chosen == phi(op, f, a)
+    assert abs(phi(op, f, a) - reference) <= MISFIT_BOUNDS[delta_rel] * reference
+
+
+def test_damping_too_small_for_the_data_is_named():
+    """A damping so small that ||f_delta|| / a overflows, as a search
+    driven down by a misfit floor far above delta reaches, is named before
+    the solve instead of returning a NaN misfit or solution."""
+    A, f = np.diag([1.0, 0.0]), np.array([1.0, 0.5])
+    assert phi(A, f, 1e-300) == 0.5
+    message = r"^damping parameter a=.* is too small for this right-hand side"
+    for call in (lambda: phi(A, f, 1e-310), lambda: vr_solve(A, f, 1e-310), lambda: choose_a(A, f, 1e-6)):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -151,7 +151,7 @@ def test_spectra_match_the_assembled_operators(shape, seed, scale, decades, log_
     orthonormal.
 
     The assembled matrices carry a forward error of order
-    eps * cond(A^T A + a I) = eps (||A||^2 + a) / a, so that sets the
+    eps * cond(A A^T + a I) = eps (||A||^2 + a) / a, so that sets the
     tolerance, relative to ||T|| and ||Q||: 1e-13 (about 450 eps) times the
     condition number, where 900 probes of these operators reached 40 eps.
     """
@@ -177,21 +177,20 @@ GRAM_DIMENSIONS = {"tall": (9, 5), "wide": (5, 9), "rank_3": (8, 8),
 @given(shape=st.sampled_from(tuple(GRAM_DIMENSIONS)), seed=SEEDS,
        log_scale=st.floats(-3.0, 3.0), log_a=st.floats(-8.0, 0.0))
 def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
-    """The operator keeps the lower triangle of each Gram matrix and reads
-    nothing else: gram() mirrors it into numpy's M^T M and M M^T bit for bit
-    on C-ordered, F-ordered and transposed M, and on a lower- or
-    upper-triangular Toeplitz M with leading zeros in its first column, as
-    heat_matrix has at large n, whose ToeplitzOperator keeps the same
-    triangles;
-    factoring A^T A + a I leaves it
-    as it was; NaN in its upper triangle changes no bit of ||A||, the factor,
-    its solves or A A^T's spectrum; and the solves agree with spd_factor of
-    the assembled A^T A + a I.
+    """The operator keeps the lower triangle of its one Gram matrix, A A^T,
+    and reads nothing else: gram() mirrors a lower triangle into numpy's
+    M^T M and M M^T bit for bit on C-ordered, F-ordered and transposed M,
+    and on a lower- or upper-triangular Toeplitz M with leading zeros in its
+    first column, as heat_matrix has at large n, whose ToeplitzOperator
+    keeps the same triangle; factoring A A^T + a I leaves it as it was;
+    NaN in its upper triangle changes no bit of ||A||, the factor, its
+    solves or the misfit spectrum; and the solves agree with spd_factor of
+    the assembled A A^T + a I.
 
     Refinement in working precision bounds each solve's backward error, not
-    its forward error, which grows with cond(A^T A + a I) up to 1e8 here;
+    its forward error, which grows with cond(A A^T + a I) up to 1e8 here;
     so the two solves are compared through that matrix, to 1e-12 of
-    ||A^T A + a I|| ||x||, where 1,800 probes reached 3e-16.
+    ||A A^T + a I|| ||x||, where 1,800 probes reached 3e-16.
     """
     rng = np.random.default_rng(seed)
     m, n = GRAM_DIMENSIONS[shape]
@@ -207,20 +206,18 @@ def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
         assert np.array_equal(gram(M), M.T @ M)
         assert np.array_equal(gram(M, right=True), M @ M.T)
     for M in toeplitz:
-        structured = toeplitz_operator(M)
-        assert np.array_equal(structured.gram, np.tril(M.T @ M))
-        assert np.array_equal(structured.gram_right, np.tril(M @ M.T))
+        assert np.array_equal(toeplitz_operator(M).gram_right, np.tril(M @ M.T))
 
     op = DenseOperator(A)
     a = 10.0**log_a * op.norm**2
-    b, B, f = rng.standard_normal(n), rng.standard_normal((n, 3)), rng.standard_normal(m)
-    triangle = op.gram.copy()
+    b, B = rng.standard_normal(m), rng.standard_normal((m, 3))
+    triangle = op.gram_right.copy()
     x, X = op.damped_solve(a, b), op.damped_solve(a, B)
-    assert np.array_equal(op.gram, triangle)
+    assert np.array_equal(op.gram_right, triangle)
 
     poisoned = DenseOperator(A)
-    for G in (poisoned.gram, poisoned.gram_right):
-        G[np.triu_indices_from(G, 1)] = np.nan
+    G = poisoned.gram_right
+    G[np.triu_indices_from(G, 1)] = np.nan
     assert poisoned.norm == op.norm
     assert np.array_equal(poisoned.damped_solve(a, b), x)
     assert np.array_equal(poisoned._factor_shifted(a).lower, op._factor_shifted(a).lower)
@@ -228,10 +225,10 @@ def test_gram_triangle_is_read_lower_only(shape, seed, log_scale, log_a):
     def unused_root(lam, gamma):
         raise AssertionError("a dense A takes the eigenpairs of A A^T without a root search")
 
-    for poisoned_part, part in zip(poisoned.misfit_spectrum(f, unused_root), op.misfit_spectrum(f, unused_root)):
+    for poisoned_part, part in zip(poisoned.misfit_spectrum(b, unused_root), op.misfit_spectrum(b, unused_root)):
         assert np.array_equal(poisoned_part, part)
 
-    shifted = gram(A) + a * np.eye(n)
+    shifted = gram(A, right=True) + a * np.eye(m)
     reference = spd_factor(shifted)
     scale = 1e-12 * np.linalg.norm(shifted, 2)
     y = reference.solve(b)
@@ -272,9 +269,9 @@ DECAYS = st.sampled_from((0.0, 0.02, 0.2, 1.0))
 @given(lower=st.booleans(), n=st.integers(2, 150), seed=SEEDS, decay=DECAYS,
        leading_zeros=st.integers(0, 2), log_gap=st.floats(1e-3, 17.0))
 def test_schur_factor_of_a_triangular_toeplitz_operator(lower, n, seed, decay, leading_zeros, log_gap):
-    """Above the floor eps (sum |c_i|)^2, a triangular Toeplitz A's A^T A + a I
+    """Above the floor eps (sum |c_i|)^2, a triangular Toeplitz A's A A^T + a I
     is factored by the Schur algorithm, with no LAPACK Cholesky: R R^T, reversed
-    for a lower A, is within 2 n eps ||M|| of M = A^T A + a I in the 2-norm
+    for an upper A, is within 2 n eps ||M|| of M = A A^T + a I in the 2-norm
     (600 probes reached 0.79 n eps), and its solves meet spd_factor(M)'s to
     1e-12 ||M|| ||y|| through M, as in test_gram_triangle_is_read_lower_only
     (600 probes reached 4.5e-16), even where cond(M) nears 1 / eps."""
@@ -288,9 +285,9 @@ def test_schur_factor_of_a_triangular_toeplitz_operator(lower, n, seed, decay, l
         x, X = op.damped_solve(a, b), op.damped_solve(a, B)
     assert cholesky.call_count == 0
 
-    shifted = gram(A) + a * np.eye(n)
+    shifted = gram(A, right=True) + a * np.eye(n)
     product = R @ R.T
-    if lower:
+    if not lower:
         product = product[::-1, ::-1]
     norm = np.linalg.norm(shifted, 2)
     assert np.linalg.norm(product - shifted, 2) <= 2 * n * np.finfo(float).eps * norm
@@ -350,7 +347,7 @@ def test_lapack_route_at_and_below_the_schur_floor(lower, n, seed, decay, log_ra
     op = toeplitz_operator(A)
     b = np.random.default_rng(seed).standard_normal(n)
     try:
-        expected = _cholesky(op.gram, a).solve(b)
+        expected = _cholesky(op.gram_right, a).solve(b)
     except ValueError:
         with pytest.raises(ValueError, match=r"could not be factored; a=.* is too small"):
             op.damped_solve(a, b)

@@ -1,5 +1,6 @@
 """Tests for the damped and plain gradient iterations and their stopping rules."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -174,6 +175,20 @@ def test_nan_noise_level_is_rejected_before_iterating():
         solve_dsm(A, f, float("nan"), precond)
     with pytest.raises(ValueError, match="nonnegative, got nan"):
         landweber_solve(A, f, float("nan"), SolveConfig(h=0.5))
+
+
+@pytest.mark.parametrize("stopping", ["discrepancy", "apriori"])
+def test_infinite_noise_level_is_rejected_by_name(stopping):
+    """delta = inf, which the discrepancy rule met at u0 and the a-priori
+    rule turned into one step, is an error that names it, as choose_a's is."""
+    A, f, precond = identity_setup()
+    config = SolveConfig(stopping=stopping)
+    with pytest.raises(ValueError, match="^delta must be finite and nonnegative, got inf$"):
+        solve_dsm(A, f, math.inf, precond, config)
+    with pytest.raises(ValueError, match="^delta must be finite and nonnegative, got inf$"):
+        landweber_solve(A, f, math.inf, SolveConfig(h=0.5, stopping=stopping))
+    with pytest.raises(ValueError, match="^a-priori rule needs a finite delta > 0, got inf$"):
+        apriori_steps(math.inf, 1.0, 1.0, 0.5)
 
 
 def test_landweber_identity_run():
