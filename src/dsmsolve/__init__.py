@@ -4,12 +4,9 @@ from .continuous import find_t_delta, propagate, residual_t, spectral_q, spectra
 from .linalg import (
     DenseOperator,
     EigenDecomposition,
-    SpdFactorization,
     as_operator,
     cond_estimate,
-    gram,
     op_norm,
-    spd_factor,
     sym_eigen,
 )
 from .operators import Preconditioner, build_preconditioner
@@ -47,7 +44,6 @@ __all__ = [
     "ProblemInstance",
     "SolveConfig",
     "SolveResult",
-    "SpdFactorization",
     "add_noise",
     "apriori_steps",
     "as_operator",
@@ -57,7 +53,6 @@ __all__ = [
     "dsm_step",
     "exact_solution",
     "find_t_delta",
-    "gram",
     "heat_instance",
     "heat_kernel",
     "heat_matrix",
@@ -72,7 +67,6 @@ __all__ = [
     "save_matrix",
     "save_vector",
     "solve_dsm",
-    "spd_factor",
     "spectral_q",
     "spectral_t",
     "sym_eigen",

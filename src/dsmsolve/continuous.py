@@ -14,6 +14,8 @@ n x n factors, so it suits dimensions up to a few hundred.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import EigenDecomposition, as_vector
@@ -61,8 +63,8 @@ def _source_weight(eigenvalues: np.ndarray, t: float) -> np.ndarray:
 
 def propagate(operator: EigenDecomposition, u0, pf, t: float) -> np.ndarray:
     """Solution of the flow at time t from initial state u0 with source pf."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     u0 = as_vector(u0, operator.dimension, name="state")
     pf = as_vector(pf, operator.dimension, name="source")
     lam = operator.eigenvalues
@@ -83,8 +85,8 @@ def _decayed_norm(eigenvalues: np.ndarray, c: np.ndarray, t: float) -> float:
 
 def residual_t(operator: EigenDecomposition, r0, t: float) -> float:
     """Norm of exp(-t Q) r0, the data misfit of the flow at time t."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     return _decayed_norm(operator.eigenvalues, _basis_residual(operator, r0), t)
 
 
@@ -104,6 +106,8 @@ def find_t_delta(operator: EigenDecomposition, r0, C: float, delta: float,
         raise ValueError("needs delta > 0")
     if not C > 0.0:
         raise ValueError(f"C must be positive, got {C}")
+    if not 0.0 < value_rtol < math.inf:
+        raise ValueError(f"value_rtol must be positive and finite, got {value_rtol}")
     target = C * delta
     # r0 is mapped into Q's eigenbasis once; every probe below is then O(n)
     # and gives the bits residual_t gives.

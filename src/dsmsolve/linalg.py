@@ -90,12 +90,11 @@ class _ToeplitzFFT:
         self._forward, self._adjoint = (spectrum, spectrum.conj()) if lower else (spectrum.conj(), spectrum)
 
     def _apply(self, spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 1:
+            raise ValueError(f"expected a 1-d array, got ndim={x.ndim}")
         if x.shape[0] != self.n:
             raise ValueError(f"dimension mismatch: operand has length {x.shape[0]}, expected {self.n}")
-        if x.ndim > 1:
-            spectrum = spectrum[:, None]
-        product = np.fft.irfft(spectrum * np.fft.rfft(x, self.length, axis=0), self.length, axis=0)
-        return product[: self.n]
+        return np.fft.irfft(spectrum * np.fft.rfft(x, self.length), self.length)[: self.n]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._apply(self._forward, x)
@@ -116,35 +115,21 @@ def _gram_in_range(G: np.ndarray, nonzero: bool) -> np.ndarray:
     return G
 
 
-def _gram_lower(M: np.ndarray, right: bool) -> np.ndarray:
-    """Lower triangle of M^T M (or M M^T when right=True), in Fortran order,
-    with the strict upper triangle zero, with the range check of
-    _gram_in_range.
+def _gram_lower(M: np.ndarray) -> np.ndarray:
+    """Lower triangle of M M^T, in Fortran order, with the strict upper
+    triangle zero, with the range check of _gram_in_range.
 
     One dsyrk, numpy's bit for bit, from whichever of M and M^T is
     F-contiguous, so M is not copied; a strided M is copied once into
     Fortran order. M must be a validated float64 matrix.
     """
     if M.size == 0:  # BLAS rejects empty operands
-        k = M.shape[0] if right else M.shape[1]
-        return np.zeros((k, k), order="F")
+        return np.zeros((M.shape[0], M.shape[0]), order="F")
     if M.flags.c_contiguous and not M.flags.f_contiguous:
-        M, right = M.T, not right  # M^T M is the right Gram matrix of M^T
-    G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), trans=0 if right else 1, lower=1)
+        G = scipy.linalg.blas.dsyrk(1.0, M.T, trans=1, lower=1)  # M M^T = (M^T)^T M^T
+    else:
+        G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), lower=1)
     return _gram_in_range(G, M.any())
-
-
-def gram(M: np.ndarray, right: bool = False) -> np.ndarray:
-    """Gram matrix M^T M (or M M^T when right=True), exactly symmetric.
-
-    The lower triangle is formed once, by _gram_lower, and mirrored, so the
-    result equals numpy's M.T @ M (M @ M.T) bit for bit on C- and F-ordered
-    M, a triangular Toeplitz M included. Raises ValueError, rather than
-    return inf or zeros, when an entry overflows or when a nonzero M's Gram
-    matrix underflows to zero.
-    """
-    G = _gram_lower(as_matrix(M), right)
-    return G + np.tril(G, -1).T
 
 
 def _require_symmetric(M: np.ndarray, context: str) -> np.ndarray:
@@ -157,16 +142,13 @@ def _require_symmetric(M: np.ndarray, context: str) -> np.ndarray:
 
 
 def _triangle_product(triangle: np.ndarray, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> (triangle + shift I) x for a vector or a block x, by one dsymv
-    (dsymm for a block) that reads the lower triangle only, so no shifted
-    copy is kept."""
+    """x -> (triangle + shift I) x for a vector x, by one dsymv that reads
+    the lower triangle only, so no shifted copy is kept."""
 
     def product(x: np.ndarray) -> np.ndarray:
         if x.shape[0] == 0:  # BLAS rejects empty operands
             return np.zeros_like(x)
-        if x.ndim == 1:
-            return scipy.linalg.blas.dsymv(1.0, triangle, x, beta=shift, y=x, lower=1)
-        return scipy.linalg.blas.dsymm(1.0, triangle, x, beta=shift, c=x, lower=1)
+        return scipy.linalg.blas.dsymv(1.0, triangle, x, beta=shift, y=x, lower=1)
 
     return product
 
@@ -178,72 +160,51 @@ def _norm(v: np.ndarray) -> float:
 
 
 # A refined solve stops after its first correction once the residual
-# ||b - M x|| is at most _REFINE_STOP eps (mu ||x|| + ||b||), mu >= ||M||,
-# per column for a block: x then has a normwise backward error of a few eps
-# (Rigal and Gaches 1967; Higham, Accuracy and Stability of Numerical
-# Algorithms, 7.1 and 12.2), and a second correction moves it by roundoff.
+# ||b - M x|| is at most _REFINE_STOP eps (mu ||x|| + ||b||), mu >= ||M||:
+# x then has a normwise backward error of a few eps (Rigal and Gaches 1967;
+# Higham, Accuracy and Stability of Numerical Algorithms, 7.1 and 12.2), and
+# a second correction moves it by roundoff.
 _REFINE_STOP = 4.0
 
 
 @dataclass(frozen=True)
 class SpdFactorization:
     """Cholesky factor of a symmetric positive definite M, M = L L^T, with
-    M = G + shift I for a Gram matrix G and bound an upper bound on ||M||.
+    bound an upper bound on ||M||.
 
     lower is L in Fortran order, its strict upper triangle zero. product
-    applies M to a vector or a block; it is the only way to M, so it must
-    not refer back to whoever keeps the factor. solve() takes a vector or a
-    block, one right-hand side per column. A raw solve of a vector is two
-    triangular solves (dtrsv) with L and L^T; a block takes cho_solve. The
-    raw solve is refined by residual correction, each residual taken as
+    applies M to a vector; it is the only way to M, so it must not refer
+    back to whoever keeps the factor. solve() takes a checked vector of
+    matching length. A raw solve is two triangular solves (dtrsv) with L and
+    L^T, refined by residual correction, each residual taken as
     b - product(x): after one correction it stops when that residual is at
-    most _REFINE_STOP eps (bound ||x|| + ||b||) in every column, and
-    otherwise makes a second, the last; a bare triangular solve loses too
-    many digits once the condition number gets near 1e12.
+    most _REFINE_STOP eps (bound ||x|| + ||b||), and otherwise makes a
+    second, the last; a bare triangular solve loses too many digits once
+    the condition number gets near 1e12.
     """
 
     lower: np.ndarray
     product: Callable[[np.ndarray], np.ndarray]
-    shift: float
     bound: float
 
-    @property
-    def dimension(self) -> int:
-        return self.lower.shape[0]
-
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        if b.ndim == 2:
-            return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
         if b.shape[0] == 0:  # BLAS rejects empty operands
             return np.zeros(0)
         y = scipy.linalg.blas.dtrsv(self.lower, b, lower=1)
         return scipy.linalg.blas.dtrsv(self.lower, y, lower=1, trans=1, overwrite_x=1)
 
-    def _refined_solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         x = self._raw_solve(b)
         x = x + self._raw_solve(b - self.product(x))
         r = b - self.product(x)
-        tol = _REFINE_STOP * np.finfo(float).eps
-        columns = (v.T if v.ndim == 2 else (v,) for v in (r, x, b))
-        if all(_norm(rc) <= tol * (self.bound * _norm(xc) + _norm(bc)) for rc, xc, bc in zip(*columns)):
+        if _norm(r) <= _REFINE_STOP * np.finfo(float).eps * (self.bound * _norm(x) + _norm(b)):
             return x
         return x + self._raw_solve(r)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if np.ndim(b) != 2:
-            return self._refined_solve(as_vector(b, self.dimension, name="right-hand side"))
-        b = as_matrix(b)
-        if b.shape[0] != self.dimension:
-            raise ValueError(
-                f"dimension mismatch: factor is {self.dimension}x{self.dimension}, "
-                f"right-hand side has length {b.shape[0]}"
-            )
-        return self._refined_solve(b)
 
 
 class _ReversedFactorization(SpdFactorization):
     """A factorization M = J L L^T J, J the reversal, with lower, product and
-    shift as in SpdFactorization: each raw solve is J (L L^T)^{-1} J b."""
+    bound as in SpdFactorization: each raw solve is J (L L^T)^{-1} J b."""
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         return super()._raw_solve(b[::-1])[::-1]
@@ -281,7 +242,7 @@ def _toeplitz_cholesky(c: np.ndarray, lower: bool, product: Callable[[np.ndarray
         drot(g, h, g[0] / r, h[k] / r, n=n - k, offy=k, overwrite_x=1, overwrite_y=1)
         R[k:, k] = g[: n - k]
     factorization = SpdFactorization if lower else _ReversedFactorization
-    return factorization(lower=R, product=product, shift=shift, bound=bound)
+    return factorization(lower=R, product=product, bound=bound)
 
 
 def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
@@ -300,20 +261,10 @@ def _cholesky(triangle: np.ndarray, shift: float = 0.0) -> SpdFactorization:
         bound = sum(scipy.linalg.lapack.dlantr(norm, W, uplo="L") for norm in ("I", "1"))
         try:
             L = scipy.linalg.cholesky(W, lower=True, overwrite_a=True, check_finite=False)
-            return SpdFactorization(lower=L, product=_triangle_product(triangle, shift), shift=shift, bound=bound)
+            return SpdFactorization(lower=L, product=_triangle_product(triangle, shift), bound=bound)
         except np.linalg.LinAlgError:
             pass
-    raise ValueError("spd_factor: matrix is not positive definite")
-
-
-def spd_factor(M: np.ndarray) -> SpdFactorization:
-    """Factor a symmetric positive definite matrix.
-
-    Raises ValueError on non-symmetric input and on matrices that are not
-    positive definite to working precision.
-    """
-    M = as_matrix(M)
-    return _cholesky(np.asfortranarray(_require_symmetric(M, "spd_factor")))
+    raise ValueError("matrix is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -330,10 +281,6 @@ class EigenDecomposition:
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.T
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of x in the eigenvector basis."""
@@ -508,23 +455,23 @@ class DenseOperator:
         return self.A.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for a float vector x, or a block with one vector per column."""
+        """A x for a float vector x."""
         return self.A @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A^T y for a float vector y, or a block with one vector per column."""
+        """A^T y for a float vector y."""
         return self.A.T @ y
 
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (A A^T + shift I) x by one dsymv (dsymm for a block) on
-        gram_right, formed once per operator. The product refers to the
+        """x -> (A A^T + shift I) x by one dsymv on gram_right, formed once
+        per operator. The product refers to the
         triangle, never to the operator, which keeps it in its factor.
         Raises the Gram matrix's overflow or underflow error."""
         return _triangle_product(self.gram_right, shift)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
-        return _gram_lower(self.A, right=True)
+        return _gram_lower(self.A)
 
     @cached_property
     def norm(self) -> float:
@@ -596,11 +543,12 @@ class DenseOperator:
         return f_delta
 
     def damped_solve(self, a: float, b) -> np.ndarray:
-        """(A A^T + a I)^{-1} b for a vector b of length m, or a block b with
-        one right-hand side per column. a must be positive and finite, and
-        ||b|| / a, a bound on the solution's norm, finite: checked first."""
+        """(A A^T + a I)^{-1} b for a vector b of length m. a must be
+        positive and finite, b a finite vector of length m, and ||b|| / a, a
+        bound on the solution's norm, finite: checked in that order."""
         factor = self._factor_shifted(a)
-        if _norm(np.asarray(b, dtype=float)) / float(a) == math.inf:
+        b = as_vector(b, self.shape[0], name="right-hand side")
+        if _norm(b) / float(a) == math.inf:
             raise ValueError(f"damping parameter a={a} is too small for this right-hand side: "
                              "(A A^T + a I)^{-1} b overflows float64")
         return factor.solve(b)

@@ -40,22 +40,31 @@ class Preconditioner:
     def apply_q(self, y) -> np.ndarray:
         return self.op.matvec(self.apply_p(y))
 
+    def _damped_columns(self) -> np.ndarray:
+        """(A A^T + a I)^{-1} A, one damped solve per column of A."""
+        Z = np.empty(self.op.shape)
+        for j, column in enumerate(self.op.A.T):
+            Z[:, j] = self.op.damped_solve(self.a, column)
+        return Z
+
     def assemble_t(self) -> np.ndarray:
         """Dense T = A^T (A A^T + a I)^{-1} A, symmetrized. Dense-only, test-scale sizes.
 
-        Built from damped solves, independently of the SVD behind
-        continuous.spectral_t, and the reference that path is checked against.
+        Built from one damped solve per column of A, independently of the SVD
+        behind continuous.spectral_t, and the reference that path is checked
+        against.
         """
-        T = self.op.A.T @ self.op.damped_solve(self.a, self.op.A)
+        T = self.op.A.T @ self._damped_columns()
         return 0.5 * (T + T.T)
 
     def assemble_q(self) -> np.ndarray:
         """Dense Q = (A A^T + a I)^{-1} A A^T, symmetrized. Dense-only, test-scale sizes.
 
-        Built from damped solves, independently of the SVD behind
-        continuous.spectral_q, and the reference that path is checked against.
+        Built from one damped solve per column of A, independently of the SVD
+        behind continuous.spectral_q, and the reference that path is checked
+        against.
         """
-        Q = self.op.damped_solve(self.a, self.op.A) @ self.op.A.T
+        Q = self._damped_columns() @ self.op.A.T
         return 0.5 * (Q + Q.T)
 
 

@@ -19,10 +19,10 @@ def heat_kernel(t: float, kappa: float = 1.0) -> float:
 
     Continuously extended by 0 at t = 0 (the exponential wins every power).
     """
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if t < 0.0:
-        raise ValueError(f"kernel is defined for t >= 0, got {t}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"kernel is defined for finite t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     arg = 1.0 / (4.0 * kappa * kappa * t)
@@ -59,8 +59,8 @@ def add_noise(b, delta_rel: float, seed: int) -> tuple[np.ndarray, float]:
     Returns (b_noisy, delta) with delta = delta_rel * ||b|| by construction.
     """
     b = as_vector(b)
-    if delta_rel < 0.0:
-        raise ValueError(f"delta_rel must be nonnegative, got {delta_rel}")
+    if not 0.0 <= delta_rel < math.inf:
+        raise ValueError(f"delta_rel must be finite and nonnegative, got {delta_rel}")
     delta = delta_rel * float(np.linalg.norm(b))
     if delta == 0.0:
         return b.copy(), 0.0

@@ -78,8 +78,8 @@ def apriori_steps(delta: float, h: float, apriori_C: float, gamma: float) -> int
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"a-priori rule needs a finite delta > 0, got {delta}")
-    if not h > 0.0:
-        raise ValueError(f"step size h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h}")
     if not apriori_C > 0.0:
         raise ValueError(f"apriori_C must be positive, got {apriori_C}")
     if not 0.0 < gamma < 1.0:

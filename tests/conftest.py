@@ -17,13 +17,13 @@ VERDICTS: list[str] = []
 @pytest.fixture
 def formed_grams(monkeypatch) -> list:
     """The Gram triangles formed from here on, in order, each named by its
-    side, "A^T A" or "A A^T": every one is a dsyrk in linalg._gram_lower."""
+    side, "A A^T", the only one: every one is a dsyrk in linalg._gram_lower."""
     formed = []
     real = linalg._gram_lower
 
-    def counting(M, right):
-        formed.append("A A^T" if right else "A^T A")
-        return real(M, right)
+    def counting(M):
+        formed.append("A A^T")
+        return real(M)
 
     monkeypatch.setattr(linalg, "_gram_lower", counting)
     return formed

@@ -194,6 +194,11 @@ def test_bench_rejects_bad_arguments(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--n-list", "0,10"])
     capsys.readouterr()
+    for value in ("nan", "inf"):
+        rc, _, err = run(["bench", "--n-list", "10", "--seeds", "1", "--delta-rel", value,
+                          "--out", str(tmp_path / "x.csv")], capsys)
+        assert rc == 2
+        assert err == f"error: delta_rel must be finite and nonnegative, got {value}\n"
 
 
 def test_solve_dsm_identity(tmp_path, capsys):

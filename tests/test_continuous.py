@@ -78,6 +78,13 @@ def test_propagate_validates_input():
         residual_t(T, np.zeros(4), 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         residual_t(T, np.zeros(3), -0.5)
+    # A NaN time made residual_t return NaN, and propagate fail on its own
+    # NaN entries; an infinite one is refused as well.
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^time must be finite and nonnegative, got (nan|inf)$"):
+            residual_t(T, np.ones(3), t)
+        with pytest.raises(ValueError, match="^time must be finite and nonnegative, got (nan|inf)$"):
+            propagate(T, np.zeros(3), np.ones(3), t)
 
 
 def test_semigroup_property():
@@ -167,6 +174,10 @@ def test_crossing_time_validates_input():
         find_t_delta(Q, r0, 1.01, 0.0)
     with pytest.raises(ValueError, match="positive"):
         find_t_delta(Q, r0, -1.0, 0.1)
+    # Checked up front, rather than found after 400 bisections.
+    for value_rtol in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="^value_rtol must be positive and finite, got "):
+            find_t_delta(Q, r0, 1.01, 0.01, value_rtol=value_rtol)
 
 
 def test_crossing_time_detects_plateau():

@@ -14,23 +14,20 @@ import dsmsolve
 from dsmsolve import (
     DenseOperator,
     SolveConfig,
-    SpdFactorization,
     as_operator,
     build_preconditioner,
     choose_a,
     cond_estimate,
     dsm_step,
-    gram,
     landweber_solve,
     op_norm,
     phi,
     solve_dsm,
-    spd_factor,
     sym_eigen,
     vr_newton,
     vr_solve,
 )
-from dsmsolve.linalg import ToeplitzOperator, as_matrix, as_vector
+from dsmsolve.linalg import SpdFactorization, ToeplitzOperator, _cholesky, _gram_lower, as_matrix, as_vector
 from dsmsolve.problems import heat_instance, heat_matrix
 
 
@@ -135,38 +132,41 @@ def test_nonfinite_entries_of_a_near_toeplitz_matrix_are_named(value):
 
 
 def test_gram_left_and_right():
+    """The operator's Gram triangle is the lower triangle of M M^T, m x m, for
+    a tall M, and of M^T M, n x n, as the Gram triangle of M^T."""
     rng = np.random.default_rng(1)
     M = rng.standard_normal((5, 3))
-    assert np.allclose(gram(M), M.T @ M, rtol=1e-15, atol=1e-15)
-    assert np.allclose(gram(M, right=True), M @ M.T, rtol=1e-15, atol=1e-15)
-    assert gram(M).shape == (3, 3)
-    assert gram(M, right=True).shape == (5, 5)
+    assert np.allclose(DenseOperator(M).gram_right, np.tril(M @ M.T), rtol=1e-15, atol=1e-15)
+    assert np.allclose(DenseOperator(M.T).gram_right, np.tril(M.T @ M), rtol=1e-15, atol=1e-15)
+    assert DenseOperator(M).gram_right.shape == (5, 5)
+    assert DenseOperator(M.T).gram_right.shape == (3, 3)
 
 
 def test_gram_is_exactly_symmetric():
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        G = gram(rng.standard_normal((17, 11)))
-        assert np.array_equal(G, G.T)
-    # Doubly strided views: here numpy's products M^T M and M M^T come back a
-    # few ulp from symmetric; gram mirrors one triangle, so they are exact.
+    """The Gram matrix is held as one triangle, its strict upper triangle
+    zero, so mirrored it is exactly symmetric. Doubly strided views, on which
+    numpy's M M^T comes back a few ulp from symmetric, are copied once into
+    Fortran order and give the triangle of that copy, bit for bit."""
     rng = np.random.default_rng(10)
     wide = rng.standard_normal((400, 900))[::2, ::3]
     tall = rng.standard_normal((600, 600))[::2, ::3]
-    for G in (gram(wide), gram(tall, right=True)):
+    for M in (wide.T, tall):
+        G = _gram_lower(M)
         assert G.shape == (300, 300)
-        assert np.array_equal(G, G.T)
+        assert not np.triu(G, 1).any()
+        assert np.array_equal(G, _gram_lower(np.asfortranarray(M)))
+        mirrored = G + np.tril(G, -1).T
+        assert np.array_equal(mirrored, mirrored.T)
 
 
 def test_spd_factor_rejects_bad_matrices():
-    with pytest.raises(ValueError, match="square"):
-        spd_factor(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="not symmetric"):
-        spd_factor(np.array([[1.0, 5.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="not positive definite"):
-        spd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError, match="not positive definite"):
-        spd_factor(np.zeros((3, 3)))
+    """A triangle that is not positive definite once shifted is named."""
+    with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+        _cholesky(np.asfortranarray([[1.0, 0.0], [0.0, -1.0]]))
+    with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+        _cholesky(np.zeros((3, 3), order="F"))
+    with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+        _cholesky(np.eye(2, order="F"), np.nan)
 
 
 def test_spd_solve_consistent_systems_across_conditioning():
@@ -176,39 +176,47 @@ def test_spd_solve_consistent_systems_across_conditioning():
         rng = np.random.default_rng(100 + seed)
         x_true = rng.standard_normal(24)
         b = M @ x_true
-        factor = spd_factor(M)
+        factor = _cholesky(np.asfortranarray(M))
         x = factor.solve(b)
         residual = np.linalg.norm(M @ x - b) / np.linalg.norm(b)
         assert residual <= 1e-8, f"cond={cond:.0e}: relative residual {residual:.3e}"
 
 
 def test_spd_factor_roundtrip_and_dimension_guard():
+    """L L^T gives back M; a damped solve checks its right-hand side's
+    length, on either operator, before it solves."""
     M, _, _ = rotated_spd(7, 9, 1e4)
-    factor = spd_factor(M)
-    assert factor.dimension == 9
+    factor = _cholesky(np.asfortranarray(M))
+    assert factor.lower.shape == (9, 9)
     assert np.allclose(factor.lower @ factor.lower.T, M, rtol=1e-12, atol=1e-14)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        factor.solve(np.ones(8))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        factor.solve(np.ones((8, 2)))
+    for op in (DenseOperator(np.random.default_rng(7).standard_normal((9, 4))), as_operator(heat_matrix(600))):
+        m = op.shape[0]
+        with pytest.raises(ValueError, match=f"^dimension mismatch: right-hand side has length {m - 1}, expected {m}$"):
+            op.damped_solve(1e-3, np.ones(m - 1))
 
 
-def test_spd_solve_matrix_matches_column_solves():
-    M, _, _ = rotated_spd(3, 12, 1e6)
-    rng = np.random.default_rng(33)
-    B = M @ rng.standard_normal((12, 4))
-    factor = spd_factor(M)
-    X = factor.solve(B)
-    for k in range(4):
-        assert np.allclose(X[:, k], factor.solve(B[:, k]), rtol=1e-8, atol=1e-10)
+@pytest.mark.parametrize("toeplitz", (False, True), ids=("dense", "toeplitz"))
+def test_damped_solve_takes_one_vector_only(toeplitz):
+    """The right-hand side has one shape, a vector: a block B (m x 3) is
+    refused with an error that names its dimension, before any solve, on
+    both operators; the FFT products of a ToeplitzOperator refuse a block
+    the same way."""
+    op = as_operator(heat_matrix(600)) if toeplitz else DenseOperator(heat_matrix(20))
+    assert isinstance(op, ToeplitzOperator) == toeplitz
+    B = np.ones((op.shape[0], 3))
+    with pytest.raises(ValueError, match="^expected a 1-d array, got ndim=2$"):
+        op.damped_solve(1e-3, B)
+    if toeplitz:
+        for product in (op.matvec, op.rmatvec):
+            with pytest.raises(ValueError, match="^expected a 1-d array, got ndim=2$"):
+                product(B)
 
 
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
     """Solves reproduce the lower-factor kernel written out: a raw solve is
-    dtrsv with L, then with L^T, for a vector and cho_solve for a block; one
-    correction, then a second only when some column's residual, from one
-    symmetric product (dsymv, dsymm for a block) on M, exceeds
+    dtrsv with L, then with L^T; one correction, then a second only when the
+    residual, from one symmetric product (dsymv) on M, exceeds
     4 eps (mu ||x|| + ||b||), with mu the largest row sum plus the largest
     column sum of M's lower triangle. The factor's own product leaves every
     residual at roundoff after one correction; a product off by 1e-6 ||M||
@@ -219,31 +227,27 @@ def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
     B = rng.standard_normal((n + 2, n))
     M = B.T @ B + 1e-3 * np.eye(n)
     M = 0.5 * (M + M.T)
-    factor = spd_factor(M)
+    factor = _cholesky(np.asfortranarray(M))
     L = factor.lower
     eps = np.finfo(float).eps
     lower = np.abs(np.tril(M))
     mu = lower.sum(axis=1).max() + lower.sum(axis=0).max()
     assert factor.bound == pytest.approx(mu, rel=1e-14)
     shifted = M + 1e-6 * np.linalg.norm(M, 2) * np.eye(n)
-    off = SpdFactorization(lower=L, product=lambda x: shifted @ x, shift=0.0, bound=factor.bound)
+    off = SpdFactorization(lower=L, product=lambda x: shifted @ x, bound=factor.bound)
 
     def product(x):
-        if x.ndim == 1:
-            return scipy.linalg.blas.dsymv(1.0, M, x, lower=1)
-        return scipy.linalg.blas.dsymm(1.0, M, x, lower=1)
+        return scipy.linalg.blas.dsymv(1.0, M, x, lower=1)
 
     def raw(b):
-        if b.ndim == 2:
-            return scipy.linalg.cho_solve((L, True), b, check_finite=False)
         return scipy.linalg.blas.dtrsv(L, scipy.linalg.blas.dtrsv(L, b, lower=1), lower=1, trans=1)
 
     def reference(b, product):
         x = raw(b)
         x = x + raw(b - product(x))
         r = b - product(x)
-        norm = lambda v: np.linalg.norm(v, axis=0)
-        if np.all(norm(r) <= 4.0 * eps * (factor.bound * norm(x) + norm(b))):
+        norm = np.linalg.norm
+        if norm(r) <= 4.0 * eps * (factor.bound * norm(x) + norm(b)):
             return x, 2
         return x + raw(r), 3
 
@@ -255,15 +259,14 @@ def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
 
     bound = 4.0 * np.linalg.cond(M) * eps
     branches = {True: set(), False: set()}
-    for shape in ((n,), (n, 5)):
-        for b in (M @ rng.standard_normal(shape), rng.standard_normal(shape)):
-            x, raw_solves = reference(b, product)
-            branches[True].add(raw_solves)
-            assert np.array_equal(factor.solve(b), x)
-            assert np.linalg.norm(x - former(b)) <= bound * np.linalg.norm(former(b))
-            x, raw_solves = reference(b, lambda v: shifted @ v)
-            branches[False].add(raw_solves)
-            assert np.array_equal(off.solve(b), x)
+    for b in (M @ rng.standard_normal(n), rng.standard_normal(n)):
+        x, raw_solves = reference(b, product)
+        branches[True].add(raw_solves)
+        assert np.array_equal(factor.solve(b), x)
+        assert np.linalg.norm(x - former(b)) <= bound * np.linalg.norm(former(b))
+        x, raw_solves = reference(b, lambda v: shifted @ v)
+        branches[False].add(raw_solves)
+        assert np.array_equal(off.solve(b), x)
     assert branches == {True: {2}, False: {3}}
 
 
@@ -272,7 +275,7 @@ def raw_solves(monkeypatch) -> list:
     """The raw solves each refined solve makes from here on, one count per
     refined solve, on either factorization class."""
     per_solve, total = [], [0]
-    raw, refined = SpdFactorization._raw_solve, SpdFactorization._refined_solve
+    raw, refined = SpdFactorization._raw_solve, SpdFactorization.solve
 
     def counting_raw(self, b):
         total[0] += 1
@@ -285,7 +288,7 @@ def raw_solves(monkeypatch) -> list:
         return x
 
     monkeypatch.setattr(SpdFactorization, "_raw_solve", counting_raw)
-    monkeypatch.setattr(SpdFactorization, "_refined_solve", counting_refined)
+    monkeypatch.setattr(SpdFactorization, "solve", counting_refined)
     return per_solve
 
 
@@ -308,21 +311,19 @@ def test_refined_solves_on_heat_stop_after_one_correction(n, delta_rel, raw_solv
 
 def test_refinement_against_a_noisy_product_stops_at_the_cap(raw_solves):
     """A product that disagrees with the factor at about 1e-10 relative
-    keeps the residual far above roundoff: each solve makes three raw
-    solves, the cap, for a vector and for a block."""
+    keeps the residual far above roundoff: the solve makes three raw
+    solves, the cap."""
     M, _, _ = rotated_spd(4, 30, 1e3)
-    factor = spd_factor(M)
+    factor = _cholesky(np.asfortranarray(M))
     noise = np.random.default_rng(5)
 
     def noisy(x):
         y = M @ x
-        return y + 1e-10 * np.linalg.norm(y, axis=0) * noise.standard_normal(y.shape)
+        return y + 1e-10 * np.linalg.norm(y) * noise.standard_normal(y.shape)
 
-    off = SpdFactorization(lower=factor.lower, product=noisy, shift=0.0, bound=factor.bound)
-    rng = np.random.default_rng(6)
-    off.solve(rng.standard_normal(30))
-    off.solve(rng.standard_normal((30, 3)))
-    assert raw_solves == [3, 3]
+    off = SpdFactorization(lower=factor.lower, product=noisy, bound=factor.bound)
+    off.solve(np.random.default_rng(6).standard_normal(30))
+    assert raw_solves == [3]
 
 
 def test_sym_eigen_reconstructs_and_sorts():
@@ -330,7 +331,8 @@ def test_sym_eigen_reconstructs_and_sorts():
         M, _, lam = rotated_spd(seed, 10, 1e5)
         eig = sym_eigen(M)
         assert np.all(np.diff(eig.eigenvalues) >= 0)
-        assert np.allclose(eig.reconstruct(), M, rtol=1e-12, atol=1e-12)
+        V = eig.eigenvectors
+        assert np.allclose((V * eig.eigenvalues) @ V.T, M, rtol=1e-12, atol=1e-12)
         assert np.allclose(np.sort(lam), eig.eigenvalues, rtol=1e-9, atol=1e-12)
 
 
@@ -343,6 +345,8 @@ def test_sym_eigen_basis_roundtrip():
 
 
 def test_sym_eigen_rejects_asymmetric():
+    with pytest.raises(ValueError, match="square"):
+        sym_eigen(np.ones((2, 3)))
     with pytest.raises(ValueError, match="not symmetric"):
         sym_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
@@ -498,12 +502,11 @@ def test_empty_operators_give_empty_or_zero_results(shape):
     """BLAS rejects empty operands, so these never reach it."""
     m, n = shape
     Z = np.zeros(shape)
-    assert np.array_equal(gram(Z), np.zeros((n, n)))
-    assert np.array_equal(gram(Z, right=True), np.zeros((m, m)))
+    assert np.array_equal(_gram_lower(Z), np.zeros((m, m)))
+    assert np.array_equal(_gram_lower(Z.T), np.zeros((n, n)))
     op = DenseOperator(Z)
     assert op.norm == 0.0
     assert np.array_equal(op.damped_solve(1.0, np.ones(m)), np.ones(m))
-    assert op.damped_solve(1.0, np.ones((m, 2))).shape == (m, 2)
 
 
 def test_cond_estimate_diagonal_and_identity():

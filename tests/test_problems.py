@@ -1,5 +1,7 @@
 """Tests for the heat benchmark: kernel, matrix, noise model, and file round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ def test_kernel_input_validation():
         heat_kernel(1.0, kappa=0.0)
     with pytest.raises(ValueError, match=">= 0"):
         heat_kernel(-0.5)
+    # heat_kernel(NaN) was NaN and kappa = inf gave 0; each is refused.
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^kernel is defined for finite t >= 0, got "):
+            heat_kernel(t)
+    for kappa in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^kappa must be positive and finite, got "):
+            heat_kernel(0.5, kappa=kappa)
 
 
 def test_heat_matrix_smallest_sizes():
@@ -133,6 +142,13 @@ def test_add_noise_determinism_and_edge_cases():
 
     with pytest.raises(ValueError, match="nonnegative"):
         add_noise(b, -0.1, 0)
+    # A NaN or infinite delta_rel made NaN or infinite data.
+    for delta_rel in (math.nan, math.inf):
+        message = "^delta_rel must be finite and nonnegative, got (nan|inf)$"
+        with pytest.raises(ValueError, match=message):
+            add_noise(b, delta_rel, 0)
+        with pytest.raises(ValueError, match=message):
+            heat_instance(10, delta_rel, 0)
 
 
 def test_heat_instance_consistency():

@@ -74,6 +74,10 @@ def test_apriori_steps_rejects_bad_arguments():
         apriori_steps(0.01, 1.0, -1.0, 0.5)
     with pytest.raises(ValueError):
         apriori_steps(0.01, 1.0, 1.0, 1.5)
+    # SolveConfig refuses an infinite h, and so does the rule itself.
+    for h in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^step size h must be positive and finite, got "):
+            apriori_steps(0.01, h, 1.0, 0.5)
     # h * delta**gamma underflows to 0, or the budget itself is infinite.
     with pytest.raises(ValueError, match="a-priori step budget"):
         apriori_steps(0.01, 1e-320, 1.0, 0.5)
