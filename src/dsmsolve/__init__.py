@@ -22,6 +22,7 @@ from .problems import (
     load_vector,
     save_matrix,
     save_vector,
+    volterra_instance,
 )
 from .solvers import (
     SolveConfig,
@@ -70,6 +71,7 @@ __all__ = [
     "spectral_q",
     "spectral_t",
     "sym_eigen",
+    "volterra_instance",
     "vr_newton",
     "vr_solve",
 ]

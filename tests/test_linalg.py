@@ -212,6 +212,25 @@ def test_damped_solve_takes_one_vector_only(toeplitz):
                 product(B)
 
 
+@pytest.mark.parametrize("make, kind", [
+    (lambda: DenseOperator(heat_matrix(600)), DenseOperator),
+    (lambda: as_operator(heat_matrix(600)), ToeplitzOperator),
+    (lambda: DenseOperator(np.random.default_rng(3).standard_normal((7, 4))), DenseOperator),
+], ids=["dense", "toeplitz", "rectangular"])
+def test_products_name_a_bad_operand(make, kind):
+    """Both operators check each operand of matvec and rmatvec the same
+    way: a vector one entry short and a block of two columns are refused
+    with the same message from either product, where a DenseOperator let
+    numpy name the first and multiplied the second."""
+    op = make()
+    assert type(op) is kind
+    for product, length in ((op.matvec, op.shape[1]), (op.rmatvec, op.shape[0])):
+        with pytest.raises(ValueError, match=f"^dimension mismatch: operand has length {length - 1}, expected {length}$"):
+            product(np.ones(length - 1))
+        with pytest.raises(ValueError, match="^expected a 1-d array, got ndim=2$"):
+            product(np.ones((length, 2)))
+
+
 @pytest.mark.parametrize("n", [1, 7, 64])
 def test_spd_solves_equal_lower_factor_reference_bit_for_bit(n):
     """Solves reproduce the lower-factor kernel written out: a raw solve is

@@ -1,10 +1,13 @@
-"""Tests for the heat benchmark: kernel, matrix, noise model, and file round-trips."""
+"""Tests for the test problems: heat kernel, matrix and instance, the
+Volterra instance, the noise model, and file round-trips."""
 
 import math
 
 import numpy as np
 import pytest
 
+from dsmsolve import as_operator, volterra_instance
+from dsmsolve.linalg import ToeplitzOperator
 from dsmsolve.problems import (
     add_noise,
     exact_solution,
@@ -167,6 +170,31 @@ def test_heat_instance_consistency():
         noise = float(np.linalg.norm(inst.b_noisy - inst.b_exact))
         assert noise == pytest.approx(inst.delta, rel=1e-12)
     assert np.array_equal(np.triu(inst.A, 1), np.zeros_like(inst.A))
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+def test_volterra_instance(n):
+    """A = tril(ones(n, n)) / n exactly, lower-triangular Toeplitz, so
+    as_operator takes the FFT route from n = 512; the truth is
+    sin(pi t) + t at the midpoints, b = A u, and delta is delta_rel ||b||
+    exactly, the norm of the noise to rounding."""
+    inst = volterra_instance(n, 0.01, 5)
+    assert np.array_equal(inst.A, np.tril(np.ones((n, n))) / n)
+    t = (np.arange(n) + 0.5) / n
+    assert np.array_equal(inst.u_exact, np.sin(np.pi * t) + t)
+    assert np.array_equal(inst.b_exact, inst.A @ inst.u_exact)
+    assert (inst.n, inst.delta_rel, inst.seed) == (n, 0.01, 5)
+    assert inst.delta == 0.01 * float(np.linalg.norm(inst.b_exact))
+    assert float(np.linalg.norm(inst.b_noisy - inst.b_exact)) == pytest.approx(inst.delta, rel=1e-12)
+    assert (type(as_operator(inst.A)) is ToeplitzOperator) == (n >= 512)
+
+
+def test_volterra_instance_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+        volterra_instance(0, 0.01, 0)
+    for delta_rel in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^delta_rel must be finite and nonnegative, got "):
+            volterra_instance(10, delta_rel, 0)
 
 
 def test_matrix_roundtrip_is_bitexact(tmp_path):

@@ -19,8 +19,9 @@ from dsmsolve import (
     residuals_nonincreasing,
     solve_dsm,
 )
+from dsmsolve import linalg
 from dsmsolve.linalg import ToeplitzOperator
-from dsmsolve.problems import heat_instance
+from dsmsolve.problems import heat_instance, volterra_instance
 
 
 def identity_setup(n=3, a=1.0):
@@ -233,22 +234,55 @@ def gradient_reference(op, f, delta, config):
     return u, config.max_iter, history, "max_iter"
 
 
-@pytest.mark.parametrize("n, delta_rel, max_iter", [
-    *((n, delta_rel, 10_000) for n in (100, 400, 600) for delta_rel in (0.05, 0.01)),
-    *((n, 0.001, 3000) for n in (100, 400, 600)),
-])
-def test_landweber_recurrence_matches_the_iterate_form(n, delta_rel, max_iter):
-    """landweber_solve advances the residual by r <- r - h A A^T r and forms
-    u once at the end; against the iterate form on heat data (dense below
-    n = 512, FFT products at 600) it takes the same steps and stops for the
-    same reason, its solution and every history entry agree within 1e-12
-    relative, and so does ||A u - f_delta|| of its solution, taken directly,
-    with its last history entry."""
-    inst = heat_instance(n, delta_rel, 104729)
+def recurrence_reference(op, f, delta, config):
+    """Landweber's residual recurrence as landweber_solve runs it when it
+    accepts no basis, written out: r <- r - h A A^T r by the operator's Gram
+    product, u = -h A^T (r_0 + ... + r_{N-1}) from u = 0, discrepancy
+    stopping. Returns (u, steps, history, stop_reason)."""
+    r = op.matvec(np.zeros(op.shape[1])) - f
+    history = [float(np.linalg.norm(r))]
+    total = np.zeros_like(r)
+    product = op._gram_product(0.0)
+    steps, reason = config.max_iter, "max_iter"
+    for n in range(1, config.max_iter + 1):
+        total += r
+        r = r - config.h * product(r)
+        history.append(float(np.linalg.norm(r)))
+        if history[-1] <= config.C * delta:
+            steps, reason = n, "discrepancy_met"
+            break
+    return np.zeros(op.shape[1]) - config.h * op.rmatvec(total), steps, history, reason
+
+
+def landweber_cases():
+    """(make, n, delta_rel, max_iter, unit_h): heat at the default h, with
+    ids n-delta_rel-max_iter, and Volterra at the default h and at
+    h = 1/||A||^2 (unit_h)."""
+    cases = [pytest.param(heat_instance, n, delta_rel, max_iter, False, id=f"{n}-{delta_rel}-{max_iter}")
+             for n, delta_rel, max_iter in [
+                 *((n, delta_rel, 10_000) for n in (100, 400, 600) for delta_rel in (0.05, 0.01)),
+                 *((n, 0.001, 3000) for n in (100, 400, 600))]]
+    for n in (100, 400, 600):
+        for delta_rel, max_iter in ((0.01, 10_000), (0.001, 3000)):
+            for unit_h in (False, True):
+                cases.append(pytest.param(volterra_instance, n, delta_rel, max_iter, unit_h,
+                                          id=f"volterra-{n}-{delta_rel}-{max_iter}" + "-unit_h" * unit_h))
+    return cases
+
+
+@pytest.mark.parametrize("make, n, delta_rel, max_iter, unit_h", landweber_cases())
+def test_landweber_recurrence_matches_the_iterate_form(make, n, delta_rel, max_iter, unit_h):
+    """landweber_solve takes its run on a Golub-Kahan basis; against the
+    iterate form on heat and Volterra data (dense below n = 512, FFT
+    products at 600) it takes the same steps and stops for the same reason,
+    its solution and every history entry agree within 1e-12 relative, and
+    so does ||A u - f_delta|| of its solution, taken directly, with its last
+    history entry."""
+    inst = make(n, delta_rel, 104729)
     f, delta = inst.b_noisy, inst.delta
     op = as_operator(inst.A)
     assert (type(op) is ToeplitzOperator) == (n >= 512)
-    config = SolveConfig(max_iter=max_iter)
+    config = SolveConfig(h=1.0 / op.norm_squared if unit_h else 1.0, max_iter=max_iter)
     result = landweber_solve(op, f, delta, config)
     u, steps, history, reason = gradient_reference(op, f, delta, config)
     assert (result.iterations, result.stop_reason) == (steps, reason)
@@ -261,22 +295,55 @@ def test_landweber_recurrence_matches_the_iterate_form(n, delta_rel, max_iter):
 
 
 @pytest.mark.parametrize("n", [100, 600])
-def test_landweber_applies_a_and_its_transpose_once(n, formed_grams):
-    """Whatever the step count, one landweber_solve makes one product with A
-    (the initial residual) and one with A^T (the solution); every step is a
-    product with A A^T, which a DenseOperator forms once as a Gram triangle
-    and a ToeplitzOperator never forms."""
-    inst = heat_instance(n, 0.01, 1)
+def test_landweber_makes_no_gram_product_per_step(n, formed_grams):
+    """On heat data at 0.1% noise, thousands of steps, landweber_solve makes
+    no product with A A^T once ||A|| is known, where the residual
+    recurrence makes one per step: it makes at most
+    _GOLUB_KAHAN_MAX_STEPS + 1 products with A and as many with A^T, for
+    its basis and the initial residual. A DenseOperator forms its one Gram
+    triangle, for ||A||; a ToeplitzOperator forms none."""
+    inst = heat_instance(n, 0.001, 1)
     op = as_operator(inst.A)
-    with mock.patch.object(op, "matvec", wraps=op.matvec) as matvec, \
+    op.norm
+    products = []
+
+    def counting(shift, real=op._gram_product):
+        product = real(shift)
+
+        def counted(x):
+            products.append(shift)
+            return product(x)
+
+        return counted
+
+    with mock.patch.object(op, "_gram_product", counting), \
+            mock.patch.object(op, "matvec", wraps=op.matvec) as matvec, \
             mock.patch.object(op, "rmatvec", wraps=op.rmatvec) as rmatvec:
         result = landweber_solve(op, inst.b_noisy, inst.delta)
-    assert result.stop_reason == "discrepancy_met" and result.iterations > 100
-    assert matvec.call_count == rmatvec.call_count == 1
+    assert result.iterations > 1000
+    assert products == []
+    assert 0 < rmatvec.call_count < matvec.call_count <= linalg._GOLUB_KAHAN_MAX_STEPS + 1
     if n < 512:
-        assert type(op) is DenseOperator and formed_grams.count("A A^T") == 1
+        assert type(op) is DenseOperator and formed_grams == ["A A^T"]
     else:
         assert type(op) is ToeplitzOperator and formed_grams == []
+
+
+@pytest.mark.parametrize("n", [100, 600])
+def test_landweber_gives_up_to_the_recurrence(n, monkeypatch):
+    """With the basis capped at 10 steps, too few for heat data at 1% noise
+    (they need 20), no basis is accepted, and landweber_solve returns the
+    residual recurrence's run bit for bit: solution, steps, stop reason and
+    history."""
+    monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", 10)
+    inst = heat_instance(n, 0.01, 1)
+    op = as_operator(inst.A)
+    config = SolveConfig()
+    result = landweber_solve(op, inst.b_noisy, inst.delta, config)
+    u, steps, history, reason = recurrence_reference(op, inst.b_noisy, inst.delta, config)
+    assert (result.iterations, result.stop_reason) == (steps, reason)
+    assert result.residual_history == history
+    assert np.array_equal(result.solution, u)
 
 
 def test_dsm_step_is_one_damped_update():
