@@ -165,6 +165,20 @@ def _norm(v: np.ndarray) -> float:
     return float(scipy.linalg.blas.dnrm2(v)) if v.size else 0.0
 
 
+def _check_damping(a: float) -> None:
+    """Raise ValueError unless the damping a is positive and finite."""
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"damping parameter must be positive and finite, got {a}")
+
+
+def _check_solution_bound(norm_b: float, a: float) -> None:
+    """Raise ValueError, naming a, when ||b|| / a, a bound on the norm of
+    (A A^T + a I)^{-1} b, overflows float64."""
+    if norm_b / float(a) == math.inf:
+        raise ValueError(f"damping parameter a={a} is too small for this right-hand side: "
+                         "(A A^T + a I)^{-1} b overflows float64")
+
+
 # A refined solve stops after its first correction once the residual
 # ||b - M x|| is at most _REFINE_STOP eps (mu ||x|| + ||b||), mu >= ||M||:
 # x then has a normwise backward error of a few eps (Rigal and Gaches 1967;
@@ -351,7 +365,8 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 # Golub-Kahan steps a basis takes at most before its caller falls back to
 # an exact route: the eigenpairs of A A^T for misfit_spectrum, the residual
-# recurrence for Landweber. Heat data settle within it down to 0.01% noise
+# recurrence for Landweber, the damped solves for choose_a, vr_solve and
+# solve_dsm. Heat data settle within it down to 0.01% noise
 # (k = 20 at 5%); 60 steps cost 2-30% of the tridiagonal route from
 # n = 2000 down to n = 512, and the bound does not grow with n.
 _GOLUB_KAHAN_MAX_STEPS = 60
@@ -395,6 +410,35 @@ def _golub_kahan(matvec: Callable[[np.ndarray], np.ndarray],
         B[k, j] = beta
         if k % 5 == 0:
             yield B[: k + 1, :k], V[:k]
+
+
+def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
+    """The first settled result of a method taken as a filter on a
+    Golub-Kahan basis of op's A started at the nonzero d, or None when none
+    settles, so that the caller takes its exact route.
+
+    Every 5 steps (_golub_kahan), with B_k = P diag(s) Q^T and
+    g = ||d|| P^T e_1, the result is evaluate(s, g, V, Q^T), V holding
+    V_k's columns as rows; evaluate returns None, or raises ValueError, for
+    "not yet". The first result for which agree(result, result on B_{k-5})
+    holds is returned. None comes once the bidiagonalization ends, after
+    _GOLUB_KAHAN_MAX_STEPS steps or at an exact zero alpha or beta. An A A^T
+    out of float64's range is named before any product. The basis lives for
+    this call only and does not outlive it.
+    """
+    op._gram_product(0.0)
+    norm_d = float(np.linalg.norm(d))
+    previous = None
+    for B, V in _golub_kahan(op.matvec, op.rmatvec, op.shape[1], d):
+        P, s, Qt = np.linalg.svd(B)
+        try:
+            result = evaluate(s, norm_d * P[0], V, Qt)
+        except ValueError:
+            result = None
+        if result is not None and previous is not None and agree(result, previous):
+            return result
+        previous = result
+    return None
 
 
 def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray,
@@ -467,6 +511,9 @@ class DenseOperator:
     """
 
     _damped: tuple[float, SpdFactorization] | None = None
+    # Whether choose_a, vr_solve and solve_dsm take their filters on a
+    # Golub-Kahan basis (_settled_on_basis) before their exact routes.
+    _filters_on_basis = False
 
     def __init__(self, A):
         self.A = as_matrix(A)
@@ -571,9 +618,7 @@ class DenseOperator:
         bound on the solution's norm, finite: checked in that order."""
         factor = self._factor_shifted(a)
         b = as_vector(b, self.shape[0], name="right-hand side")
-        if _norm(b) / float(a) == math.inf:
-            raise ValueError(f"damping parameter a={a} is too small for this right-hand side: "
-                             "(A A^T + a I)^{-1} b overflows float64")
+        _check_solution_bound(_norm(b), a)
         return factor.solve(b)
 
     def _factor_shifted(self, a: float) -> SpdFactorization:
@@ -581,8 +626,7 @@ class DenseOperator:
         only, keyed by the exact float; another a drops it before factoring,
         so no two m x m factors are held at once. Raises ValueError when a is
         not positive and finite, and as _factor does."""
-        if not 0.0 < a < np.inf:
-            raise ValueError(f"damping parameter must be positive and finite, got {a}")
+        _check_damping(a)
         if self._damped is not None and self._damped[0] == a:
             return self._damped[1]
         self._damped = None
@@ -644,12 +688,17 @@ class ToeplitzOperator(DenseOperator):
     nor Landweber's exact route form A A^T: each takes A (A^T x) from the
     FFT pair. misfit_spectrum bidiagonalizes from the data by FFT products
     until the root settles, and falls back to A A^T's eigenpairs when the
-    root stalls or after 60 steps. The factor of A A^T + a I takes O(n^2) by the
+    root stalls or after 60 steps. choose_a, vr_solve and solve_dsm take
+    their filters on a Golub-Kahan basis from the data that each call
+    builds and discards (_settled_on_basis), so they factor nothing unless
+    no basis settles within 60 steps. The factor of A A^T + a I takes O(n^2) by the
     generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
     Its Gram range errors are told from c alone (see _gram_product), so
     raising one forms no Gram matrix; its Gram triangle, when formed, is
     DenseOperator's, by dsyrk.
     """
+
+    _filters_on_basis = True
 
     def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
         self.A, self.c, self.lower = A, c, lower

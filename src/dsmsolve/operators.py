@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_operator, as_vector
+from .linalg import _check_damping, as_operator, as_vector
 
 
 class Preconditioner:
@@ -14,15 +14,18 @@ class Preconditioner:
     array or an operator, kept as op = as_operator(A).
     Every product with A is op.matvec or op.rmatvec, and every damped solve
     is op.damped_solve(a, .), which reuses the factor the operator keeps for
-    its last a. The factor is built at construction,
-    so an a the operator cannot take fails here. T and Q are symmetric
-    positive semidefinite with spectral norm strictly below 1, which is what
-    makes the damped iteration stable for unit step size.
+    its last a. Construction only checks that a is positive and finite: the
+    factor is built at the first apply, and an a the operator cannot take,
+    or an A A^T out of float64's range, fails there. So a solve_dsm that
+    runs on a Golub-Kahan basis (a ToeplitzOperator's route) factors
+    nothing. T and Q are symmetric positive semidefinite with spectral norm
+    strictly below 1, which is what makes the damped iteration stable for
+    unit step size.
     """
 
     def __init__(self, A, a: float):
         self.op, self.a = as_operator(A), float(a)
-        self.op._factor_shifted(self.a)
+        _check_damping(self.a)
 
     @property
     def t_norm(self) -> float:

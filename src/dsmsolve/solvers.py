@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _golub_kahan, as_operator, as_vector
+from .linalg import _settled_on_basis, as_operator, as_vector
 from .operators import Preconditioner
 
 STOPPING_MODES = ("discrepancy", "apriori")
@@ -57,12 +58,15 @@ class SolveResult:
     """Outcome of one solver run.
 
     residual_history[k] is ||A u_k - f_delta||, starting at the initial guess,
-    so its length is iterations + 1. solve_dsm takes each one directly.
-    landweber_solve takes the first directly and the rest from its run on a
-    Golub-Kahan basis, as ||A u_k - f_delta|| of the projected iterates u_k,
-    within 4.9e-14 relative of the iterate form's on heat and Volterra
-    data; when it accepts no basis, it takes them from its exact residual
-    recurrence (see landweber_solve). stop_reason is one of
+    so its length is iterations + 1. landweber_solve, and solve_dsm on a
+    ToeplitzOperator, take the first directly and the rest from their run
+    on a Golub-Kahan basis, as ||A u_k - f_delta|| of the projected
+    iterates u_k: within 4.9e-14 relative of Landweber's iterate form, and
+    within 7.5e-13 of the damped iteration's direct residuals, on heat and
+    Volterra data. When no basis is accepted, and for solve_dsm on a
+    DenseOperator, solve_dsm takes each one directly, and landweber_solve
+    takes them from its exact residual recurrence (see landweber_solve).
+    stop_reason is one of
     "discrepancy_met", "apriori_reached", "max_iter", "initial_already_small".
     """
 
@@ -189,6 +193,16 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     ||A u_n - f_delta|| <= C delta; the residual norms are nonincreasing
     because the residual propagates through I - h Q, whose spectrum lies
     in (0, 1] for h * ||T|| < 2.
+
+    On a ToeplitzOperator (the operator that as_operator makes of A) the
+    run is taken as landweber_solve takes its own: n steps apply the filter
+    1 - (1 - h s^2 / (s^2 + a))^n to A's singular values s, so the whole
+    run, stop rule included, is evaluated on a Golub-Kahan basis started at
+    d = f_delta - A u0, at O(k) per step, with landweber_solve's rule for
+    accepting a k. It then makes no damped solve, so the preconditioner,
+    which contributes only a, factors nothing. When no k is accepted by 60
+    steps, on a DenseOperator, and when the initial residual already meets
+    the stop, each step is the exact update above.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
     if precond.op.shape != op.shape:
@@ -199,36 +213,52 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     if config.h >= 2.0 and (h_t := config.h * precond.t_norm) >= 2.0:
         raise ValueError(f"step size too large: h * ||T|| = {h_t:.6g} >= 2")
 
+    u, r = _start(op, f_delta, u0)
+    rule = _stop_rule(delta, config)
+    if op._filters_on_basis and float(np.linalg.norm(r)) > max(rule[0], 0.0):
+        h, a = config.h, precond.a
+        projected = _projected_run(op, u, -r, lambda s: h * s * s / (s * s + a), rule, a)
+        if projected is not None:
+            return projected
+
     def step(u, r):
         u = u - config.h * precond.apply_p(r)
         return u, op.matvec(u) - f_delta
 
-    return _run_iteration(step, lambda u: u, *_start(op, f_delta, u0), _stop_rule(delta, config), precond.a)
+    return _run_iteration(step, lambda u: u, u, r, rule, precond.a)
 
 
-# Steps of a projected Landweber run whose residuals are evaluated at once.
+# Steps of a projected run whose residuals are evaluated at once: the first
+# block has _FIRST_BLOCK, and each next one twice as many, up to
+# _FILTER_BLOCK, so that a run that stops within a few steps evaluates few.
+_FIRST_BLOCK = 16
 _FILTER_BLOCK = 1024
 
 
-def _landweber_filter(s, g, h, rule):
-    """Landweber's run, h its step size and rule its _stop_rule, on the
-    projected data g = ||d|| P^T e_1 of B_k = P diag(s) Q^T (see
-    landweber_solve): (iterations, reason, history, c), where history holds
-    the residual norms of steps 1.. as an array and c = phi(s^2) g / s the
-    coefficients in Q of the last iterate.
+def _landweber_filter(s, g, x, rule):
+    """A run of steps that each keep 1 - x of every residual component,
+    with rule its _stop_rule, on the projected data g = ||d|| P^T e_1 of
+    B_k = P diag(s) Q^T (see landweber_solve): (iterations, reason, history,
+    c), where history() returns the residual norms of steps 1.. as an array
+    and c = phi(s^2) g / s are the coefficients in Q of the last iterate. x
+    is the step fraction per component: h s^2 for Landweber, and
+    h s^2 / (s^2 + a) for the damped iteration.
 
-    With q = 1 - h s^2, N steps keep q^N of each component of the residual,
+    With q = 1 - x, N steps keep q^N of each component of the residual,
     so ||r_N||^2 = sum (q_i^N g_i)^2 + g_{k+1}^2, and the iterate applies
-    phi_N = 1 - q^N. Where q > 0, q^N is exp(N log1p(-h s^2)) and phi_N is
-    -expm1 of the same exponent, so neither loses digits to 1 - h s^2 or to
-    cancellation; elsewhere, where h s^2 >= 1 and |q| is not near 1, q^N
+    phi_N = 1 - q^N. Where q > 0, q^N is exp(N log1p(-x)) and phi_N is
+    -expm1 of the same exponent, so neither loses digits to 1 - x or to
+    cancellation; elsewhere, where x >= 1 and |q| is not near 1, q^N
     is a power.
-    The residuals are taken _FILTER_BLOCK steps at a time, up to the first
-    at or below the threshold.
+    The residuals are taken in blocks of _FIRST_BLOCK steps, doubling up to
+    _FILTER_BLOCK, up to the first at or below the threshold; each is
+    computed on its own, so the blocks do not change its bits. No residual
+    falls below |g_{k+1}|, so when that is above the threshold the run takes
+    all its steps, and its residuals are taken only once history() asks for
+    them: a basis that is rejected never pays for them.
     """
     threshold, steps, finished = rule
     k = s.shape[0]
-    x = h * s * s
     q = 1.0 - x
     positive = x < 1.0
     log_q = np.full(k, -math.inf)  # q = 0 decays to 0 in one step
@@ -237,40 +267,59 @@ def _landweber_filter(s, g, h, rule):
     log_q[negative] = np.log(-q[negative])
     weights = g[:k] ** 2
     floor = g[k] ** 2
+
+    def residuals():
+        """(first, block): the residual norms of steps first.. of a block."""
+        first, size = 1, _FIRST_BLOCK
+        while first <= steps:
+            exponents = np.multiply.outer(2.0 * np.arange(first, min(first + size, steps + 1)), log_q)
+            yield first, np.sqrt((np.exp(exponents) * weights).sum(axis=1) + floor)
+            first, size = first + size, min(2 * size, _FILTER_BLOCK)
+
     blocks = []
     iterations, reason = steps, finished
-    for first in range(1, steps + 1, _FILTER_BLOCK):
-        exponents = np.multiply.outer(2.0 * np.arange(first, min(first + _FILTER_BLOCK, steps + 1)), log_q)
-        block = np.sqrt((np.exp(exponents) * weights).sum(axis=1) + floor)
-        crossed = np.flatnonzero(block <= threshold)
-        if crossed.size:
-            blocks.append(block[: crossed[0] + 1])
-            iterations, reason = first + int(crossed[0]), "discrepancy_met"
-            break
-        blocks.append(block)
+    if math.sqrt(floor) <= threshold:
+        for first, block in residuals():
+            blocks.append(block)
+            crossed = np.flatnonzero(block <= threshold)
+            if crossed.size:
+                iterations, reason = first + int(crossed[0]), "discrepancy_met"
+                break
+
+    @functools.cache
+    def history():
+        if not blocks:
+            blocks.extend(block for _, block in residuals())
+        return np.concatenate(blocks)[:iterations]
+
     phi = np.empty(k)
     phi[positive] = -np.expm1(iterations * log_q[positive])
     phi[~positive] = 1.0 - q[~positive] ** iterations
-    return iterations, reason, np.concatenate(blocks), phi * g[:k] / s
+    return iterations, reason, history, phi * g[:k] / s
 
 
-def _projected_landweber(op, u0, d, h, rule) -> SolveResult | None:
-    """Landweber's run from u0 on the data A u0 + d, taken on a Golub-Kahan
-    basis started at d (linalg._golub_kahan) by _landweber_filter, with
-    landweber_solve's rule for accepting a k; None when no k is accepted.
-    The basis lives for this call only."""
+def _projected_run(op, u0, d, fraction, rule, a_used) -> SolveResult | None:
+    """A run from u0 on the data A u0 + d whose steps keep 1 - fraction(s)
+    of each residual component, taken on a Golub-Kahan basis started at d
+    by _landweber_filter, with landweber_solve's rule for accepting a k
+    (linalg._settled_on_basis); None when no k is accepted. The history
+    starts at ||d||."""
     norm_d = float(np.linalg.norm(d))
-    previous = None
-    for B, V in _golub_kahan(op.matvec, op.rmatvec, op.shape[1], d):
-        P, s, Qt = np.linalg.svd(B)
-        iterations, reason, history, coefficients = _landweber_filter(s, norm_d * P[0], h, rule)
-        u = u0 + V.T @ (Qt.T @ coefficients)
-        if (previous is not None and previous[:2] == (iterations, reason)
-                and np.all(np.abs(history - previous[2]) <= 1e-12 * history)
-                and np.linalg.norm(u - previous[3]) <= 1e-12 * np.linalg.norm(u)):
-            return SolveResult(u, iterations, [norm_d, *history.tolist()], reason, None)
-        previous = iterations, reason, history, u
-    return None
+
+    def run(s, g, V, Qt):
+        iterations, reason, history, coefficients = _landweber_filter(s, g, fraction(s), rule)
+        return iterations, reason, history, u0 + V.T @ (Qt.T @ coefficients)
+
+    def agree(new, old):
+        iterations, reason, history, u = new
+        return (old[:2] == (iterations, reason) and np.all(np.abs(history() - old[2]()) <= 1e-12 * history())
+                and np.linalg.norm(u - old[3]) <= 1e-12 * np.linalg.norm(u))
+
+    settled = _settled_on_basis(op, d, run, agree)
+    if settled is None:
+        return None
+    iterations, reason, history, u = settled
+    return SolveResult(u, iterations, [norm_d, *history().tolist()], reason, a_used)
 
 
 def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
@@ -322,7 +371,8 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     u, r = _start(op, f_delta, u0)
     rule = _stop_rule(delta, config)
     if float(np.linalg.norm(r)) > max(rule[0], 0.0):  # a zero residual starts no basis
-        projected = _projected_landweber(op, u, -r, config.h, rule)
+        h = config.h
+        projected = _projected_run(op, u, -r, lambda s: h * s * s, rule, None)
         if projected is not None:
             return projected
     product = op._gram_product(0.0)

@@ -14,6 +14,7 @@ import dsmsolve
 from dsmsolve import (
     DenseOperator,
     SolveConfig,
+    apriori_steps,
     as_operator,
     build_preconditioner,
     choose_a,
@@ -314,16 +315,27 @@ def raw_solves(monkeypatch) -> list:
 @pytest.mark.parametrize("n", [600, 2000])
 @pytest.mark.parametrize("delta_rel", [0.05, 0.01, 0.001])
 def test_refined_solves_on_heat_stop_after_one_correction(n, delta_rel, raw_solves):
-    """The damping search, the damped iteration with either stopping rule
-    and vr_newton on heat data at 5%, 1% and 0.1% noise: every refined
+    """On heat data at 5%, 1% and 0.1% noise, where choose_a, solve_dsm and
+    vr_newton's final solve run on a Golub-Kahan basis, the refined solves
+    are driven through phi and apply_p on the ToeplitzOperator: phi at every
+    damping the search tried and at vr_newton's root, and the damped
+    iteration by dsm_step, exact, with unit steps for as many steps as
+    solve_dsm took and with h = 0.1 for the a-priori budget. Every refined
     solve makes exactly two raw solves, its residual at roundoff, against
     the factor's bound, after one correction."""
     inst = heat_instance(n, delta_rel, 0)
     op, f, delta = as_operator(inst.A), inst.b_noisy, inst.delta
-    precond = build_preconditioner(op, choose_a(op, f, delta).chosen_a)
-    solve_dsm(op, f, delta, precond)
-    solve_dsm(op, f, delta, precond, SolveConfig(h=0.1, stopping="apriori"))
-    vr_newton(op, f, delta)
+    assert isinstance(op, ToeplitzOperator)
+    trace = choose_a(op, f, delta)
+    a_newton, _, _ = vr_newton(op, f, delta)
+    for a in [step.a for step in trace.steps] + [a_newton]:
+        phi(op, f, a)
+    precond = build_preconditioner(op, trace.chosen_a)
+    for h, steps in ((1.0, solve_dsm(op, f, delta, precond).iterations),
+                     (0.1, apriori_steps(delta, 0.1, 1.0, 0.5))):
+        u = np.zeros(n)
+        for _ in range(steps):
+            u = dsm_step(precond, h, u, f)
     assert len(raw_solves) > 10
     assert set(raw_solves) == {2}
 
@@ -436,12 +448,13 @@ def test_norm_past_the_power_iteration_cap_is_the_largest_singular_value():
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: landweber_solve(A, f, delta),
     lambda A, f, delta: op_norm(A),
-    lambda A, f, delta: build_preconditioner(A, 1.0),
+    lambda A, f, delta: build_preconditioner(A, 1.0).apply_p(f),
     lambda A, f, delta: phi(A, f, 1.0),
 ], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
 def test_overflowing_gram_is_named(entry, n, formed_grams):
     """A, f and delta scaled by 1e200: A A^T overflows, and every entry point
-    says so; at n = 600 without forming a Gram matrix."""
+    says so, a preconditioner at its first apply, where it factors; at
+    n = 600 without forming a Gram matrix."""
     inst = heat_instance(n, 0.01, 0)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="Gram matrix overflows float64; scale A, f_delta and delta"):
@@ -473,14 +486,15 @@ def test_overflowing_data_norm_is_named(entry, n, formed_grams):
     lambda A, f, delta: vr_newton(A, f, delta),
     lambda A, f, delta: landweber_solve(A, f, delta),
     lambda A, f, delta: op_norm(A),
-    lambda A, f, delta: build_preconditioner(A, 1e-300),
+    lambda A, f, delta: build_preconditioner(A, 1e-300).apply_p(f),
     lambda A, f, delta: phi(A, f, 1e-300),
 ], ["choose_a", "vr_newton", "landweber_solve", "op_norm", "build_preconditioner", "phi"]))
 def test_underflowing_gram_is_named(entry, n, formed_grams):
     """A, f and delta scaled by 1e-200: A A^T and ||f|| underflow to zero, and
     every entry point says so instead of answering for a zero operator or zero
-    data (u = 0, ||A|| = 0, entries of P near 1e99); at n = 600 without
-    forming a Gram matrix."""
+    data (u = 0, ||A|| = 0, entries of P near 1e99), a preconditioner at its
+    first apply, where it factors; at n = 600 without forming a Gram
+    matrix."""
     inst = heat_instance(n, 0.01, 0)
     with pytest.raises(ValueError, match="Gram matrix underflows float64; scale A, f_delta and delta up"):
         entry(1e-200 * inst.A, 1e-200 * inst.b_noisy, 1e-200 * inst.delta)

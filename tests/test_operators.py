@@ -345,6 +345,30 @@ def test_dropped_operator_frees_its_spectrum_route_without_the_collector():
         gc.enable()
 
 
+def test_basis_routes_keep_no_reference_to_the_operator():
+    """choose_a, vr_solve and solve_dsm on a heat n = 600 ToeplitzOperator
+    each build a Golub-Kahan basis and discard it: with the cyclic collector
+    off, no basis, closure or factor keeps the operator alive once it and
+    its preconditioner are dropped, and the preconditioner, never applied,
+    has factored nothing."""
+    inst = heat_instance(600, 0.01, 1)
+    f, delta = inst.b_noisy, inst.delta
+    gc.disable()
+    try:
+        op = as_operator(inst.A)
+        a = choose_a(op, f, delta).chosen_a
+        vr_solve(op, f, a)
+        precond = build_preconditioner(op, a)
+        for config in (SolveConfig(), SolveConfig(h=0.1, stopping="apriori")):
+            solve_dsm(op, f, delta, precond, config)
+        assert isinstance(op, ToeplitzOperator) and op._damped is None
+        ref = weakref.ref(op)
+        del op, precond
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_dropped_operator_frees_its_factor_without_the_collector():
     """The damped factor, which the operator keeps, refers to the FFT
     spectra and not back to the operator: with the cyclic collector off, a
@@ -360,6 +384,34 @@ def test_dropped_operator_frees_its_factor_without_the_collector():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n", [100, 600])
+def test_preconditioner_factors_on_its_first_apply(monkeypatch, n):
+    """build_preconditioner only checks a: the operator's _factor runs at the
+    first apply_p, once, and the applies after it reuse the factor, on a
+    DenseOperator (n = 100) and on a ToeplitzOperator (n = 600). An a that
+    is not positive and finite is still rejected at construction."""
+    inst = heat_instance(n, 0.01, 1)
+    op = as_operator(inst.A)
+    factored = []
+    real = type(op)._factor
+
+    def counting(self, a):
+        factored.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(type(op), "_factor", counting)
+    precond = build_preconditioner(op, 1e-3)
+    assert factored == []
+    first = precond.apply_p(inst.b_noisy)
+    assert factored == [1e-3]
+    assert np.array_equal(precond.apply_p(inst.b_noisy), first)
+    assert factored == [1e-3]
+    for a in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="damping parameter must be positive and finite"):
+            build_preconditioner(op, a)
+    assert factored == [1e-3]
 
 
 def test_t_norm_reads_the_shared_operator(formed_grams):

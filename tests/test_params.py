@@ -393,7 +393,9 @@ MISFIT_BOUNDS = {1e-5: 1e-11, 1e-8: 5e-7}
 @pytest.mark.parametrize("delta_rel", sorted(MISFIT_BOUNDS))
 def test_misfit_at_the_chosen_damping_matches_the_svd(n, structured, delta_rel):
     """phi at choose_a's a on heat data (seed 1), dense and on a
-    ToeplitzOperator built directly, against a ||(s^2 + a)^{-1} U^T f_delta||
+    ToeplitzOperator built directly, equal to the search's misfit at a, bit
+    for bit on the dense route and within 1e-12 relative where the search
+    ran on a Golub-Kahan basis; and against a ||(s^2 + a)^{-1} U^T f_delta||
     from the SVD A = U diag(s) V^T: within 1e-11 relative at 1e-5 noise and
     5e-7 at 1e-8 (see MISFIT_BOUNDS); measured 1.3e-12 to 2.6e-12, and
     9.5e-10 to 1.1e-7. The misfit taken as ||A u_a - f_delta|| loses digits
@@ -405,7 +407,10 @@ def test_misfit_at_the_chosen_damping_matches_the_svd(n, structured, delta_rel):
     a = trace.chosen_a
     U, s, _ = np.linalg.svd(A)
     reference = a * float(np.linalg.norm((U.T @ f) / (s * s + a)))
-    assert trace.phi_at_chosen == phi(op, f, a)
+    if structured:  # the search ran on a Golub-Kahan basis
+        assert abs(trace.phi_at_chosen - phi(op, f, a)) <= 1e-12 * phi(op, f, a)
+    else:
+        assert trace.phi_at_chosen == phi(op, f, a)
     assert abs(phi(op, f, a) - reference) <= MISFIT_BOUNDS[delta_rel] * reference
 
 
