@@ -6,6 +6,7 @@ Everything is float64. Matrices are 2-d numpy arrays, vectors 1-d.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -372,44 +373,109 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 _GOLUB_KAHAN_MAX_STEPS = 60
 
 
-def _golub_kahan(matvec: Callable[[np.ndarray], np.ndarray],
-                 rmatvec: Callable[[np.ndarray], np.ndarray], n: int, f: np.ndarray):
-    """Golub-Kahan bidiagonalization of the m x n A that matvec and rmatvec
-    apply, started at the nonzero f of length m: every 5 steps it yields
-    (B, V), where k steps give A V_k = U_{k+1} B_k, U_{k+1} e_1 = f / ||f||,
-    B = B_k is lower bidiagonal, (k + 1) x k, and V holds the k columns of
-    V_k as rows. U and V have orthonormal columns, kept so by full
-    reorthogonalization. It ends after k = min(m, n, _GOLUB_KAHAN_MAX_STEPS)
-    steps, rounded down to a multiple of 5, or at an exact zero alpha or
-    beta (an exhausted Krylov space). B and V are views into its buffers,
-    valid until the next step. It holds the two bases and B, never A or its
-    operator, and lives as long as its caller iterates it.
+class _Bidiagonalization:
+    """Golub-Kahan bidiagonalization of an m x n A, started at the nonzero
+    f of length m, kept as it grows: U, V, B and the number of steps taken.
+
+    k steps give A V_k = U_{k+1} B_k, U_{k+1} e_1 = f / ||f||, with B_k lower
+    bidiagonal, (k + 1) x k, and U and V orthonormal, kept so by full
+    reorthogonalization; U and V hold their columns as rows. It holds no A
+    and no operator: bases(matvec, rmatvec) replays the stored steps and
+    takes new ones, past the stored count only, with the products it is
+    given, under the object's lock. Step k depends only on A, f and the steps
+    before it, so a replay gives the bits of a fresh build. It ends after
+    k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) steps, rounded down to a
+    multiple of 5, or at an exact zero alpha or beta (an exhausted Krylov
+    space), which it remembers.
     """
-    m = f.shape[0]
-    k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) // 5 * 5
-    U = np.empty((k_max + 1, m))
-    V = np.empty((k_max, n))
-    B = np.zeros((k_max + 1, k_max))
-    U[0] = f / float(np.linalg.norm(f))
-    for k in range(1, k_max + 1):
-        j = k - 1
-        v = rmatvec(U[j])
-        if j:
-            v -= B[j, j - 1] * V[j - 1]
-        alpha = float(np.linalg.norm(_orthogonalize(v, V[:j])))
-        if alpha == 0.0:
-            return
-        V[j] = v / alpha
-        B[j, j] = alpha
-        u = matvec(V[j])
-        u -= alpha * U[j]
-        beta = float(np.linalg.norm(_orthogonalize(u, U[:k])))
-        if beta == 0.0:
-            return
-        U[k] = u / beta
-        B[k, j] = beta
-        if k % 5 == 0:
-            yield B[: k + 1, :k], V[:k]
+
+    def __init__(self, f: np.ndarray, n: int):
+        m = f.shape[0]
+        self.k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) // 5 * 5
+        self.U = np.empty((self.k_max + 1, m))
+        self.V = np.empty((self.k_max, n))
+        self.B = np.zeros((self.k_max + 1, self.k_max))
+        self.U[0] = f / float(np.linalg.norm(f))
+        self.steps = 0
+        self.exhausted = False
+        self._lock = threading.Lock()
+
+    def bases(self, matvec: Callable[[np.ndarray], np.ndarray], rmatvec: Callable[[np.ndarray], np.ndarray]):
+        """(B_k, V_k) for k = 5, 10, .. up to k_max or the exhaustion, where V
+        holds the k columns of V_k as rows; both are views that later steps
+        leave unchanged."""
+        for k in range(5, self.k_max + 1, 5):
+            if self.steps < k:
+                with self._lock:
+                    self._extend(matvec, rmatvec, k)
+                if self.steps < k:
+                    return
+            yield self.B[: k + 1, :k], self.V[:k]
+
+    def _extend(self, matvec, rmatvec, k: int) -> None:
+        """Take steps until there are k, unless the space is exhausted."""
+        U, V, B = self.U, self.V, self.B
+        while self.steps < k and not self.exhausted:
+            j = self.steps
+            v = rmatvec(U[j])
+            if j:
+                v -= B[j, j - 1] * V[j - 1]
+            alpha = float(np.linalg.norm(_orthogonalize(v, V[:j])))
+            if alpha == 0.0:
+                self.exhausted = True
+                return
+            V[j] = v / alpha
+            B[j, j] = alpha
+            u = matvec(V[j])
+            u -= alpha * U[j]
+            beta = float(np.linalg.norm(_orthogonalize(u, U[: j + 1])))
+            if beta == 0.0:
+                self.exhausted = True
+                return
+            U[j + 1] = u / beta
+            B[j + 1, j] = beta
+            self.steps = j + 1
+
+
+@dataclass
+class _StructureEntry:
+    """What is kept of one triangular Toeplitz structure, keyed by
+    (lower, the bytes of c): its ||A||, once known, and the bidiagonalization
+    from one start vector, keyed by that vector's bytes."""
+
+    key: tuple[bool, bytes]
+    norm: float | None = None
+    start: bytes | None = None
+    basis: _Bidiagonalization | None = None
+
+    def basis_at(self, f: np.ndarray, n: int) -> _Bidiagonalization:
+        """The bidiagonalization started at f, built when f's bytes are not
+        those the kept one was started at; that one is dropped first."""
+        start = f.tobytes()
+        with _structure_lock:
+            if self.start != start:
+                self.start = self.basis = None
+                self.basis = _Bidiagonalization(f, n)
+                self.start = start
+            return self.basis
+
+
+# The one entry kept across calls, for the last triangular Toeplitz
+# structure a ToeplitzOperator asked for, and the lock that guards the slot
+# and every entry's start and basis.
+_last_structure: _StructureEntry | None = None
+_structure_lock = threading.Lock()
+
+
+def _structure_entry(c: np.ndarray, lower: bool) -> _StructureEntry:
+    """The entry for (c, lower), which replaces, and so frees, another
+    structure's entry and its bidiagonalization."""
+    global _last_structure
+    key = (lower, c.tobytes())
+    with _structure_lock:
+        if _last_structure is None or _last_structure.key != key:
+            _last_structure = _StructureEntry(key)
+        return _last_structure
 
 
 def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
@@ -417,19 +483,20 @@ def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
     Golub-Kahan basis of op's A started at the nonzero d, or None when none
     settles, so that the caller takes its exact route.
 
-    Every 5 steps (_golub_kahan), with B_k = P diag(s) Q^T and
+    Every 5 steps (_Bidiagonalization.bases), with B_k = P diag(s) Q^T and
     g = ||d|| P^T e_1, the result is evaluate(s, g, V, Q^T), V holding
     V_k's columns as rows; evaluate returns None, or raises ValueError, for
     "not yet". The first result for which agree(result, result on B_{k-5})
     holds is returned. None comes once the bidiagonalization ends, after
     _GOLUB_KAHAN_MAX_STEPS steps or at an exact zero alpha or beta. An A A^T
-    out of float64's range is named before any product. The basis lives for
-    this call only and does not outlive it.
+    out of float64's range is named before any product. The basis is
+    op._basis(d): on a ToeplitzOperator the one kept for its structure and
+    d, which this call replays and extends, on a DenseOperator a fresh one.
     """
     op._gram_product(0.0)
     norm_d = float(np.linalg.norm(d))
     previous = None
-    for B, V in _golub_kahan(op.matvec, op.rmatvec, op.shape[1], d):
+    for B, V in op._basis(d).bases(op.matvec, op.rmatvec):
         P, s, Qt = np.linalg.svd(B)
         try:
             result = evaluate(s, norm_d * P[0], V, Qt)
@@ -441,12 +508,13 @@ def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
     return None
 
 
-def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray,
+def _bidiagonal_spectrum(op: DenseOperator, f: np.ndarray,
                          root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
                          ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The misfit spectrum (lam, gamma) of a Golub-Kahan bidiagonalization
-    (_golub_kahan) of the A that fft applies, started at f, or None when its
-    root does not settle.
+    """The misfit spectrum (lam, gamma) of the Golub-Kahan bidiagonalization
+    op._basis(f) of op's A, started at f, or None when its root does not
+    settle; on a ToeplitzOperator that is the basis kept for its structure
+    and f, which vr_solve then replays.
 
     With B_k = P diag(s) Q^T, lam is s^2 and one exact zero, ascending, and
     gamma = ||f|| P^T e_1, so that sum (a gamma_i / (lam_i + a))^2 is the
@@ -465,7 +533,7 @@ def _bidiagonal_spectrum(fft: _ToeplitzFFT, f: np.ndarray,
     """
     norm_f = float(np.linalg.norm(f))
     previous = change = None
-    for B, _ in _golub_kahan(fft.matvec, fft.rmatvec, fft.n, f):
+    for B, _ in op._basis(f).bases(op.matvec, op.rmatvec):
         P, s, _ = np.linalg.svd(B)
         lam = np.concatenate(([0.0], s[::-1] ** 2))
         gamma = norm_f * P[0, ::-1]
@@ -542,6 +610,11 @@ class DenseOperator:
     @cached_property
     def gram_right(self) -> np.ndarray:
         return _gram_lower(self.A)
+
+    def _basis(self, f: np.ndarray) -> _Bidiagonalization:
+        """A fresh Golub-Kahan bidiagonalization of A started at f, which
+        lives as long as its caller keeps it."""
+        return _Bidiagonalization(f, self.shape[1])
 
     @cached_property
     def norm(self) -> float:
@@ -688,10 +761,18 @@ class ToeplitzOperator(DenseOperator):
     nor Landweber's exact route form A A^T: each takes A (A^T x) from the
     FFT pair. misfit_spectrum bidiagonalizes from the data by FFT products
     until the root settles, and falls back to A A^T's eigenpairs when the
-    root stalls or after 60 steps. choose_a, vr_solve and solve_dsm take
-    their filters on a Golub-Kahan basis from the data that each call
-    builds and discards (_settled_on_basis), so they factor nothing unless
-    no basis settles within 60 steps. The factor of A A^T + a I takes O(n^2) by the
+    root stalls or after 60 steps. choose_a, vr_solve, solve_dsm and
+    landweber_solve take their filters on a Golub-Kahan basis from the data
+    (_settled_on_basis), so they factor nothing unless no basis settles
+    within 60 steps. That basis, and ||A||, are kept across calls and
+    operators in one module-level entry for the last structure, keyed by
+    (lower, the bytes of c), which holds one bidiagonalization, keyed by the
+    bytes of its start vector (_structure_entry): a call on
+    the same A and data replays the stored steps and extends them with this
+    operator's own products, bit for bit as a fresh build. The entry holds
+    no operator and no A; another structure, or another start vector,
+    drops the basis it held before a new one is allocated. The factor of
+    A A^T + a I takes O(n^2) by the
     generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
     Its Gram range errors are told from c alone (see _gram_product), so
     raising one forms no Gram matrix; its Gram triangle, when formed, is
@@ -713,6 +794,20 @@ class ToeplitzOperator(DenseOperator):
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """A^T y by FFT, as matvec applies A."""
         return self._fft.rmatvec(y)
+
+    @cached_property
+    def norm(self) -> float:
+        """||A|| as DenseOperator finds it, kept with the structure's entry,
+        so another operator of the same (c, lower) reads it there."""
+        entry = _structure_entry(self.c, self.lower)
+        if entry.norm is None:
+            entry.norm = DenseOperator.norm.func(self)
+        return entry.norm
+
+    def _basis(self, f: np.ndarray) -> _Bidiagonalization:
+        """The Golub-Kahan bidiagonalization of A started at f that is kept
+        with the structure's entry, shared by every call on (c, lower, f)."""
+        return _structure_entry(self.c, self.lower).basis_at(f, self.shape[1])
 
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
         """x -> A (A^T x) + shift x by FFT; it forms no Gram matrix and refers
@@ -749,7 +844,7 @@ class ToeplitzOperator(DenseOperator):
         It forms no Gram matrix. If the root's change shrinks less than
         fourfold in 5 steps, or it has not settled by k = 60, the spectrum is
         DenseOperator's, exact."""
-        spectrum = _bidiagonal_spectrum(self._fft, f, root)
+        spectrum = _bidiagonal_spectrum(self, f, root)
         return super().misfit_spectrum(f, root) if spectrum is None else spectrum
 
 

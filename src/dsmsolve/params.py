@@ -246,10 +246,12 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     a misfit spectrum (lambda, gamma), in which z = gamma / (lambda + a), so
     each bracket probe and Newton step costs O(len(lambda)). The final
     u_a is vr_solve's: on a DenseOperator the one factorization of the
-    call, on a ToeplitzOperator a filter on a second Golub-Kahan basis
-    started at f_delta, which factors nothing unless it falls back. The
-    spectrum comes from the
-    operator's misfit_spectrum: for a DenseOperator the eigenpairs of A A^T,
+    call, on a ToeplitzOperator a filter on the Golub-Kahan basis from
+    f_delta that the spectrum was taken on, kept for A's structure and the
+    data (linalg._structure_entry), which it replays and extends only
+    where its own acceptance needs more steps than the root did, and which
+    factors nothing unless it falls back. The spectrum comes from the operator's
+    misfit_spectrum: for a DenseOperator the eigenpairs of A A^T,
     from one tridiagonal reduction per call; for a ToeplitzOperator that of
     a Golub-Kahan bidiagonalization from f_delta, extended until its root
     settles, with the eigenpairs as fallback (see

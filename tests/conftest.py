@@ -1,5 +1,6 @@
-"""Shared pytest plumbing: the hypothesis profile, the Gram formation
-counter, and acceptance verdicts for the terminal summary."""
+"""Shared pytest plumbing: the hypothesis profile, a cold structure
+entry per test, the Gram formation counter, and acceptance verdicts for the
+terminal summary."""
 
 import pytest
 from hypothesis import settings
@@ -12,6 +13,15 @@ settings.register_profile("dsmsolve", derandomize=True, deadline=None, max_examp
 settings.load_profile("dsmsolve")
 
 VERDICTS: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def cold_structure_entry():
+    """Every test starts with no ||A|| or Golub-Kahan basis kept from an
+    earlier one (linalg._structure_entry), so that a test that counts
+    products, or caps the basis, sees what its own calls build, whatever
+    ran before it."""
+    linalg._last_structure = None
 
 
 @pytest.fixture

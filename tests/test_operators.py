@@ -347,10 +347,10 @@ def test_dropped_operator_frees_its_spectrum_route_without_the_collector():
 
 def test_basis_routes_keep_no_reference_to_the_operator():
     """choose_a, vr_solve and solve_dsm on a heat n = 600 ToeplitzOperator
-    each build a Golub-Kahan basis and discard it: with the cyclic collector
-    off, no basis, closure or factor keeps the operator alive once it and
-    its preconditioner are dropped, and the preconditioner, never applied,
-    has factored nothing."""
+    take their Golub-Kahan basis from the structure's entry, which holds no
+    operator: with the cyclic collector off, no basis, closure or factor
+    keeps the operator alive once it and its preconditioner are dropped,
+    and the preconditioner, never applied, has factored nothing."""
     inst = heat_instance(600, 0.01, 1)
     f, delta = inst.b_noisy, inst.delta
     gc.disable()

@@ -1,5 +1,7 @@
 """Tests for misfit evaluation, damping selection, and the variational baselines."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -303,6 +305,26 @@ def test_golub_kahan_steps_on_heat(monkeypatch, delta_rel, k):
     steps = sizes[-1] - 1
     assert abs(steps - k) <= 5
     assert sizes[:-1] == [j + 1 for j in range(5, steps + 1, 5)]
+
+
+def test_vr_newton_solves_on_the_basis_of_its_root(monkeypatch):
+    """On heat n = 1000 at 5% noise (seed 3), vr_newton on a
+    ToeplitzOperator takes u on the Golub-Kahan basis its misfit spectrum
+    was taken on: every product with A goes through op.matvec, and the
+    whole call makes at most one 5-step extension more than the root's k
+    of each product. ||A|| is taken first, by Gram products."""
+    inst = heat_instance(1000, 0.05, 3)
+    op = as_operator(inst.A)
+    assert isinstance(op, linalg.ToeplitzOperator)
+    op.norm
+    sizes = record_spectrum_sizes(monkeypatch)
+    with mock.patch.object(op, "matvec", wraps=op.matvec) as matvec, \
+            mock.patch.object(op, "rmatvec", wraps=op.rmatvec) as rmatvec, \
+            mock.patch.object(op._fft, "matvec", wraps=op._fft.matvec) as fft_matvec:
+        vr_newton(op, inst.b_noisy, inst.delta)
+    k = sizes[-1] - 1
+    assert fft_matvec.call_count == matvec.call_count
+    assert k <= rmatvec.call_count == matvec.call_count <= k + 5
 
 
 def test_golub_kahan_does_not_stop_while_the_root_moves(monkeypatch):
