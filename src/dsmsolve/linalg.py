@@ -6,6 +6,7 @@ Everything is float64. Matrices are 2-d numpy arrays, vectors 1-d.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -170,6 +171,14 @@ def _check_damping(a: float) -> None:
     """Raise ValueError unless the damping a is positive and finite."""
     if not 0.0 < a < np.inf:
         raise ValueError(f"damping parameter must be positive and finite, got {a}")
+
+
+def _check_max_iter(max_iter) -> None:
+    """Raise ValueError unless the iteration cap max_iter is an integer >= 1."""
+    if not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _check_solution_bound(norm_b: float, a: float) -> None:
@@ -365,7 +374,7 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 # Golub-Kahan steps a basis takes at most before its caller falls back to
-# an exact route: the eigenpairs of A A^T for misfit_spectrum, the residual
+# an exact route: the eigenpairs of A A^T for vr_newton's root, the residual
 # recurrence for Landweber, the damped solves for choose_a, vr_solve and
 # solve_dsm. Heat data settle within it down to 0.01% noise
 # (k = 20 at 5%); 60 steps cost 2-30% of the tridiagonal route from
@@ -380,10 +389,11 @@ class _Bidiagonalization:
     k steps give A V_k = U_{k+1} B_k, U_{k+1} e_1 = f / ||f||, with B_k lower
     bidiagonal, (k + 1) x k, and U and V orthonormal, kept so by full
     reorthogonalization; U and V hold their columns as rows. It holds no A
-    and no operator: bases(matvec, rmatvec) replays the stored steps and
-    takes new ones, past the stored count only, with the products it is
-    given, under the object's lock. Step k depends only on A, f and the steps
-    before it, so a replay gives the bits of a fresh build. It ends after
+    and no operator: bases(matvec, rmatvec) replays the stored steps, and
+    the read-only SVD of each B_k, and takes new ones, past the stored count
+    only, with the products it is given, under the object's lock. Step k
+    depends only on A, f and the steps before it, so a replay gives the bits
+    of a fresh build. It ends after
     k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) steps, rounded down to a
     multiple of 5, or at an exact zero alpha or beta (an exhausted Krylov
     space), which it remembers.
@@ -398,19 +408,25 @@ class _Bidiagonalization:
         self.U[0] = f / float(np.linalg.norm(f))
         self.steps = 0
         self.exhausted = False
+        self._svds: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._lock = threading.Lock()
 
     def bases(self, matvec: Callable[[np.ndarray], np.ndarray], rmatvec: Callable[[np.ndarray], np.ndarray]):
-        """(B_k, V_k) for k = 5, 10, .. up to k_max or the exhaustion, where V
-        holds the k columns of V_k as rows; both are views that later steps
-        leave unchanged."""
-        for k in range(5, self.k_max + 1, 5):
-            if self.steps < k:
+        """((P, s, Q^T), V) for k = 5, 10, .. up to k_max or the exhaustion:
+        the SVD B_k = P diag(s) Q^T, taken by the first call that reaches k,
+        and V_k's k columns as rows, a view that later steps leave unchanged."""
+        for index, k in enumerate(range(5, self.k_max + 1, 5)):
+            if len(self._svds) == index:
                 with self._lock:
                     self._extend(matvec, rmatvec, k)
-                if self.steps < k:
-                    return
-            yield self.B[: k + 1, :k], self.V[:k]
+                    if self.steps < k:
+                        return
+                    if len(self._svds) == index:
+                        svd = np.linalg.svd(self.B[: k + 1, :k])
+                        for factor in svd:
+                            factor.flags.writeable = False
+                        self._svds.append(svd)
+            yield self._svds[index], self.V[:k]
 
     def _extend(self, matvec, rmatvec, k: int) -> None:
         """Take steps until there are k, unless the space is exhausted."""
@@ -481,7 +497,10 @@ def _structure_entry(c: np.ndarray, lower: bool) -> _StructureEntry:
 def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
     """The first settled result of a method taken as a filter on a
     Golub-Kahan basis of op's A started at the nonzero d, or None when none
-    settles, so that the caller takes its exact route.
+    settles, so that the caller takes its exact route. The one acceptance
+    loop of every filter on the basis; its callers are choose_a's search,
+    vr_solve, vr_newton's root, and landweber_solve and solve_dsm (through
+    solvers._projected_run).
 
     Every 5 steps (_Bidiagonalization.bases), with B_k = P diag(s) Q^T and
     g = ||d|| P^T e_1, the result is evaluate(s, g, V, Q^T), V holding
@@ -496,8 +515,7 @@ def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
     op._gram_product(0.0)
     norm_d = float(np.linalg.norm(d))
     previous = None
-    for B, V in op._basis(d).bases(op.matvec, op.rmatvec):
-        P, s, Qt = np.linalg.svd(B)
+    for (P, s, Qt), V in op._basis(d).bases(op.matvec, op.rmatvec):
         try:
             result = evaluate(s, norm_d * P[0], V, Qt)
         except ValueError:
@@ -505,50 +523,6 @@ def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
         if result is not None and previous is not None and agree(result, previous):
             return result
         previous = result
-    return None
-
-
-def _bidiagonal_spectrum(op: DenseOperator, f: np.ndarray,
-                         root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
-                         ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The misfit spectrum (lam, gamma) of the Golub-Kahan bidiagonalization
-    op._basis(f) of op's A, started at f, or None when its root does not
-    settle; on a ToeplitzOperator that is the basis kept for its structure
-    and f, which vr_solve then replays.
-
-    With B_k = P diag(s) Q^T, lam is s^2 and one exact zero, ascending, and
-    gamma = ||f|| P^T e_1, so that sum (a gamma_i / (lam_i + a))^2 is the
-    damped misfit of the damped least-squares solution restricted to
-    span(V_k); it lies at or above the full misfit and falls toward it as k
-    grows, so its root rises toward the full one. Every 5 steps the root,
-    the first entry of root(lam, gamma), is taken on B_k; the spectrum is
-    that of the first k where it exists, which needs the projected misfit
-    floor below the target, and agrees with the root on B_{k-5} within
-    1e-12 relative. A root that raises ValueError counts as none yet. It
-    returns None, so that the caller falls back, once a 5-step extension
-    shrinks the root's relative change less than fourfold (on heat data
-    each one shrinks it at least sevenfold; a root that converges that
-    slowly would need hundreds of steps), or when the bidiagonalization
-    ends without a settled root.
-    """
-    norm_f = float(np.linalg.norm(f))
-    previous = change = None
-    for B, _ in op._basis(f).bases(op.matvec, op.rmatvec):
-        P, s, _ = np.linalg.svd(B)
-        lam = np.concatenate(([0.0], s[::-1] ** 2))
-        gamma = norm_f * P[0, ::-1]
-        try:
-            a = root(lam, gamma)[0]
-        except ValueError:
-            previous = change = None
-            continue
-        if previous is not None:
-            if abs(a - previous) <= 1e-12 * a:
-                return lam, gamma
-            last_change, change = change, abs(a - previous) / a
-            if last_change is not None and change > 0.25 * last_change:
-                return None
-        previous = a
     return None
 
 
@@ -568,19 +542,21 @@ class DenseOperator:
     triangle of A A^T, the one Gram matrix, in Fortran order, its strict
     upper triangle zero, one dsyrk (_gram_lower); mirrored, it is numpy's
     A A^T bit for bit. ||A|| (norm, its one source), the damped solves,
-    Landweber's exact route and the misfit spectrum all read it. A is
+    Landweber's exact route and vr_newton's exact misfit spectrum (the
+    eigenpairs of A A^T, _eigen_coefficients) all read it. A is
     validated and used as given, flags untouched; it must not change while
     the operator is in use.
 
     Every A takes this dense route when the class is called directly, and
     from as_operator unless it is exactly triangular Toeplitz of order
     n >= 512: a ToeplitzOperator, which overrides the products, the Gram
-    range check, the damped factor and the misfit spectrum.
+    range check, ||A|| and the damped factor, keeps its Golub-Kahan basis
+    across calls, and takes the filters on that basis.
     """
 
     _damped: tuple[float, SpdFactorization] | None = None
-    # Whether choose_a, vr_solve and solve_dsm take their filters on a
-    # Golub-Kahan basis (_settled_on_basis) before their exact routes.
+    # Whether choose_a, vr_solve, vr_newton and solve_dsm take their filters
+    # on a Golub-Kahan basis (_settled_on_basis) before their exact routes.
     _filters_on_basis = False
 
     def __init__(self, A):
@@ -721,22 +697,6 @@ class DenseOperator:
                 "for this operator at working precision"
             ) from None
 
-    def misfit_spectrum(self, f: np.ndarray,
-                        root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, gamma) with lam ascending and nonnegative, such that the
-        damped misfit of the checked data f is given (here) or approximated
-        (by a ToeplitzOperator) by phi(a)^2 = sum (a gamma_i / (lam_i + a))^2.
-
-        root maps such a spectrum to (a, iterations) for its root of
-        phi(a) = C delta (vr_newton passes its own search) and raises
-        ValueError when there is none; a route that takes its spectrum in
-        steps calls it to decide when to stop, and this one does not call it.
-        The spectrum is that of A A^T, exact: its eigenvalues, clamped at 0,
-        and the coefficients of f in its eigenvectors, from one tridiagonal
-        reduction of A A^T per call, O(m^3)."""
-        return _eigen_coefficients(self.gram_right, f)
-
     @cached_property
     def ascending_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s, U, V) of the full SVD A = U diag(s) V^T, in ascending order.
@@ -759,12 +719,10 @@ class ToeplitzOperator(DenseOperator):
 
     A is applied by FFT in O(n log n), so neither ||A||, the damped factor
     nor Landweber's exact route form A A^T: each takes A (A^T x) from the
-    FFT pair. misfit_spectrum bidiagonalizes from the data by FFT products
-    until the root settles, and falls back to A A^T's eigenpairs when the
-    root stalls or after 60 steps. choose_a, vr_solve, solve_dsm and
-    landweber_solve take their filters on a Golub-Kahan basis from the data
-    (_settled_on_basis), so they factor nothing unless no basis settles
-    within 60 steps. That basis, and ||A||, are kept across calls and
+    FFT pair. choose_a, vr_solve, vr_newton, solve_dsm and landweber_solve
+    take their filters on a Golub-Kahan basis from the data, built by FFT
+    products (_settled_on_basis), so they factor nothing, and vr_newton
+    reduces no A A^T, unless no basis settles within 60 steps. That basis, and ||A||, are kept across calls and
     operators in one module-level entry for the last structure, keyed by
     (lower, the bytes of c), which holds one bidiagonalization, keyed by the
     bytes of its start vector (_structure_entry): a call on
@@ -833,19 +791,6 @@ class ToeplitzOperator(DenseOperator):
         if a > np.finfo(float).eps * l1 * l1:
             return _toeplitz_cholesky(self.c, self.lower, product, a, float(l1 * l1 + a))
         return super()._factor(a)
-
-    def misfit_spectrum(self, f: np.ndarray,
-                        root: Callable[[np.ndarray, np.ndarray], tuple[float, int]],
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """The spectrum of a Golub-Kahan bidiagonalization from f by FFT
-        products, O(k n log n + k^2 n) for k steps: k grows by 5 until the
-        projected misfit floor is below C delta and the root agrees with the
-        one 5 steps earlier within 1e-12 relative (see _bidiagonal_spectrum).
-        It forms no Gram matrix. If the root's change shrinks less than
-        fourfold in 5 steps, or it has not settled by k = 60, the spectrum is
-        DenseOperator's, exact."""
-        spectrum = _bidiagonal_spectrum(self, f, root)
-        return super().misfit_spectrum(f, root) if spectrum is None else spectrum
 
 
 def as_operator(A) -> DenseOperator:

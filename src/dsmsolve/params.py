@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_damping, _check_solution_bound, _norm, _settled_on_basis, as_operator
+from .linalg import (_check_damping, _check_max_iter, _check_solution_bound, _eigen_coefficients, _norm,
+                     _settled_on_basis, as_operator)
 
 MAX_EVALUATIONS = 100
 
@@ -183,11 +184,10 @@ def _discrepancy_root(lam: np.ndarray, gamma: np.ndarray, target: float, s2: flo
     by the bracket and safeguarded Newton search that vr_newton describes,
     from start clamped into the bracket; s2 is ||A||^2. Each probe costs
     O(len(lam)). The one root finder on a misfit spectrum: vr_newton runs
-    it on the spectrum that the operator's misfit_spectrum returns, and
-    ToeplitzOperator.misfit_spectrum runs it to decide how far to extend a
-    bidiagonalization. Raises
-    ValueError, naming the reason, when there is no root or no convergence
-    within max_iter Newton steps."""
+    it on each Golub-Kahan spectrum until the root settles, and once more
+    on the spectrum it settled on, or on that of A A^T. Raises ValueError,
+    naming the reason, when there is no root or no convergence within
+    max_iter Newton steps."""
 
     def misfit_parts(a: float):
         shifted = lam + a
@@ -244,20 +244,19 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     phi(a) = a ||z||, z = (A A^T + a I)^{-1} f_delta, whose derivative is
     G'(a) = 2 a <z, z> - 2 a^2 <z, (A A^T + a I)^{-1} z>. The search runs on
     a misfit spectrum (lambda, gamma), in which z = gamma / (lambda + a), so
-    each bracket probe and Newton step costs O(len(lambda)). The final
-    u_a is vr_solve's: on a DenseOperator the one factorization of the
-    call, on a ToeplitzOperator a filter on the Golub-Kahan basis from
-    f_delta that the spectrum was taken on, kept for A's structure and the
-    data (linalg._structure_entry), which it replays and extends only
-    where its own acceptance needs more steps than the root did, and which
-    factors nothing unless it falls back. The spectrum comes from the operator's
-    misfit_spectrum: for a DenseOperator the eigenpairs of A A^T,
-    from one tridiagonal reduction per call; for a ToeplitzOperator that of
-    a Golub-Kahan bidiagonalization from f_delta, extended until its root
-    settles, with the eigenpairs as fallback (see
-    ToeplitzOperator.misfit_spectrum). Steps that leave the current bracket
-    fall back to its geometric midpoint, so iterates stay inside the
-    initial bracket.
+    each bracket probe and Newton step costs O(len(lambda)). Steps that
+    leave the current bracket fall back to its geometric midpoint, so
+    iterates stay inside the initial bracket.
+
+    On a ToeplitzOperator the spectrum is taken on a Golub-Kahan basis
+    B_k = P diag(s) Q^T from f_delta: lambda = (0, s^2) and gamma =
+    ||f_delta|| P^T e_1, ordered alike, the damped misfit restricted to
+    span(V_k), at or above the full one. The first k whose root agrees with
+    B_{k-5}'s within 1e-12 relative is taken (linalg._settled_on_basis).
+    Otherwise, and on a DenseOperator, the spectrum is the eigenpairs of
+    A A^T, from one tridiagonal reduction. The root is then taken once more
+    on it. u_a is vr_solve's, which on a ToeplitzOperator replays the same
+    basis (linalg._structure_entry) and factors nothing unless it falls back.
 
     Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.
     When C delta sits below the roundoff noise of the misfit itself, that
@@ -271,6 +270,7 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
         raise ValueError("needs delta > 0")
     if not C > 0.0:
         raise ValueError(f"C must be positive, got {C}")
+    _check_max_iter(max_iter)
     target = C * delta
     norm_f = float(np.linalg.norm(f_delta))
     if target >= norm_f:
@@ -285,5 +285,14 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     def root(lam: np.ndarray, gamma: np.ndarray) -> tuple[float, int]:
         return _discrepancy_root(lam, gamma, target, s2, start, max_iter)
 
-    a, iterations = root(*op.misfit_spectrum(f_delta, root))
+    settled = None
+    if op._filters_on_basis:
+
+        def settle(s, g, V, Qt):
+            lam, gamma = np.concatenate(([0.0], s[::-1] ** 2)), g[::-1]
+            return lam, gamma, root(lam, gamma)[0]
+
+        settled = _settled_on_basis(op, f_delta, settle, lambda new, old: abs(new[2] - old[2]) <= 1e-12 * new[2])
+    lam, gamma = settled[:2] if settled is not None else _eigen_coefficients(op.gram_right, f_delta)
+    a, iterations = root(lam, gamma)
     return a, vr_solve(op, f_delta, a), iterations

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _settled_on_basis, as_operator, as_vector
+from .linalg import _check_max_iter, _settled_on_basis, as_operator, as_vector
 from .operators import Preconditioner
 
 STOPPING_MODES = ("discrepancy", "apriori")
@@ -47,10 +46,7 @@ class SolveConfig:
             raise ValueError(f"apriori_C must be positive, got {self.apriori_C}")
         if self.stopping not in STOPPING_MODES:
             raise ValueError(f"stopping must be one of {STOPPING_MODES}, got {self.stopping!r}")
-        if not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        _check_max_iter(self.max_iter)
 
 
 @dataclass

@@ -255,6 +255,9 @@ def test_newton_input_validation():
         vr_newton(A, f, 2.0)  # C * delta above the data norm
     with pytest.raises(ValueError, match="no root"):
         vr_newton(np.zeros((2, 2)), f, 0.1)
+    for max_iter in (2.5, 0, -1):
+        with pytest.raises(ValueError, match="max_iter must be"):
+            vr_newton(A, f, 0.1, max_iter=max_iter)
 
 
 def test_newton_detects_misfit_floor_above_target():
@@ -331,10 +334,12 @@ def test_golub_kahan_does_not_stop_while_the_root_moves(monkeypatch):
     """A triangular Toeplitz A that does not smooth (n = 800, first column
     N(0, 1) e^{-i/40}) moves the projected root for hundreds of steps: at 5%
     and 1% noise a fixed k = 25 leaves a off by 6e-3 and 3e-2, and k = 100 by
-    6e-7 and 9e-5. The route must not stop there: once a 5-step extension
-    shrinks the root's change less than fourfold it falls back to the
-    tridiagonal route, before the bound of 60 steps, and its a matches that
-    of the same matrix nudged one ulp off Toeplitz within 1e-12."""
+    6e-7 and 9e-5. The route must not stop there: the root is taken every 5
+    steps up to the bound of 60, and then on the eigenpairs of A A^T; its a
+    matches that of the same matrix nudged one ulp off Toeplitz within
+    1e-12. The call takes 60 Golub-Kahan steps, one product with A and one
+    with A^T each, and one more A^T for vr_solve's exact route, which
+    replays the basis and extends it no further."""
     n = 800
     rng = np.random.default_rng(0)
     c = rng.standard_normal(n) * np.exp(-np.arange(n) / 40)
@@ -345,13 +350,17 @@ def test_golub_kahan_does_not_stop_while_the_root_moves(monkeypatch):
     b = A @ np.sin(np.linspace(0.0, np.pi, n))
     noise = rng.standard_normal(n)
     sizes = record_spectrum_sizes(monkeypatch)
+    cap = linalg._GOLUB_KAHAN_MAX_STEPS
     for delta_rel in (0.05, 0.01):
         delta = delta_rel * float(np.linalg.norm(b))
         f = b + noise * (delta / np.linalg.norm(noise))
         sizes.clear()
-        a, _, _ = vr_newton(op, f, delta)
-        assert sizes[-1] == n
-        assert 0 < len(sizes) - 1 < linalg._GOLUB_KAHAN_MAX_STEPS // 5
+        with mock.patch.object(op, "matvec", wraps=op.matvec) as matvec, \
+                mock.patch.object(op, "rmatvec", wraps=op.rmatvec) as rmatvec:
+            a, _, _ = vr_newton(op, f, delta)
+        assert sizes == [k + 1 for k in range(5, cap + 1, 5)] + [n]
+        assert op._basis(f).steps == cap
+        assert (matvec.call_count, rmatvec.call_count) == (cap, cap + 1)
         sizes.clear()
         a_ref, _, _ = vr_newton(reference, f, delta)
         assert sizes == [n]
