@@ -374,11 +374,13 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 # Golub-Kahan steps a basis takes at most before its caller falls back to
-# an exact route: the eigenpairs of A A^T for vr_newton's root, the residual
-# recurrence for Landweber, the damped solves for choose_a, vr_solve and
-# solve_dsm. Heat data settle within it down to 0.01% noise
-# (k = 20 at 5%); 60 steps cost 2-30% of the tridiagonal route from
-# n = 2000 down to n = 512, and the bound does not grow with n.
+# an exact route, on either operator: the eigenpairs of A A^T for
+# vr_newton's root, the residual recurrence for Landweber, the damped solves
+# for choose_a, vr_solve and solve_dsm. Heat data settle within it down to
+# 0.01% noise (k = 20 at 5%); by FFT products 60 steps cost 2-30% of the
+# tridiagonal route from n = 2000 down to n = 512, and the bound does not
+# grow with n. An A with min(m, n) < 10 (k_max < 10) always takes the exact
+# route.
 _GOLUB_KAHAN_MAX_STEPS = 60
 
 
@@ -455,11 +457,12 @@ class _Bidiagonalization:
 
 @dataclass
 class _StructureEntry:
-    """What is kept of one triangular Toeplitz structure, keyed by
-    (lower, the bytes of c): its ||A||, once known, and the bidiagonalization
-    from one start vector, keyed by that vector's bytes."""
+    """What is kept of one A across calls (DenseOperator._entry): its ||A||,
+    once known, and the bidiagonalization from one start vector, keyed by
+    that vector's bytes. key is (lower, the bytes of c) for a triangular
+    Toeplitz structure, None for the entry of one DenseOperator."""
 
-    key: tuple[bool, bytes]
+    key: tuple[bool, bytes] | None = None
     norm: float | None = None
     start: bytes | None = None
     basis: _Bidiagonalization | None = None
@@ -476,9 +479,9 @@ class _StructureEntry:
             return self.basis
 
 
-# The one entry kept across calls, for the last triangular Toeplitz
+# The one entry kept across operators, for the last triangular Toeplitz
 # structure a ToeplitzOperator asked for, and the lock that guards the slot
-# and every entry's start and basis.
+# and every entry's start and basis, a DenseOperator's own included.
 _last_structure: _StructureEntry | None = None
 _structure_lock = threading.Lock()
 
@@ -509,8 +512,8 @@ def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
     holds is returned. None comes once the bidiagonalization ends, after
     _GOLUB_KAHAN_MAX_STEPS steps or at an exact zero alpha or beta. An A A^T
     out of float64's range is named before any product. The basis is
-    op._basis(d): on a ToeplitzOperator the one kept for its structure and
-    d, which this call replays and extends, on a DenseOperator a fresh one.
+    op._basis(d), the one kept in op's entry for d, which this call replays
+    and extends.
     """
     op._gram_product(0.0)
     norm_d = float(np.linalg.norm(d))
@@ -533,8 +536,8 @@ def op_norm(M: np.ndarray) -> float:
 
 class DenseOperator:
     """Dense A, the one owner of every product with A and every
-    decomposition of A: A A^T, ||A||, the SVD and the Cholesky factor of
-    A A^T + a I for the last a, each formed on first use.
+    decomposition of A: A A^T, ||A||, the Golub-Kahan basis, the SVD and the
+    Cholesky factor of A A^T + a I for the last a, each formed on first use.
 
     matvec and rmatvec apply A and A^T to one vector of matching length,
     which _check_operand checks as a ToeplitzOperator's products do, and
@@ -547,20 +550,22 @@ class DenseOperator:
     validated and used as given, flags untouched; it must not change while
     the operator is in use.
 
-    Every A takes this dense route when the class is called directly, and
+    ||A|| and the Golub-Kahan basis of the last data are kept in the
+    operator's own entry (_entry), which holds no operator and no A and is
+    filled on first use: every call on the same data replays and extends
+    that basis, bit for bit as a fresh build (_StructureEntry.basis_at).
+
+    Every A takes these dense products when the class is called directly, and
     from as_operator unless it is exactly triangular Toeplitz of order
     n >= 512: a ToeplitzOperator, which overrides the products, the Gram
-    range check, ||A|| and the damped factor, keeps its Golub-Kahan basis
-    across calls, and takes the filters on that basis.
+    range check, the damped factor and the entry.
     """
 
     _damped: tuple[float, SpdFactorization] | None = None
-    # Whether choose_a, vr_solve, vr_newton and solve_dsm take their filters
-    # on a Golub-Kahan basis (_settled_on_basis) before their exact routes.
-    _filters_on_basis = False
 
     def __init__(self, A):
         self.A = as_matrix(A)
+        self._own_entry = _StructureEntry()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -587,13 +592,26 @@ class DenseOperator:
     def gram_right(self) -> np.ndarray:
         return _gram_lower(self.A)
 
+    def _entry(self) -> _StructureEntry:
+        """The entry that keeps ||A|| and the Golub-Kahan basis across calls:
+        this operator's own."""
+        return self._own_entry
+
     def _basis(self, f: np.ndarray) -> _Bidiagonalization:
-        """A fresh Golub-Kahan bidiagonalization of A started at f, which
-        lives as long as its caller keeps it."""
-        return _Bidiagonalization(f, self.shape[1])
+        """The Golub-Kahan bidiagonalization of A started at f that is kept
+        in the entry, shared by every call on this A and f."""
+        return self._entry().basis_at(f, self.shape[1])
 
     @cached_property
     def norm(self) -> float:
+        """||A||, kept in the entry, where every operator that shares it
+        reads it (_power_norm)."""
+        entry = self._entry()
+        if entry.norm is None:
+            entry.norm = self._power_norm()
+        return entry.norm
+
+    def _power_norm(self) -> float:
         """||A|| by power iteration on A A^T, one _gram_product per step,
         from a fixed all-ones start vector, until the Rayleigh quotient
         settles within 1e-10 relative, so repeated calls give the same value.
@@ -719,25 +737,17 @@ class ToeplitzOperator(DenseOperator):
 
     A is applied by FFT in O(n log n), so neither ||A||, the damped factor
     nor Landweber's exact route form A A^T: each takes A (A^T x) from the
-    FFT pair. choose_a, vr_solve, vr_newton, solve_dsm and landweber_solve
-    take their filters on a Golub-Kahan basis from the data, built by FFT
-    products (_settled_on_basis), so they factor nothing, and vr_newton
-    reduces no A A^T, unless no basis settles within 60 steps. That basis, and ||A||, are kept across calls and
-    operators in one module-level entry for the last structure, keyed by
-    (lower, the bytes of c), which holds one bidiagonalization, keyed by the
-    bytes of its start vector (_structure_entry): a call on
-    the same A and data replays the stored steps and extends them with this
-    operator's own products, bit for bit as a fresh build. The entry holds
-    no operator and no A; another structure, or another start vector,
-    drops the basis it held before a new one is allocated. The factor of
-    A A^T + a I takes O(n^2) by the
-    generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
-    Its Gram range errors are told from c alone (see _gram_product), so
-    raising one forms no Gram matrix; its Gram triangle, when formed, is
-    DenseOperator's, by dsyrk.
+    FFT pair, and so does the Golub-Kahan basis. That basis, and ||A||, are
+    kept across operators too: the entry (_entry) is one module-level entry
+    for the last structure, keyed by (lower, the bytes of c)
+    (_structure_entry), so a call on the same A and data replays the stored
+    steps and extends them with this operator's own products. Another
+    structure drops the entry, and its basis, before a new one is made. The
+    factor of A A^T + a I takes O(n^2) by the generalized Schur algorithm
+    when a > eps (sum |c_i|)^2 (see _factor). Its Gram range errors are
+    told from c alone (see _gram_product), so raising one forms no Gram
+    matrix; its Gram triangle, when formed, is DenseOperator's, by dsyrk.
     """
-
-    _filters_on_basis = True
 
     def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
         self.A, self.c, self.lower = A, c, lower
@@ -753,19 +763,10 @@ class ToeplitzOperator(DenseOperator):
         """A^T y by FFT, as matvec applies A."""
         return self._fft.rmatvec(y)
 
-    @cached_property
-    def norm(self) -> float:
-        """||A|| as DenseOperator finds it, kept with the structure's entry,
-        so another operator of the same (c, lower) reads it there."""
-        entry = _structure_entry(self.c, self.lower)
-        if entry.norm is None:
-            entry.norm = DenseOperator.norm.func(self)
-        return entry.norm
-
-    def _basis(self, f: np.ndarray) -> _Bidiagonalization:
-        """The Golub-Kahan bidiagonalization of A started at f that is kept
-        with the structure's entry, shared by every call on (c, lower, f)."""
-        return _structure_entry(self.c, self.lower).basis_at(f, self.shape[1])
+    def _entry(self) -> _StructureEntry:
+        """The module-level entry of the structure (c, lower), shared by every
+        operator of that structure."""
+        return _structure_entry(self.c, self.lower)
 
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
         """x -> A (A^T x) + shift x by FFT; it forms no Gram matrix and refers

@@ -17,10 +17,9 @@ class Preconditioner:
     its last a. Construction only checks that a is positive and finite: the
     factor is built at the first apply, and an a the operator cannot take,
     or an A A^T out of float64's range, fails there. So a solve_dsm that
-    runs on a Golub-Kahan basis (a ToeplitzOperator's route) factors
-    nothing. T and Q are symmetric positive semidefinite with spectral norm
-    strictly below 1, which is what makes the damped iteration stable for
-    unit step size.
+    settles on a Golub-Kahan basis factors nothing. T and Q are symmetric
+    positive semidefinite with spectral norm strictly below 1, which is what
+    makes the damped iteration stable for unit step size.
     """
 
     def __init__(self, A, a: float):

@@ -54,16 +54,16 @@ def vr_solve(A, f_delta, a: float) -> np.ndarray:
     """Damped least-squares solution A^T (A A^T + a I)^{-1} f_delta, which
     equals (A^T A + a I)^{-1} A^T f_delta.
 
-    On a ToeplitzOperator it is taken on a Golub-Kahan basis started at
-    f_delta (see solvers.landweber_solve): with B_k = P diag(s) Q^T and
+    It is taken on a Golub-Kahan basis started at f_delta (see
+    solvers.landweber_solve): with B_k = P diag(s) Q^T and
     g = ||f_delta|| P^T e_1, it is V_k Q diag(s / (s^2 + a)) g_{1..k}, and the
     first k whose solution is within 1e-12 relative of the one on B_{k-5} is
-    accepted. With none accepted by 60 steps, and on a DenseOperator, it is
-    one damped solve of the factored A A^T + a I. Either way a must be
-    positive and finite, and ||f_delta|| / a finite."""
+    accepted. With none accepted by 60 steps, and for zero data, it is one
+    damped solve of the factored A A^T + a I. Either way a must be positive
+    and finite, and ||f_delta|| / a finite."""
     op = as_operator(A)
     f_delta = op.check_data(f_delta)
-    if op._filters_on_basis and f_delta.any():
+    if f_delta.any():
         _check_damping(a)
         op._gram_product(0.0)  # the exact route's error order: a, then A A^T, then ||f|| / a
         _check_solution_bound(_norm(f_delta), a)
@@ -144,8 +144,7 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
     undershoot ends the search with 3 a, recorded as fallback_triple; the
     misfit at that fallback value can sit outside the target band.
 
-    On a DenseOperator each misfit is phi, exact. On a ToeplitzOperator the
-    search runs on a Golub-Kahan basis started at f_delta: on B_k, whose
+    The search runs on a Golub-Kahan basis started at f_delta: on B_k, whose
     misfit is a ||gamma / (lam + a)|| for lam = (s^2, 0) and
     gamma = ||f_delta|| P^T e_1 (B_k = P diag(s) Q^T), once the projected
     floor |gamma_{k+1}| is below delta; a search that raises ValueError
@@ -166,14 +165,13 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
         raise ValueError("operator norm is zero; the misfit does not depend on a")
 
     start = start_damping(delta, op.norm, norm_f)
-    if op._filters_on_basis:
 
-        def search(s, g, V, Qt):
-            return _search(_projected_misfit(s, g), start, delta) if abs(g[-1]) < delta else None
+    def search(s, g, V, Qt):
+        return _search(_projected_misfit(s, g), start, delta) if abs(g[-1]) < delta else None
 
-        trace = _settled_on_basis(op, f_delta, search, _traces_agree)
-        if trace is not None:
-            return trace
+    trace = _settled_on_basis(op, f_delta, search, _traces_agree)
+    if trace is not None:
+        return trace
     return _search(lambda a: phi(op, f_delta, a), start, delta)
 
 
@@ -248,15 +246,14 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     leave the current bracket fall back to its geometric midpoint, so
     iterates stay inside the initial bracket.
 
-    On a ToeplitzOperator the spectrum is taken on a Golub-Kahan basis
-    B_k = P diag(s) Q^T from f_delta: lambda = (0, s^2) and gamma =
-    ||f_delta|| P^T e_1, ordered alike, the damped misfit restricted to
-    span(V_k), at or above the full one. The first k whose root agrees with
-    B_{k-5}'s within 1e-12 relative is taken (linalg._settled_on_basis).
-    Otherwise, and on a DenseOperator, the spectrum is the eigenpairs of
-    A A^T, from one tridiagonal reduction. The root is then taken once more
-    on it. u_a is vr_solve's, which on a ToeplitzOperator replays the same
-    basis (linalg._structure_entry) and factors nothing unless it falls back.
+    The spectrum is taken on a Golub-Kahan basis B_k = P diag(s) Q^T from
+    f_delta: lambda = (0, s^2) and gamma = ||f_delta|| P^T e_1, ordered
+    alike, the damped misfit restricted to span(V_k), at or above the full
+    one. The first k whose root agrees with B_{k-5}'s within 1e-12 relative
+    is taken (linalg._settled_on_basis). Otherwise the spectrum is the
+    eigenpairs of A A^T, from one tridiagonal reduction. The root is then
+    taken once more on it. u_a is vr_solve's, which replays the same basis,
+    kept in the operator's entry, and factors nothing unless it falls back.
 
     Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.
     When C delta sits below the roundoff noise of the misfit itself, that
@@ -285,14 +282,11 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     def root(lam: np.ndarray, gamma: np.ndarray) -> tuple[float, int]:
         return _discrepancy_root(lam, gamma, target, s2, start, max_iter)
 
-    settled = None
-    if op._filters_on_basis:
+    def settle(s, g, V, Qt):
+        lam, gamma = np.concatenate(([0.0], s[::-1] ** 2)), g[::-1]
+        return lam, gamma, root(lam, gamma)[0]
 
-        def settle(s, g, V, Qt):
-            lam, gamma = np.concatenate(([0.0], s[::-1] ** 2)), g[::-1]
-            return lam, gamma, root(lam, gamma)[0]
-
-        settled = _settled_on_basis(op, f_delta, settle, lambda new, old: abs(new[2] - old[2]) <= 1e-12 * new[2])
+    settled = _settled_on_basis(op, f_delta, settle, lambda new, old: abs(new[2] - old[2]) <= 1e-12 * new[2])
     lam, gamma = settled[:2] if settled is not None else _eigen_coefficients(op.gram_right, f_delta)
     a, iterations = root(lam, gamma)
     return a, vr_solve(op, f_delta, a), iterations

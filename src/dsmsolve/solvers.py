@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_max_iter, _settled_on_basis, as_operator, as_vector
+from .linalg import _check_max_iter, _norm, _settled_on_basis, as_operator, as_vector
 from .operators import Preconditioner
 
 STOPPING_MODES = ("discrepancy", "apriori")
@@ -54,13 +54,12 @@ class SolveResult:
     """Outcome of one solver run.
 
     residual_history[k] is ||A u_k - f_delta||, starting at the initial guess,
-    so its length is iterations + 1. landweber_solve, and solve_dsm on a
-    ToeplitzOperator, take the first directly and the rest from their run
-    on a Golub-Kahan basis, as ||A u_k - f_delta|| of the projected
-    iterates u_k: within 4.9e-14 relative of Landweber's iterate form, and
-    within 7.5e-13 of the damped iteration's direct residuals, on heat and
-    Volterra data. When no basis is accepted, and for solve_dsm on a
-    DenseOperator, solve_dsm takes each one directly, and landweber_solve
+    so its length is iterations + 1. landweber_solve and solve_dsm take the
+    first directly and the rest from their run on a Golub-Kahan basis, as
+    ||A u_k - f_delta|| of the projected iterates u_k: within 4.9e-14
+    relative of Landweber's iterate form, and within 7.5e-13 of the damped
+    iteration's direct residuals, on heat and Volterra data. When no basis
+    is accepted, solve_dsm takes each one directly, and landweber_solve
     takes them from its exact residual recurrence (see landweber_solve).
     stop_reason is one of
     "discrepancy_met", "apriori_reached", "max_iter", "initial_already_small".
@@ -117,10 +116,17 @@ def _checked_inputs(A, f_delta, delta, config):
 
 
 def _start(op, f_delta, u0):
-    """The initial guess u0, default zero, and its residual A u0 - f_delta."""
+    """The initial guess u0, default zero, and its residual A u0 - f_delta;
+    raises ValueError, naming the initial guess, when ||A u0 - f_delta||^2,
+    which the filters and the history's norms square, overflows float64."""
     cols = op.shape[1]
     u = np.zeros(cols) if u0 is None else as_vector(u0, cols, name="initial guess").copy()
-    return u, op.matvec(u) - f_delta
+    r = op.matvec(u) - f_delta
+    norm = _norm(r)
+    if not math.isfinite(norm * norm):
+        raise ValueError(f"residual of the initial guess, ||A u0 - f_delta|| = {norm:.6g}, overflows "
+                         "float64 when squared; scale u0, f_delta and delta down by a common factor")
+    return u, r
 
 
 def _stop_rule(delta, config) -> tuple[float, int, str]:
@@ -190,15 +196,14 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     because the residual propagates through I - h Q, whose spectrum lies
     in (0, 1] for h * ||T|| < 2.
 
-    On a ToeplitzOperator (the operator that as_operator makes of A) the
-    run is taken as landweber_solve takes its own: n steps apply the filter
-    1 - (1 - h s^2 / (s^2 + a))^n to A's singular values s, so the whole
-    run, stop rule included, is evaluated on a Golub-Kahan basis started at
-    d = f_delta - A u0, at O(k) per step, with landweber_solve's rule for
-    accepting a k. It then makes no damped solve, so the preconditioner,
+    The run is taken as landweber_solve takes its own: n steps apply the
+    filter 1 - (1 - h s^2 / (s^2 + a))^n to A's singular values s, so the
+    whole run, stop rule included, is evaluated on a Golub-Kahan basis
+    started at d = f_delta - A u0, at O(k) per step, with landweber_solve's
+    rule for accepting a k. It then makes no damped solve, so the preconditioner,
     which contributes only a, factors nothing. When no k is accepted by 60
-    steps, on a DenseOperator, and when the initial residual already meets
-    the stop, each step is the exact update above.
+    steps, and when the initial residual already meets the stop, each step
+    is the exact update above.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
     if precond.op.shape != op.shape:
@@ -211,11 +216,9 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
 
     u, r = _start(op, f_delta, u0)
     rule = _stop_rule(delta, config)
-    if op._filters_on_basis and float(np.linalg.norm(r)) > max(rule[0], 0.0):
-        h, a = config.h, precond.a
-        projected = _projected_run(op, u, -r, lambda s: h * s * s / (s * s + a), rule, a)
-        if projected is not None:
-            return projected
+    projected = _projected_run(op, u, -r, lambda s: config.h * s * s / (s * s + precond.a), rule, precond.a)
+    if projected is not None:
+        return projected
 
     def step(u, r):
         u = u - config.h * precond.apply_p(r)
@@ -298,9 +301,12 @@ def _projected_run(op, u0, d, fraction, rule, a_used) -> SolveResult | None:
     """A run from u0 on the data A u0 + d whose steps keep 1 - fraction(s)
     of each residual component, taken on a Golub-Kahan basis started at d
     by _landweber_filter, with landweber_solve's rule for accepting a k
-    (linalg._settled_on_basis); None when no k is accepted. The history
+    (linalg._settled_on_basis); None when no k is accepted, and, with no
+    basis built, when ||d|| already meets the stop or is zero. The history
     starts at ||d||."""
     norm_d = float(np.linalg.norm(d))
+    if norm_d <= max(rule[0], 0.0):
+        return None
 
     def run(s, g, V, Qt):
         iterations, reason, history, coefficients = _landweber_filter(s, g, fraction(s), rule)
@@ -366,11 +372,9 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
         )
     u, r = _start(op, f_delta, u0)
     rule = _stop_rule(delta, config)
-    if float(np.linalg.norm(r)) > max(rule[0], 0.0):  # a zero residual starts no basis
-        h = config.h
-        projected = _projected_run(op, u, -r, lambda s: h * s * s, rule, None)
-        if projected is not None:
-            return projected
+    projected = _projected_run(op, u, -r, lambda s: config.h * s * s, rule, None)
+    if projected is not None:
+        return projected
     product = op._gram_product(0.0)
 
     def step(total, r):

@@ -256,16 +256,21 @@ def count_factorizations(monkeypatch) -> list:
 
 
 def test_newton_factors_only_for_the_final_solve(monkeypatch):
-    """vr_newton takes every misfit from one spectrum of A A^T, so the one
-    Cholesky factorization it makes is vr_solve's at the root, of the m x m
-    A A^T + a I, however many bracket probes and Newton steps ran."""
+    """vr_newton takes every misfit from one spectrum, so it factors at most
+    once, however many bracket probes and Newton steps ran: on a
+    Golub-Kahan basis, where u is taken on the same basis, not at all; and
+    with the basis capped at 5 steps, where none settles and the spectrum
+    is that of A A^T, once, for vr_solve's exact route at the root, the
+    m x m A A^T + a I."""
     factored = count_factorizations(monkeypatch)
-    for n, seed in ((30, 0), (60, 3)):
-        inst = heat_instance(n, 0.05, seed)
-        factored.clear()
-        _, _, iterations = vr_newton(inst.A, inst.b_noisy, inst.delta)
-        assert iterations > 1
-        assert [factor.lower.shape for _, factor in factored] == [(n, n)]
+    for cap, expected in ((linalg._GOLUB_KAHAN_MAX_STEPS, 0), (5, 1)):
+        monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", cap)
+        for n, seed in ((30, 0), (60, 3)):
+            inst = heat_instance(n, 0.05, seed)
+            factored.clear()
+            _, _, iterations = vr_newton(inst.A, inst.b_noisy, inst.delta)
+            assert iterations > 1
+            assert [factor.lower.shape for _, factor in factored] == [(n, n)] * expected
 
 
 def test_one_operator_forms_each_gram_once(formed_grams):
@@ -314,18 +319,19 @@ def test_fft_route_newton_forms_no_gram(formed_grams):
     """On heat n = 600 vr_newton takes its misfit spectrum from a Golub-Kahan
     bidiagonalization by FFT products: it forms neither A^T A nor A A^T and
     calls no dsytrd. The same matrix with one entry moved by one ulp is no
-    longer Toeplitz and forms A A^T once, for ||A||, its spectrum and the
-    final solve, and reduces it by one dsytrd."""
+    longer Toeplitz: it takes its spectrum from a basis by gemv, so it
+    calls no dsytrd either, and forms A A^T once, for ||A|| and the Gram
+    range check."""
     formed = formed_grams
     inst = heat_instance(600, 0.01, 1)
     nudged = inst.A.copy()
     nudged[599, 599] = np.nextafter(nudged[599, 599], np.inf)
-    for A, grams, reductions in ((inst.A, [], 0), (nudged, ["A A^T"], 1)):
+    for A, grams in ((inst.A, []), (nudged, ["A A^T"])):
         formed.clear()
         with mock.patch.object(scipy.linalg.lapack, "dsytrd", wraps=scipy.linalg.lapack.dsytrd) as dsytrd:
             vr_newton(as_operator(A), inst.b_noisy, inst.delta)
         assert formed == grams
-        assert dsytrd.call_count == reductions
+        assert dsytrd.call_count == 0
 
 
 def test_dropped_operator_frees_its_spectrum_route_without_the_collector():
@@ -429,17 +435,24 @@ def test_t_norm_reads_the_shared_operator(formed_grams):
 
 
 def test_shared_operator_factors_once_per_damping(monkeypatch):
-    """The operator keeps the factor for its last damping: choose_a's accepting
-    misfit, the dsm preconditioner and vr_i share one Cholesky, and vr_n's
-    final solve makes the other."""
+    """On heat n = 100 every method takes its filter on the one Golub-Kahan
+    basis the operator keeps, so none factors. With the basis capped at 5
+    steps, where every method takes its exact route, the operator keeps the
+    factor for its last damping: choose_a's accepting misfit, the dsm
+    preconditioner and vr_i share one Cholesky, and vr_n's final solve
+    makes the other."""
     factored = count_factorizations(monkeypatch)
     inst = heat_instance(100, 0.01, 1)
-    op = as_operator(inst.A)
-    trace = choose_a(op, inst.b_noisy, inst.delta)
-    assert trace.evaluations == 1
-    results = {method: cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
-               for method in cli.METHODS}
-    assert [shift for shift, _ in factored] == [trace.chosen_a, results["vr_n"].a_used]
+    for cap in (linalg._GOLUB_KAHAN_MAX_STEPS, 5):
+        monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", cap)
+        factored.clear()
+        op = as_operator(inst.A)
+        trace = choose_a(op, inst.b_noisy, inst.delta)
+        assert trace.evaluations == 1
+        results = {method: cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
+                   for method in cli.METHODS}
+        expected = [] if cap > 5 else [trace.chosen_a, results["vr_n"].a_used]
+        assert [shift for shift, _ in factored] == expected
 
 
 def test_two_dampings_share_the_operator_svd_and_keep_their_bits(monkeypatch):

@@ -18,6 +18,7 @@ from dsmsolve import (
     as_operator,
     build_preconditioner,
     choose_a,
+    dsm_step,
     landweber_solve,
     op_norm,
     phi,
@@ -28,7 +29,7 @@ from dsmsolve import (
     vr_newton,
     vr_solve,
 )
-from dsmsolve import linalg
+from dsmsolve import linalg, params, solvers
 from dsmsolve.linalg import ToeplitzOperator, _cholesky, _triangular_toeplitz
 from dsmsolve.problems import heat_instance, heat_matrix, volterra_instance
 
@@ -382,7 +383,7 @@ def test_products_below_the_fft_floor_are_numpy_s(lower):
 
 @pytest.mark.parametrize("lower", (True, False))
 def test_dense_operator_products_are_numpy_s_above_the_fft_floor(lower):
-    """DenseOperator called directly takes the dense route for any A: on
+    """DenseOperator called directly takes dense products for any A: on
     heat_matrix(600), or its transpose, which as_operator applies by FFT,
     matvec and rmatvec are numpy's A x and A^T y, bit for bit."""
     A = heat_matrix(600) if lower else np.ascontiguousarray(heat_matrix(600).T)
@@ -396,7 +397,7 @@ def test_dense_operator_products_are_numpy_s_above_the_fft_floor(lower):
 def test_fft_route_keeps_the_damping_steps_and_solutions(seed, delta_rel):
     """On heat_matrix(600), which takes the FFT products, and on the same
     matrix with one entry moved by one ulp, which is no longer Toeplitz and
-    takes dense products, a Gram triangle and LAPACK's Cholesky: choose_a's a
+    builds its Golub-Kahan basis by gemv: choose_a's a
     agrees within 1e-14, evaluations, dsm steps and Newton iterations are
     the same, the dsm, vr_i and vr_n solutions agree within 1e-12, and both
     residual histories are nonincreasing within criterion 02's slack."""
@@ -440,8 +441,9 @@ GOLUB_KAHAN_BOUNDS = {0.05: (1e-12, 1e-11), 0.01: (1e-12, 1e-11), 0.001: (1e-11,
 def test_golub_kahan_root_matches_the_tridiagonal_one(n, kappa, delta_rel, seed):
     """vr_newton on a heat operator from n = 512, which takes its misfit
     spectrum from a Golub-Kahan bidiagonalization, against the same matrix
-    with one entry moved by one ulp, which is no longer Toeplitz and reduces
-    A A^T by dsytrd: the same Newton iterations; a within 1e-12 relative and
+    with one entry moved by one ulp, which is no longer Toeplitz, with the
+    root taken on the eigenpairs of A A^T from dsytrd and u by one damped
+    solve (_exact_newton): the same Newton iterations; a within 1e-12 relative and
     u within 1e-11 at 5% and 1% noise, ten times that at 0.1% (see
     GOLUB_KAHAN_BOUNDS); and phi(a) within NEWTON_RTOL C delta of C delta
     under the nudged operator's dense phi."""
@@ -452,7 +454,7 @@ def test_golub_kahan_root_matches_the_tridiagonal_one(n, kappa, delta_rel, seed)
     op, reference = as_operator(inst.A), as_operator(nudged)
     assert isinstance(op, ToeplitzOperator) and not isinstance(reference, ToeplitzOperator)
     a, u, iterations = vr_newton(op, f, delta)
-    a_ref, u_ref, ref_iterations = vr_newton(reference, f, delta)
+    a_ref, u_ref, ref_iterations = _exact_newton(reference, f, delta)
     assert iterations == ref_iterations
     a_bound, u_bound = GOLUB_KAHAN_BOUNDS[delta_rel]
     assert abs(a - a_ref) <= a_bound * a_ref
@@ -479,48 +481,108 @@ def _within(x, reference, rtol=1e-12):
     return np.all(np.abs(np.asarray(x) - reference) <= rtol * np.abs(reference))
 
 
+def _exact_search(op, f, delta):
+    """choose_a's search on the exact misfit phi, from choose_a's start."""
+    return params._search(lambda a: phi(op, f, a), params.start_damping(delta, op.norm, np.linalg.norm(f)), delta)
+
+
+def _exact_solve(op, f, a):
+    """vr_solve's u by one damped solve, A^T (A A^T + a I)^{-1} f."""
+    return op.rmatvec(op.damped_solve(a, f))
+
+
+def _exact_newton(op, f, delta, C=1.01):
+    """vr_newton's (a, u, iterations) with the root taken on the eigenpairs
+    of A A^T (linalg._eigen_coefficients) and u by one damped solve."""
+    lam, gamma = linalg._eigen_coefficients(op.gram_right, f)
+    start = params.start_damping(delta, op.norm, np.linalg.norm(f))
+    a, iterations = params._discrepancy_root(lam, gamma, C * delta, op.norm_squared, start, 100)
+    return a, _exact_solve(op, f, a), iterations
+
+
+def _exact_dsm(op, f, delta, precond, config):
+    """solve_dsm from zero as a hand loop of dsm_step under its stop rule:
+    (iterations, stop_reason, residual_history, solution)."""
+    threshold, steps, finished = solvers._stop_rule(delta, config)
+    u = np.zeros(op.shape[1])
+    history = [float(np.linalg.norm(op.matvec(u) - f))]
+    if history[0] <= threshold:
+        return 0, "initial_already_small", history, u
+    for step in range(1, steps + 1):
+        u = dsm_step(precond, config.h, u, f)
+        history.append(float(np.linalg.norm(op.matvec(u) - f)))
+        if history[-1] <= threshold:
+            return step, "discrepancy_met", history, u
+    return steps, finished, history, u
+
+
+def _basis_results(op, f, delta, h):
+    """choose_a's trace, vr_solve at its a, vr_newton, and solve_dsm at its a
+    under each of _dsm_configs(h), on op."""
+    trace = choose_a(op, f, delta)
+    a = trace.chosen_a
+    runs = [solve_dsm(op, f, delta, build_preconditioner(op, a), config) for config in _dsm_configs(h)]
+    return trace, vr_solve(op, f, a), vr_newton(op, f, delta), runs
+
+
 @given(family=st.sampled_from(sorted(FAMILIES)), n=st.integers(20, 200),
        delta_rel=st.sampled_from((0.05, 0.01, 0.001)), seed=SEEDS,
        h=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
 def test_basis_route_matches_the_exact_route(family, n, delta_rel, seed, h):
-    """choose_a, vr_solve, vr_newton and solve_dsm on a ToeplitzOperator
-    built directly, which take their filters on a Golub-Kahan basis,
-    against a DenseOperator of the same A, which takes the exact route, on
-    heat and Volterra data: the same search actions, with every a and
-    misfit within 1e-12 relative; vr_solve at each side's a within 1e-12;
-    vr_newton's Newton iterations the same, its a within 1e-11 and its u
-    within 1e-12; and for the damped iteration with unit steps and with h in
-    (1, 2), under either stopping rule, the same step counts and stop
-    reasons, u within 1e-12, and every history entry within 1e-12 relative
-    plus 1e-13 ||f_delta||. The absolute term is for a-priori runs on small
-    systems, whose residuals fall to roundoff. Measured over 300 draws:
-    3.7e-14 on the search, 1.8e-14 on vr_solve, 8.2e-14 on u, and
-    histories within a quarter of their bound. vr_newton's a, measured over
-    1,500 draws, came within 1.1e-12 on heat at 0.1% noise and 3.8e-13
-    elsewhere, as the root amplifies the misfit's roundoff; its u within
-    2.5e-14."""
+    """choose_a, vr_solve, vr_newton and solve_dsm on a DenseOperator and on
+    a ToeplitzOperator built directly, which take their filters on a
+    Golub-Kahan basis, against references from the exact primitives, on
+    heat and Volterra data: the search on phi (params._search), the root on
+    the eigenpairs of A A^T, vr_solve by one damped solve, and the damped
+    iteration as a hand loop of dsm_step. The same search actions, with
+    every a and misfit within 1e-12 relative; vr_solve at each side's a
+    within 1e-12; vr_newton's Newton iterations the same, its a within
+    1e-11 and its u within 1e-12; and for the damped iteration with unit
+    steps and with h in (1, 2), under either stopping rule, the same step
+    counts and stop reasons, u within 1e-12, and every history entry within
+    1e-12 relative plus 1e-13 ||f_delta||. The absolute term is for
+    a-priori runs on small systems, whose residuals fall to roundoff. The
+    two operators, by gemv and by FFT products, agree with each other in
+    actions, step counts, stop reasons and Newton iterations, and in every
+    value within 1e-12 relative (histories plus 1e-13 ||f_delta||).
+    Measured on either operator over 1,800 draws: 8.4e-14 on the search,
+    1.8e-14 on vr_solve, 2.9e-13 on the damped iteration's u, and
+    histories within 0.55 of their bound; vr_newton's a within 1.3e-12 on
+    heat at 0.1% noise and 1.4e-13 elsewhere, as the root amplifies the
+    misfit's roundoff, and its u within 2.9e-14. Between the operators:
+    3.4e-13 on vr_newton's a, 1.8e-13 on the damped iteration's u, and
+    5.2e-14 or less elsewhere."""
     inst = FAMILIES[family](n, delta_rel, seed)
     A, f, delta = inst.A, inst.b_noisy, inst.delta
-    projected, exact = toeplitz_operator(A), DenseOperator(A)
-    trace, reference = choose_a(projected, f, delta), choose_a(exact, f, delta)
-    assert [step.action for step in trace.steps] == [step.action for step in reference.steps]
-    assert _within(_trace_values(trace), _trace_values(reference))
-    a, a_exact = trace.chosen_a, reference.chosen_a
-    u, u_exact = vr_solve(projected, f, a), vr_solve(exact, f, a_exact)
-    assert np.linalg.norm(u - u_exact) <= 1e-12 * np.linalg.norm(u_exact)
-    (a_n, u_n, iterations), (a_n_exact, u_n_exact, exact_iterations) = (
-        vr_newton(projected, f, delta), vr_newton(exact, f, delta))
-    assert iterations == exact_iterations
-    assert abs(a_n - a_n_exact) <= 1e-11 * a_n_exact
-    assert np.linalg.norm(u_n - u_n_exact) <= 1e-12 * np.linalg.norm(u_n_exact)
     norm_f = np.linalg.norm(f)
-    for config in _dsm_configs(h):
-        run = solve_dsm(projected, f, delta, build_preconditioner(projected, a), config)
-        ref = solve_dsm(exact, f, delta, build_preconditioner(exact, a_exact), config)
+    exact = DenseOperator(A)
+    reference = _exact_search(exact, f, delta)
+    a_exact = reference.chosen_a
+    u_exact = _exact_solve(exact, f, a_exact)
+    a_n_exact, u_n_exact, exact_iterations = _exact_newton(exact, f, delta)
+    dsm_exact = [_exact_dsm(exact, f, delta, build_preconditioner(exact, a_exact), config) for config in _dsm_configs(h)]
+    results = [_basis_results(op, f, delta, h) for op in (DenseOperator(A), toeplitz_operator(A))]
+    for trace, u, (a_n, u_n, iterations), runs in results:
+        assert [step.action for step in trace.steps] == [step.action for step in reference.steps]
+        assert _within(_trace_values(trace), _trace_values(reference))
+        assert np.linalg.norm(u - u_exact) <= 1e-12 * np.linalg.norm(u_exact)
+        assert iterations == exact_iterations
+        assert abs(a_n - a_n_exact) <= 1e-11 * a_n_exact
+        assert np.linalg.norm(u_n - u_n_exact) <= 1e-12 * np.linalg.norm(u_n_exact)
+        for run, (steps, stop_reason, history, solution) in zip(runs, dsm_exact):
+            assert (run.iterations, run.stop_reason) == (steps, stop_reason)
+            assert np.linalg.norm(run.solution - solution) <= 1e-12 * np.linalg.norm(solution)
+            assert np.all(np.abs(np.array(run.residual_history) - history) <= 1e-12 * np.array(history) + 1e-13 * norm_f)
+    (trace, u, (a_n, u_n, iterations), runs), (fft_trace, fft_u, (fft_a_n, fft_u_n, fft_iterations), fft_runs) = results
+    assert [step.action for step in fft_trace.steps] == [step.action for step in trace.steps]
+    assert _within(_trace_values(fft_trace), _trace_values(trace))
+    assert fft_iterations == iterations and abs(fft_a_n - a_n) <= 1e-12 * a_n
+    for x, x_ref in [(fft_u, u), (fft_u_n, u_n)] + [(run.solution, ref.solution) for run, ref in zip(fft_runs, runs)]:
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    for run, ref in zip(fft_runs, runs):
         assert (run.iterations, run.stop_reason) == (ref.iterations, ref.stop_reason)
-        assert np.linalg.norm(run.solution - ref.solution) <= 1e-12 * np.linalg.norm(ref.solution)
-        history, reference = np.array(run.residual_history), np.array(ref.residual_history)
-        assert np.all(np.abs(history - reference) <= 1e-12 * reference + 1e-13 * norm_f)
+        history = np.array(ref.residual_history)
+        assert np.all(np.abs(np.array(run.residual_history) - history) <= 1e-12 * history + 1e-13 * norm_f)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -528,24 +590,26 @@ def test_basis_route_gives_up_to_the_exact_route(family, monkeypatch):
     """With the Golub-Kahan step cap at 5 steps no k is accepted, as a k
     needs a result 5 steps before it: choose_a, vr_solve, vr_newton and
     solve_dsm with either stopping rule, at h = 1 and 1.5, on an n = 600
-    ToeplitzOperator give the bits of its exact route, taken with the basis
-    switched off."""
+    DenseOperator and on the ToeplitzOperator of the same A give the bits
+    of the exact primitives on that operator: the search on phi, one damped
+    solve, the root on the eigenpairs of A A^T, and a hand loop of
+    dsm_step."""
     inst = FAMILIES[family](600, 0.01, 1)
     f, delta = inst.b_noisy, inst.delta
     monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", 5)
-    op, exact = as_operator(inst.A), as_operator(inst.A)
+    for op in (DenseOperator(inst.A), as_operator(inst.A)):
+        trace = choose_a(op, f, delta)
+        assert trace == _exact_search(op, f, delta)
+        a = trace.chosen_a
+        assert np.array_equal(vr_solve(op, f, a), _exact_solve(op, f, a))
+        (a_n, u_n, iterations), (a_n_exact, u_n_exact, exact_iterations) = (
+            vr_newton(op, f, delta), _exact_newton(op, f, delta))
+        assert (a_n, iterations) == (a_n_exact, exact_iterations)
+        assert np.array_equal(u_n, u_n_exact)
+        for config in _dsm_configs(1.5):
+            precond = build_preconditioner(op, a)
+            run = solve_dsm(op, f, delta, precond, config)
+            steps, stop_reason, history, solution = _exact_dsm(op, f, delta, precond, config)
+            assert (run.iterations, run.stop_reason, run.residual_history) == (steps, stop_reason, history)
+            assert np.array_equal(run.solution, solution)
     assert isinstance(op, ToeplitzOperator)
-    exact._filters_on_basis = False
-    trace = choose_a(op, f, delta)
-    assert trace == choose_a(exact, f, delta)
-    a = trace.chosen_a
-    assert np.array_equal(vr_solve(op, f, a), vr_solve(exact, f, a))
-    (a_n, u_n, iterations), (a_n_exact, u_n_exact, exact_iterations) = vr_newton(op, f, delta), vr_newton(exact, f, delta)
-    assert (a_n, iterations) == (a_n_exact, exact_iterations)
-    assert np.array_equal(u_n, u_n_exact)
-    for config in _dsm_configs(1.5):
-        run = solve_dsm(op, f, delta, build_preconditioner(op, a), config)
-        ref = solve_dsm(exact, f, delta, build_preconditioner(exact, a), config)
-        assert (run.iterations, run.stop_reason, run.residual_history) == (
-            ref.iterations, ref.stop_reason, ref.residual_history)
-        assert np.array_equal(run.solution, ref.solution)

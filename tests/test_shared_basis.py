@@ -1,6 +1,7 @@
-"""Tests for the structure entry that ToeplitzOperator keeps across calls:
-||A|| and one Golub-Kahan bidiagonalization per (A, data), replayed and
-extended by every call on that data, bit for bit."""
+"""Tests for the entry that keeps ||A|| and one Golub-Kahan
+bidiagonalization per (A, data) across calls, replayed and extended by every
+call on that data, bit for bit: one module-level entry per triangular
+Toeplitz structure for ToeplitzOperator, and each DenseOperator's own."""
 
 import dataclasses
 import gc
@@ -23,7 +24,7 @@ from dsmsolve import (
     vr_newton,
     vr_solve,
 )
-from dsmsolve.linalg import ToeplitzOperator
+from dsmsolve.linalg import DenseOperator, ToeplitzOperator
 from dsmsolve.problems import heat_instance, volterra_instance
 
 FAMILIES = {"heat": heat_instance, "volterra": volterra_instance}
@@ -149,6 +150,45 @@ def test_the_entry_holds_no_operator_and_one_basis(monkeypatch):
         gc.enable()
 
 
+def test_a_dense_entry_holds_no_operator_and_one_basis(monkeypatch):
+    """A DenseOperator's own entry, with the cyclic collector off: once the
+    caller drops it, the operator frees its A, its entry and its
+    bidiagonalization; and a call on new data frees the previous
+    bidiagonalization before the new one is allocated."""
+    inst = heat_instance(100, 0.01, 1)
+    f, delta = inst.b_noisy, inst.delta
+    other = heat_instance(100, 0.01, 2)
+    built = []
+    init = linalg._Bidiagonalization.__init__
+
+    def recording(self, *args):
+        built.append([ref() for ref in previous])
+        init(self, *args)
+
+    gc.disable()
+    try:
+        A = inst.A.copy()
+        op = DenseOperator(A)
+        choose_a(op, f, delta)
+        vr_newton(op, f, delta)
+        entry = op._entry()
+        assert entry.key is None and entry.norm is not None and entry.basis.steps > 0
+        assert linalg._last_structure is None
+        refs = [weakref.ref(op), weakref.ref(A), weakref.ref(entry), weakref.ref(entry.basis)]
+        del op, A, entry
+        assert [ref() for ref in refs] == [None] * 4
+
+        op = DenseOperator(inst.A)
+        vr_solve(op, f, 1e-3)
+        previous = [weakref.ref(op._entry().basis)]
+        monkeypatch.setattr(linalg._Bidiagonalization, "__init__", recording)
+        vr_solve(op, other.b_noisy, 1e-3)
+        assert built == [[None]]
+        assert op._entry().start == other.b_noisy.tobytes()
+    finally:
+        gc.enable()
+
+
 def test_threads_sharing_the_entry_give_the_serial_bits():
     """Two threads that call vr_newton and choose_a on the same (A, f_delta),
     and on two f_delta in turn, so that one call extends a basis another
@@ -172,6 +212,30 @@ def test_threads_sharing_the_entry_give_the_serial_bits():
     try:
         for _ in range(3):
             linalg._last_structure = None
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(run, jobs, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_sharing_a_dense_operator_give_the_serial_bits():
+    """As above, on one DenseOperator shared by both threads, whose own
+    entry keeps the basis (heat n = 400 at 1% noise): every result is
+    bit-equal to the serial one on a fresh operator."""
+    first, second = heat_instance(400, 0.01, 1), heat_instance(400, 0.01, 2)
+    jobs = [(method, data) for data in (first, first, second, first, second, second)
+            for method in (vr_newton, choose_a)]
+    serial = [_outcome(lambda: method(DenseOperator(inst.A), inst.b_noisy, inst.delta)) for method, inst in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            op = DenseOperator(first.A)
+
+            def run(job):
+                method, inst = job
+                return _outcome(lambda: method(op, inst.b_noisy, inst.delta))
+
             with ThreadPoolExecutor(max_workers=2) as pool:
                 assert list(pool.map(run, jobs, timeout=120)) == serial
     finally:

@@ -196,6 +196,32 @@ def test_infinite_noise_level_is_rejected_by_name(stopping):
         apriori_steps(math.inf, 1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("n", [20, 600])
+def test_initial_guess_whose_residual_overflows_is_named(n):
+    """An initial guess whose ||A u0 - f_delta||^2 overflows float64 (heat,
+    u0 = 1e160 ones, on a DenseOperator at n = 20 and a ToeplitzOperator at
+    n = 600) is refused by solve_dsm and landweber_solve with an error that
+    names it, before any Golub-Kahan basis is built; at 1e152 both still
+    run, with a finite history that starts at ||A u0 - f_delta||."""
+    inst = heat_instance(n, 0.01, 1)
+    op = as_operator(inst.A)
+    assert isinstance(op, ToeplitzOperator) == (n == 600)
+    config = SolveConfig(max_iter=200)
+    precond = build_preconditioner(op, 1e-3)
+    for scale, first in ((1e160, None), (1e152, 1.4666312100312745e152 if n == 20 else 7.818338357443131e152)):
+        u0 = np.full(n, scale)
+        for call in (lambda: solve_dsm(op, inst.b_noisy, inst.delta, precond, config, u0=u0),
+                     lambda: landweber_solve(op, inst.b_noisy, inst.delta, config, u0=u0)):
+            with mock.patch.object(linalg, "_Bidiagonalization", wraps=linalg._Bidiagonalization) as built:
+                if first is None:
+                    with pytest.raises(ValueError, match=r"^residual of the initial guess, .* overflows float64"):
+                        call()
+                    assert built.call_count == 0
+                else:
+                    history = call().residual_history
+                    assert history[0] == first and np.all(np.isfinite(history))
+
+
 def test_landweber_identity_run():
     A = np.eye(3)
     f = np.array([1.0, 0.0, 0.0])
@@ -359,7 +385,9 @@ def test_dsm_step_is_one_damped_update():
     with pytest.raises(ValueError, match="dimension mismatch: data has length 5"):
         dsm_step(precond, 0.8, u, f[:5])
 
-    # A discrepancy run of solve_dsm is a hand loop of dsm_step, bit for bit.
+    # A discrepancy run of solve_dsm, which it takes on a Golub-Kahan basis,
+    # is a hand loop of dsm_step: the same step count, u within 1e-12, and
+    # every history entry within 1e-12 relative plus 1e-13 ||f_delta||.
     inst = heat_instance(40, 0.01, 3)
     precond = build_preconditioner(inst.A, 1e-4)
     config = SolveConfig(h=0.5)
@@ -370,8 +398,10 @@ def test_dsm_step_is_one_damped_update():
     for _ in range(result.iterations):
         u = dsm_step(precond, config.h, u, inst.b_noisy)
         history.append(float(np.linalg.norm(inst.A @ u - inst.b_noisy)))
-    assert np.array_equal(result.solution, u)
-    assert result.residual_history == history
+    assert np.linalg.norm(result.solution - u) <= 1e-12 * np.linalg.norm(u)
+    assert len(result.residual_history) == len(history)
+    assert np.all(np.abs(np.array(result.residual_history) - history)
+                  <= 1e-12 * np.array(history) + 1e-13 * np.linalg.norm(inst.b_noisy))
 
 
 def test_residual_histories_never_increase():
