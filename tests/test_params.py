@@ -432,11 +432,12 @@ def test_misfit_at_the_chosen_damping_matches_the_svd(n, structured, delta_rel):
     from the SVD A = U diag(s) V^T: within 1e-11 relative at 1e-5 noise and
     5e-7 at 1e-8 (see MISFIT_BOUNDS); measured for phi 1.3e-12 to 2.8e-12,
     and 9.5e-10 to 1.3e-7, and for the search's misfit 1.1e-13 to 2.7e-12 at
-    1e-5. At 1e-8 no basis settles, and the search's misfit is phi. The
-    two differ by up to 1.5e-12 (dense, n = 100), as phi's damped solve
-    loses digits like ||A||^2 / a. The misfit taken as ||A u_a - f_delta||
-    loses digits like ||f_delta|| / delta: 1.9e-11 to 1.7e-10, and 1.5e-6
-    to 8.2e-5."""
+    1e-5. At 1e-8 no basis settles, and the search's misfit is phi. On the
+    ToeplitzOperator the two agree within 1e-12 relative; on the dense route
+    they differ by up to 1.5e-12 (n = 100), as phi's Cholesky solve loses
+    digits like ||A||^2 / a, so there each is held to the SVD form only.
+    The misfit taken as ||A u_a - f_delta|| loses digits like
+    ||f_delta|| / delta: 1.9e-11 to 1.7e-10, and 1.5e-6 to 8.2e-5."""
     inst = heat_instance(n, delta_rel, 1)
     A, f = inst.A, inst.b_noisy
     op = linalg.ToeplitzOperator(A, *linalg._triangular_toeplitz(A)) if structured else linalg.DenseOperator(A)
@@ -444,6 +445,8 @@ def test_misfit_at_the_chosen_damping_matches_the_svd(n, structured, delta_rel):
     a = trace.chosen_a
     U, s, _ = np.linalg.svd(A)
     reference = a * float(np.linalg.norm((U.T @ f) / (s * s + a)))
+    if structured:
+        assert abs(trace.phi_at_chosen - phi(op, f, a)) <= 1e-12 * phi(op, f, a)
     for misfit in (trace.phi_at_chosen, phi(op, f, a)):
         assert abs(misfit - reference) <= MISFIT_BOUNDS[delta_rel] * reference
 
