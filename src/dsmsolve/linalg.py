@@ -111,21 +111,21 @@ class _ToeplitzFFT:
         return self._apply(self._adjoint, y)
 
 
-def _gram_in_range(G: np.ndarray, nonzero: bool) -> np.ndarray:
-    """G, the Gram triangle of a matrix that is nonzero when nonzero is true,
-    or a scalar that stands for it (see ToeplitzOperator._gram_product);
-    raises ValueError, rather than return inf or zeros, when an entry
-    overflows or when the Gram matrix of a nonzero matrix underflows to zero."""
-    if not np.all(np.isfinite(G)):
+def _gram_in_range(peak: float, nonzero: bool) -> None:
+    """Raise ValueError, rather than let a route run on inf or zeros, when
+    peak, the largest entry of the Gram matrix of a matrix that is nonzero
+    when nonzero is true, overflows, or when it underflows to zero although
+    the matrix is nonzero (DenseOperator._check_gram_range)."""
+    if not math.isfinite(peak):
         raise ValueError("Gram matrix overflows float64; scale A, f_delta and delta down by a common factor")
-    if not G.any() and nonzero:
+    if peak == 0.0 and nonzero:
         raise ValueError("Gram matrix underflows float64; scale A, f_delta and delta up by a common factor")
-    return G
 
 
 def _gram_lower(M: np.ndarray) -> np.ndarray:
     """Lower triangle of M M^T, in Fortran order, with the strict upper
-    triangle zero, with the range check of _gram_in_range.
+    triangle zero; its range is checked before it is formed
+    (DenseOperator._check_gram_range).
 
     One dsyrk, numpy's bit for bit, from whichever of M and M^T is
     F-contiguous, so M is not copied; a strided M is copied once into
@@ -134,10 +134,8 @@ def _gram_lower(M: np.ndarray) -> np.ndarray:
     if M.size == 0:  # BLAS rejects empty operands
         return np.zeros((M.shape[0], M.shape[0]), order="F")
     if M.flags.c_contiguous and not M.flags.f_contiguous:
-        G = scipy.linalg.blas.dsyrk(1.0, M.T, trans=1, lower=1)  # M M^T = (M^T)^T M^T
-    else:
-        G = scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), lower=1)
-    return _gram_in_range(G, M.any())
+        return scipy.linalg.blas.dsyrk(1.0, M.T, trans=1, lower=1)  # M M^T = (M^T)^T M^T
+    return scipy.linalg.blas.dsyrk(1.0, np.asfortranarray(M), lower=1)
 
 
 def _require_symmetric(M: np.ndarray, context: str) -> np.ndarray:
@@ -511,11 +509,11 @@ def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
     "not yet". The first result for which agree(result, result on B_{k-5})
     holds is returned. None comes once the bidiagonalization ends, after
     _GOLUB_KAHAN_MAX_STEPS steps or at an exact zero alpha or beta. An A A^T
-    out of float64's range is named before any product. The basis is
-    op._basis(d), the one kept in op's entry for d, which this call replays
-    and extends.
+    out of float64's range is named before any product
+    (op._check_gram_range). The basis is op._basis(d), the one kept in op's
+    entry for d, which this call replays and extends.
     """
-    op._gram_product(0.0)
+    op._check_gram_range()
     norm_d = float(np.linalg.norm(d))
     previous = None
     for (P, s, Qt), V in op._basis(d).bases(op.matvec, op.rmatvec):
@@ -541,14 +539,15 @@ class DenseOperator:
 
     matvec and rmatvec apply A and A^T to one vector of matching length,
     which _check_operand checks as a ToeplitzOperator's products do, and
-    give numpy's A @ x and A.T @ y bit for bit. gram_right holds the lower
-    triangle of A A^T, the one Gram matrix, in Fortran order, its strict
-    upper triangle zero, one dsyrk (_gram_lower); mirrored, it is numpy's
-    A A^T bit for bit. ||A|| (norm, its one source), the damped solves,
-    Landweber's exact route and vr_newton's exact misfit spectrum (the
-    eigenpairs of A A^T, _eigen_coefficients) all read it. A is
-    validated and used as given, flags untouched; it must not change while
-    the operator is in use.
+    give numpy's A @ x and A.T @ y bit for bit; ||A|| and the Golub-Kahan
+    basis take A only through them. gram_right holds the lower triangle of
+    A A^T, the one Gram matrix, in Fortran order, its strict upper triangle
+    zero, one dsyrk (_gram_lower); mirrored, it is numpy's A A^T bit for
+    bit. Only the exact routes read it: the damped solves, Landweber's
+    residual recurrence and vr_newton's exact misfit spectrum (the
+    eigenpairs of A A^T, _eigen_coefficients). A is validated and used as
+    given, flags untouched; it must not change while the operator is in
+    use.
 
     ||A|| and the Golub-Kahan basis of the last data are kept in the
     operator's own entry (_entry), which holds no operator and no A and is
@@ -557,8 +556,8 @@ class DenseOperator:
 
     Every A takes these dense products when the class is called directly, and
     from as_operator unless it is exactly triangular Toeplitz of order
-    n >= 512: a ToeplitzOperator, which overrides the products, the Gram
-    range check, the damped factor and the entry.
+    n >= 512: a ToeplitzOperator, which overrides the products, the largest
+    entry of A A^T, the damped factor and the entry.
     """
 
     _damped: tuple[float, SpdFactorization] | None = None
@@ -583,14 +582,28 @@ class DenseOperator:
 
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
         """x -> (A A^T + shift I) x by one dsymv on gram_right, formed once
-        per operator. The product refers to the
-        triangle, never to the operator, which keeps it in its factor.
-        Raises the Gram matrix's overflow or underflow error."""
+        per operator. The product refers to the triangle, never to the
+        operator. Raises the Gram matrix's overflow or underflow error."""
         return _triangle_product(self.gram_right, shift)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
+        self._check_gram_range()
         return _gram_lower(self.A)
+
+    @cached_property
+    def _gram_peak(self) -> float:
+        """The largest entry of A A^T, max_i ||row_i||^2, in O(mn); inf when
+        it overflows."""
+        with np.errstate(over="ignore"):  # _gram_in_range names an overflow
+            return float(np.einsum("ij,ij->i", self.A, self.A).max(initial=0.0))
+
+    def _check_gram_range(self) -> None:
+        """The one Gram range check, told from the largest entry of A A^T
+        (_gram_peak), which is zero only when every entry is; it runs
+        before ||A||, any damped factor, Gram triangle or basis."""
+        peak = self._gram_peak
+        _gram_in_range(peak, peak != 0.0 or self.A.any())
 
     def _entry(self) -> _StructureEntry:
         """The entry that keeps ||A|| and the Golub-Kahan basis across calls:
@@ -605,14 +618,15 @@ class DenseOperator:
     @cached_property
     def norm(self) -> float:
         """||A||, kept in the entry, where every operator that shares it
-        reads it (_power_norm)."""
+        reads it (_power_norm), after the range check."""
+        self._check_gram_range()
         entry = self._entry()
         if entry.norm is None:
             entry.norm = self._power_norm()
         return entry.norm
 
     def _power_norm(self) -> float:
-        """||A|| by power iteration on A A^T, one _gram_product per step,
+        """||A|| by power iteration on A A^T, one matvec(rmatvec(v)) per step,
         from a fixed all-ones start vector, until the Rayleigh quotient
         settles within 1e-10 relative, so repeated calls give the same value.
         Zero for an empty or zero A. Once the quotient's change has not
@@ -623,13 +637,13 @@ class DenseOperator:
         m = self.shape[0]
         if m == 0:
             return 0.0
-        product = self._gram_product(0.0)
         v = np.full(m, 1.0 / np.sqrt(m))
         previous = -np.inf
         checkpoint = np.inf
         for step in range(1, 10_001):
-            w = product(v)
-            rayleigh = float(v @ w)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite quotient ends the iteration
+                w = self.matvec(self.rmatvec(v))
+                rayleigh = float(v @ w)
             if not math.isfinite(rayleigh):
                 break
             change = abs(rayleigh - previous)
@@ -667,13 +681,13 @@ class DenseOperator:
             norm = np.linalg.norm(f_delta)
         if not np.isfinite(norm):
             # Name an overflowing A A^T first, since A must then be scaled too.
-            self._gram_product(0.0)
+            self._check_gram_range()
             raise ValueError(
                 "data norm overflows float64; scale f_delta and delta down by a common factor"
             )
         if norm == 0.0 and f_delta.any():
             # Likewise an underflowing A A^T.
-            self._gram_product(0.0)
+            self._check_gram_range()
             raise ValueError(
                 "data norm underflows float64; scale f_delta and delta up by a common factor"
             )
@@ -692,8 +706,10 @@ class DenseOperator:
         """The factor of A A^T + a I from _factor(a), kept for the last a
         only, keyed by the exact float; another a drops it before factoring,
         so no two m x m factors are held at once. Raises ValueError when a is
-        not positive and finite, and as _factor does."""
+        not positive and finite, then when A A^T is out of float64's range
+        (_check_gram_range), and as _factor does."""
         _check_damping(a)
+        self._check_gram_range()
         if self._damped is not None and self._damped[0] == a:
             return self._damped[1]
         self._damped = None
@@ -737,16 +753,17 @@ class ToeplitzOperator(DenseOperator):
 
     A is applied by FFT in O(n log n), so neither ||A||, the damped factor
     nor Landweber's exact route form A A^T: each takes A (A^T x) from the
-    FFT pair, and so does the Golub-Kahan basis. That basis, and ||A||, are
-    kept across operators too: the entry (_entry) is one module-level entry
-    for the last structure, keyed by (lower, the bytes of c)
-    (_structure_entry), so a call on the same A and data replays the stored
-    steps and extends them with this operator's own products. Another
-    structure drops the entry, and its basis, before a new one is made. The
-    factor of A A^T + a I takes O(n^2) by the generalized Schur algorithm
-    when a > eps (sum |c_i|)^2 (see _factor). Its Gram range errors are
-    told from c alone (see _gram_product), so raising one forms no Gram
-    matrix; its Gram triangle, when formed, is DenseOperator's, by dsyrk.
+    FFT pair, and the Golub-Kahan basis takes its products from it too.
+    That basis, and ||A||, are kept across operators too: the entry
+    (_entry) is one module-level entry for the last structure, keyed by
+    (lower, the bytes of c) (_structure_entry), so a call on the same A and
+    data replays the stored steps and extends them with this operator's own
+    products. Another structure drops the entry, and its basis, before a
+    new one is made. The factor of A A^T + a I takes O(n^2) by the
+    generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
+    The largest entry of A A^T, which the range check reads, is c . c
+    (_gram_peak), in O(n); the Gram triangle, when an exact route forms it,
+    is DenseOperator's, by dsyrk.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
@@ -768,29 +785,30 @@ class ToeplitzOperator(DenseOperator):
         operator of that structure."""
         return _structure_entry(self.c, self.lower)
 
+    @cached_property
+    def _gram_peak(self) -> float:
+        """The largest entry of A A^T, c . c, in O(n), inf when it overflows."""
+        with np.errstate(over="ignore"):  # _gram_in_range names an overflow
+            return float(self.c @ self.c)
+
     def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
         """x -> A (A^T x) + shift x by FFT; it forms no Gram matrix and refers
-        only to the FFT spectra. It raises the Gram matrix's overflow or
-        underflow error first, told from c . c in O(n): c . c is the largest
-        entry of A A^T, and it is zero only when every entry underflows."""
-        with np.errstate(over="ignore"):  # _gram_in_range names an overflow
-            _gram_in_range(self.c @ self.c, self.c.any())
+        only to the FFT spectra."""
         fft = self._fft
         return lambda x: fft.matvec(fft.rmatvec(x)) + shift * x
 
     def _factor(self, a: float) -> SpdFactorization:
-        """The factor of A A^T + a I, after the range check, in O(n^2) by the
-        generalized Schur algorithm (_toeplitz_cholesky) when
-        a > eps (sum |c_i|)^2, which never fails; its solves refine against
-        _gram_product(a), so it forms no A A^T, with the bound
-        (sum |c_i|)^2 + a, as ||A||^2 <= ||A||_1 ||A||_inf = (sum |c_i|)^2.
+        """The factor of A A^T + a I in O(n^2) by the generalized Schur
+        algorithm (_toeplitz_cholesky) when a > eps (sum |c_i|)^2, which
+        never fails; its solves refine against _gram_product(a), so it forms
+        no A A^T, with the bound (sum |c_i|)^2 + a, as
+        ||A||^2 <= ||A||_1 ||A||_inf = (sum |c_i|)^2.
         At or below eps times that, a floor that scales exactly with A by
         powers of two, roundoff in A A^T can swamp a, and A is factored as
         DenseOperator factors it."""
-        product = self._gram_product(a)  # the range check, before any Gram matrix is formed
         l1 = float(np.sum(np.abs(self.c)))
         if a > np.finfo(float).eps * l1 * l1:
-            return _toeplitz_cholesky(self.c, self.lower, product, a, float(l1 * l1 + a))
+            return _toeplitz_cholesky(self.c, self.lower, self._gram_product(a), a, float(l1 * l1 + a))
         return super()._factor(a)
 
 

@@ -65,7 +65,7 @@ def vr_solve(A, f_delta, a: float) -> np.ndarray:
     f_delta = op.check_data(f_delta)
     if f_delta.any():
         _check_damping(a)
-        op._gram_product(0.0)  # the exact route's error order: a, then A A^T, then ||f|| / a
+        op._check_gram_range()  # the exact route's error order: a, then A A^T, then ||f|| / a
         _check_solution_bound(_norm(f_delta), a)
 
         def solve(s, g, V, Qt):

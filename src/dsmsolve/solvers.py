@@ -351,17 +351,18 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     steps, a basis of 15-35 steps was accepted in every one of 42 runs,
     with the iterate form's step counts and stop reasons, its solutions
     within 5.2e-15 and its histories within 4.9e-14 relative. One call
-    makes at most k + 1 products with A and k with A^T, for k <= 60.
+    makes at most k + 1 products with A and k with A^T, for k <= 60, plus
+    ||A||'s power iteration on an operator that has not taken it yet.
 
     When no k is accepted by min(m, n, 60) steps, or the Krylov space is
     exhausted (an exact zero in B_k), the run is exact: the loop carries
     the residual, r_{n+1} = r_n - h A A^T r_n, and forms
     u_N = u_0 - h A^T (r_0 + ... + r_{N-1}) once. Each of its steps is one
-    dsymv on the lower triangle of A A^T, the Gram matrix ||A|| reads too,
-    or the FFT pair A (A^T r) of a ToeplitzOperator; its history is ||r_n||
-    as the recurrence carries it. An initial residual already small, the
-    step-size guard and the a-priori budget are settled before any basis is
-    built.
+    dsymv on the lower triangle of A A^T, which this route forms on first
+    use, or the FFT pair A (A^T r) of a ToeplitzOperator; its history is
+    ||r_n|| as the recurrence carries it. An initial residual already small,
+    the step-size guard and the a-priori budget are settled before any
+    basis is built.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
     s2 = op.norm_squared
