@@ -50,15 +50,16 @@ def _check_operand(x, length: int) -> None:
 
 
 def _triangular_toeplitz(M: np.ndarray) -> tuple[np.ndarray, bool] | None:
-    """(c, lower) when the square M is L (lower=True) or L^T for the
-    lower-triangular Toeplitz L with first column c, else None.
+    """(c, lower) when M is a square matrix of order n >= 2 that is L
+    (lower=True) or L^T for the lower-triangular Toeplitz L with first
+    column c, and c is finite, else None.
 
     The test is exact, entry by entry. A general dense M fails the O(n)
     check on its first row and column, so only a triangular M pays for the
-    O(n^2) comparison of its diagonals.
+    O(n^2) comparison of its diagonals. The exact test makes every entry of
+    such an M an entry of c or zero, so c's finiteness is M's.
     """
-    n = M.shape[0]
-    if M.shape[1] != n or n < 2:
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
         return None
     if not M[0, 1:].any():
         lower = True
@@ -66,19 +67,10 @@ def _triangular_toeplitz(M: np.ndarray) -> tuple[np.ndarray, bool] | None:
         lower = False
     else:
         return None
-    if not np.array_equal(M[1:, 1:], M[:-1, :-1]):
+    c = M[:, 0] if lower else M[0, :]
+    if not np.array_equal(M[1:, 1:], M[:-1, :-1]) or not np.all(np.isfinite(c)):
         return None
-    return np.ascontiguousarray(M[:, 0] if lower else M[0, :]), lower
-
-
-# Order from which as_operator makes a ToeplitzOperator of a triangular
-# Toeplitz A. At 1 BLAS thread the FFT product pair overtakes gemv between
-# n = 400 and 600 (27-34 against 39-45 us at 400, 140 against 35-47 at 600),
-# and below it the Schur factor of a damped Gram matrix is no faster than
-# dpotrf (heat, a = 1e-4: 0.39 against 0.08 ms at n = 100, 1.68 against 1.51
-# at 400, 2.19 against 3.21 at 511, where both pay dsyrk's 0.08, 2.2 and 4.9
-# ms).
-_FFT_FLOOR = 512
+    return np.ascontiguousarray(c), lower
 
 
 class _ToeplitzFFT:
@@ -202,9 +194,10 @@ class SpdFactorization:
 
     lower is L in Fortran order, its strict upper triangle zero. product
     applies M to a vector; it is the only way to M, so it must not refer
-    back to whoever keeps the factor. solve() takes a checked vector of
-    matching length. A raw solve is two triangular solves (dtrsv) with L and
-    L^T, refined by residual correction, each residual taken as
+    back to whoever keeps the factor. solve() takes a checked, nonempty
+    vector of matching length (DenseOperator.damped_solve answers a zero b
+    itself). A raw solve is two triangular solves (dtrsv) with L and L^T,
+    refined by residual correction, each residual taken as
     b - product(x): after one correction it stops when that residual is at
     most _REFINE_STOP eps (bound ||x|| + ||b||), and otherwise makes a
     second, the last; a bare triangular solve loses too many digits once
@@ -216,8 +209,6 @@ class SpdFactorization:
     bound: float
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        if b.shape[0] == 0:  # BLAS rejects empty operands
-            return np.zeros(0)
         y = scipy.linalg.blas.dtrsv(self.lower, b, lower=1)
         return scipy.linalg.blas.dtrsv(self.lower, y, lower=1, trans=1, overwrite_x=1)
 
@@ -377,8 +368,8 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # for choose_a, vr_solve and solve_dsm. Heat data settle within it down to
 # 0.01% noise (k = 20 at 5%); by FFT products 60 steps cost 2-30% of the
 # tridiagonal route from n = 2000 down to n = 512, and the bound does not
-# grow with n. An A with min(m, n) < 10 (k_max < 10) always takes the exact
-# route.
+# grow with n. An A with min(m, n) <= 60 takes a complete basis, which is
+# exact, so only an A with min(m, n) > 60 can reach the exact route.
 _GOLUB_KAHAN_MAX_STEPS = 60
 
 
@@ -394,14 +385,17 @@ class _Bidiagonalization:
     only, with the products it is given, under the object's lock. Step k
     depends only on A, f and the steps before it, so a replay gives the bits
     of a fresh build. It ends after
-    k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) steps, rounded down to a
-    multiple of 5, or at an exact zero alpha or beta (an exhausted Krylov
-    space), which it remembers.
+    k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) steps, or at an exact zero
+    alpha or beta (an exhausted Krylov space). A basis of min(m, n) steps,
+    or an exhausted one, spans its Krylov space and is complete: its B_k
+    gives the method's result exactly (Paige and Saunders 1982). A zero
+    beta ends the space after its step's V row and alpha, with a zero last
+    row in B; after a zero alpha the stored B_k is already exact.
     """
 
     def __init__(self, f: np.ndarray, n: int):
         m = f.shape[0]
-        self.k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS) // 5 * 5
+        self.k_max = min(m, n, _GOLUB_KAHAN_MAX_STEPS)
         self.U = np.empty((self.k_max + 1, m))
         self.V = np.empty((self.k_max, n))
         self.B = np.zeros((self.k_max + 1, self.k_max))
@@ -412,21 +406,27 @@ class _Bidiagonalization:
         self._lock = threading.Lock()
 
     def bases(self, matvec: Callable[[np.ndarray], np.ndarray], rmatvec: Callable[[np.ndarray], np.ndarray]):
-        """((P, s, Q^T), V) for k = 5, 10, .. up to k_max or the exhaustion:
-        the SVD B_k = P diag(s) Q^T, taken by the first call that reaches k,
-        and V_k's k columns as rows, a view that later steps leave unchanged."""
-        for index, k in enumerate(range(5, self.k_max + 1, 5)):
+        """((P, s, Q^T), V, complete) for k = 5, 10, .. and k_max, or up to
+        the exhaustion: the SVD B_k = P diag(s) Q^T, taken by the first call
+        that reaches k, V_k's k columns as rows, a view that later steps
+        leave unchanged, and whether the basis is complete, which ends the
+        sequence. An A with min(m, n) = 0 gives none."""
+        sizes = [*range(5, self.k_max, 5), self.k_max] if self.k_max else []
+        for index, k in enumerate(sizes):
             if len(self._svds) == index:
                 with self._lock:
                     self._extend(matvec, rmatvec, k)
-                    if self.steps < k:
-                        return
                     if len(self._svds) == index:
-                        svd = np.linalg.svd(self.B[: k + 1, :k])
+                        svd = np.linalg.svd(self.B[: self.steps + 1, : self.steps])
                         for factor in svd:
                             factor.flags.writeable = False
                         self._svds.append(svd)
-            yield self._svds[index], self.V[:k]
+            svd = self._svds[index]
+            k = svd[1].shape[0]
+            complete = k == min(self.U.shape[1], self.V.shape[1]) or self.exhausted and k == self.steps
+            yield svd, self.V[:k], complete
+            if complete:
+                return
 
     def _extend(self, matvec, rmatvec, k: int) -> None:
         """Take steps until there are k, unless the space is exhausted."""
@@ -445,12 +445,10 @@ class _Bidiagonalization:
             u = matvec(V[j])
             u -= alpha * U[j]
             beta = float(np.linalg.norm(_orthogonalize(u, U[: j + 1])))
-            if beta == 0.0:
-                self.exhausted = True
-                return
-            U[j + 1] = u / beta
+            U[j + 1] = u / (beta or 1.0)  # u = 0 when beta = 0
             B[j + 1, j] = beta
             self.steps = j + 1
+            self.exhausted = beta == 0.0
 
 
 @dataclass
@@ -503,25 +501,28 @@ def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
     vr_solve, vr_newton's root, and landweber_solve and solve_dsm (through
     solvers._projected_run).
 
-    Every 5 steps (_Bidiagonalization.bases), with B_k = P diag(s) Q^T and
-    g = ||d|| P^T e_1, the result is evaluate(s, g, V, Q^T), V holding
-    V_k's columns as rows; evaluate returns None, or raises ValueError, for
-    "not yet". The first result for which agree(result, result on B_{k-5})
-    holds is returned. None comes once the bidiagonalization ends, after
-    _GOLUB_KAHAN_MAX_STEPS steps or at an exact zero alpha or beta. An A A^T
-    out of float64's range is named before any product
-    (op._check_gram_range). The basis is op._basis(d), the one kept in op's
-    entry for d, which this call replays and extends.
+    Every 5 steps and at the last (_Bidiagonalization.bases), with
+    B_k = P diag(s) Q^T and g = ||d|| P^T e_1, the result is
+    evaluate(s, g, V, Q^T), V holding V_k's columns as rows; evaluate
+    returns None, or raises ValueError, for "not yet". A result on a
+    complete basis, which is exact, is returned as it is; otherwise the
+    first result for which agree(result, result on B_{k-5}) holds is. None
+    comes once the bidiagonalization ends without either, after
+    _GOLUB_KAHAN_MAX_STEPS steps on an A with min(m, n) above it, or when
+    the method says "not yet" on a complete basis. An A A^T out of
+    float64's range is named before any product (op._check_gram_range).
+    The basis is op._basis(d), the one kept in op's entry for d, which this
+    call replays and extends.
     """
     op._check_gram_range()
     norm_d = float(np.linalg.norm(d))
     previous = None
-    for (P, s, Qt), V in op._basis(d).bases(op.matvec, op.rmatvec):
+    for (P, s, Qt), V, complete in op._basis(d).bases(op.matvec, op.rmatvec):
         try:
             result = evaluate(s, norm_d * P[0], V, Qt)
         except ValueError:
             result = None
-        if result is not None and previous is not None and agree(result, previous):
+        if result is not None and (complete or previous is not None and agree(result, previous)):
             return result
         previous = result
     return None
@@ -555,8 +556,8 @@ class DenseOperator:
     that basis, bit for bit as a fresh build (_StructureEntry.basis_at).
 
     Every A takes these dense products when the class is called directly, and
-    from as_operator unless it is exactly triangular Toeplitz of order
-    n >= 512: a ToeplitzOperator, which overrides the products, the largest
+    from as_operator unless it is exactly triangular Toeplitz, at any order
+    n >= 2: a ToeplitzOperator, which overrides the products, the largest
     entry of A A^T, the damped factor and the entry.
     """
 
@@ -695,21 +696,24 @@ class DenseOperator:
 
     def damped_solve(self, a: float, b) -> np.ndarray:
         """(A A^T + a I)^{-1} b for a vector b of length m. a must be
-        positive and finite, b a finite vector of length m, and ||b|| / a, a
-        bound on the solution's norm, finite: checked in that order."""
-        factor = self._factor_shifted(a)
+        positive and finite, A A^T in float64's range, b a finite vector of
+        length m, A A^T + a I factorable (_factor_shifted) unless b is zero,
+        whose solution is zero with no factor, and ||b|| / a, a bound on the
+        solution's norm, finite: checked in that order."""
+        _check_damping(a)
+        self._check_gram_range()
         b = as_vector(b, self.shape[0], name="right-hand side")
+        if not b.any():
+            return np.zeros(self.shape[0])
+        factor = self._factor_shifted(a)
         _check_solution_bound(_norm(b), a)
         return factor.solve(b)
 
     def _factor_shifted(self, a: float) -> SpdFactorization:
         """The factor of A A^T + a I from _factor(a), kept for the last a
         only, keyed by the exact float; another a drops it before factoring,
-        so no two m x m factors are held at once. Raises ValueError when a is
-        not positive and finite, then when A A^T is out of float64's range
-        (_check_gram_range), and as _factor does."""
-        _check_damping(a)
-        self._check_gram_range()
+        so no two m x m factors are held at once. a and the range of A A^T
+        are checked by the caller (damped_solve); raises as _factor does."""
         if self._damped is not None and self._damped[0] == a:
             return self._damped[1]
         self._damped = None
@@ -749,7 +753,7 @@ class ToeplitzOperator(DenseOperator):
     """A square A that is exactly L (lower=True) or L^T for the
     lower-triangular Toeplitz L with first column c, such as heat_matrix, as
     _triangular_toeplitz finds it; A is the validated matrix. as_operator
-    makes one from order n = 512; built directly, it works at any order.
+    makes one of every such A, at any order n >= 2.
 
     A is applied by FFT in O(n log n), so neither ||A||, the damped factor
     nor Landweber's exact route form A A^T: each takes A (A^T x) from the
@@ -816,19 +820,18 @@ def as_operator(A) -> DenseOperator:
     """A itself if it is an operator, else a fresh one for this call: A is
     validated once, and a ToeplitzOperator is returned when A is exactly
     lower- or upper-triangular Toeplitz (_triangular_toeplitz) of order
-    n >= 512, a DenseOperator otherwise. The one place the class is decided.
+    n >= 2, a DenseOperator otherwise. The one place the class is decided,
+    from A's structure alone.
 
     The structure test runs first, so a triangular Toeplitz A is checked
-    finite on c alone, in O(n): the exact test makes every entry of A an
-    entry of c or zero. Every other A, one whose NaN breaks the structure
-    included, goes to DenseOperator, which validates all of it."""
+    finite on c alone, in O(n) (_triangular_toeplitz). Every other A, one
+    whose NaN breaks the structure or sits in c included, goes to
+    DenseOperator, which validates all of it."""
     if isinstance(A, DenseOperator):
         return A
     M = np.asarray(A, dtype=float)
-    structure = _triangular_toeplitz(M) if M.ndim == 2 and M.shape[0] >= _FFT_FLOOR else None
-    if structure is None or not np.all(np.isfinite(structure[0])):
-        return DenseOperator(M)
-    return ToeplitzOperator(M, *structure)
+    structure = _triangular_toeplitz(M)
+    return DenseOperator(M) if structure is None else ToeplitzOperator(M, *structure)
 
 
 def cond_estimate(M: np.ndarray) -> float:

@@ -58,23 +58,22 @@ def vr_solve(A, f_delta, a: float) -> np.ndarray:
     solvers.landweber_solve): with B_k = P diag(s) Q^T and
     g = ||f_delta|| P^T e_1, it is V_k Q diag(s / (s^2 + a)) g_{1..k}, and the
     first k whose solution is within 1e-12 relative of the one on B_{k-5} is
-    accepted. With none accepted by 60 steps, and for zero data, it is one
-    damped solve of the factored A A^T + a I. Either way a must be positive
-    and finite, and ||f_delta|| / a finite."""
+    accepted, or the one on a complete basis (linalg._settled_on_basis).
+    With none accepted by 60 steps, on an A with min(m, n) > 60, it is one
+    damped solve of the factored A A^T + a I; zero data give zero, with no
+    factor. Either way a must be positive and finite, and
+    ||f_delta|| / a finite."""
     op = as_operator(A)
     f_delta = op.check_data(f_delta)
-    if f_delta.any():
-        _check_damping(a)
-        op._check_gram_range()  # the exact route's error order: a, then A A^T, then ||f|| / a
-        _check_solution_bound(_norm(f_delta), a)
+    _check_damping(a)
+    op._check_gram_range()  # the exact route's error order: a, then A A^T, then ||f|| / a
+    _check_solution_bound(_norm(f_delta), a)
 
-        def solve(s, g, V, Qt):
-            return V.T @ (Qt.T @ (s / (s * s + a) * g[: s.shape[0]]))
+    def solve(s, g, V, Qt):
+        return V.T @ (Qt.T @ (s / (s * s + a) * g[: s.shape[0]]))
 
-        u = _settled_on_basis(op, f_delta, solve, _vectors_agree)
-        if u is not None:
-            return u
-    return op.rmatvec(op.damped_solve(a, f_delta))
+    u = _settled_on_basis(op, f_delta, solve, _vectors_agree) if f_delta.any() else None
+    return op.rmatvec(op.damped_solve(a, f_delta)) if u is None else u
 
 
 def phi(A, f_delta, a: float) -> float:
@@ -150,7 +149,9 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
     floor |gamma_{k+1}| is below delta; a search that raises ValueError
     there counts as not yet. The first k whose trace has the actions of the
     trace on B_{k-5}, with every a and misfit within 1e-12 relative, is
-    accepted. With none accepted by 60 steps the search runs on phi.
+    accepted, as is the trace on a complete basis, which is exact (an A with
+    min(m, n) <= 60, or an exhausted Krylov space). With none accepted the
+    search runs on phi.
 
     Raises ValueError on zero data, a zero operator, or after 100 trials.
     """
@@ -249,8 +250,9 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     The spectrum is taken on a Golub-Kahan basis B_k = P diag(s) Q^T from
     f_delta: lambda = (0, s^2) and gamma = ||f_delta|| P^T e_1, ordered
     alike, the damped misfit restricted to span(V_k), at or above the full
-    one. The first k whose root agrees with B_{k-5}'s within 1e-12 relative
-    is taken (linalg._settled_on_basis). Otherwise the spectrum is the
+    one. The first k whose root agrees with B_{k-5}'s within 1e-12 relative,
+    or the root on a complete basis, is taken (linalg._settled_on_basis).
+    Otherwise, after 60 steps on an A with min(m, n) > 60, the spectrum is the
     eigenpairs of A A^T, from one tridiagonal reduction. The root is then
     taken once more on it. u_a is vr_solve's, which replays the same basis,
     kept in the operator's entry, and factors nothing unless it falls back.

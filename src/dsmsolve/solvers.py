@@ -58,9 +58,11 @@ class SolveResult:
     first directly and the rest from their run on a Golub-Kahan basis, as
     ||A u_k - f_delta|| of the projected iterates u_k: within 4.9e-14
     relative of Landweber's iterate form, and within 7.5e-13 of the damped
-    iteration's direct residuals, on heat and Volterra data. When no basis
-    is accepted, solve_dsm takes each one directly, and landweber_solve
-    takes them from its exact residual recurrence (see landweber_solve).
+    iteration's direct residuals, on heat and Volterra data. A complete
+    basis, as every A with min(m, n) <= 60 takes, is accepted as it is.
+    When no basis is accepted, solve_dsm takes each one directly, and
+    landweber_solve takes them from its exact residual recurrence (see
+    landweber_solve).
     stop_reason is one of
     "discrepancy_met", "apriori_reached", "max_iter", "initial_already_small".
     """
@@ -177,7 +179,9 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
         Noise level bound. Must be positive for discrepancy stopping and
         for the a-priori step rule.
     precond : Preconditioner
-        Damped preconditioner built from the same operator.
+        Damped preconditioner built from the same operator: A must be
+        precond.op, its array or a matrix with the same entries, and the run
+        takes every product from precond.op.
     config : SolveConfig, optional
         Step size, stopping mode and constants. Defaults to SolveConfig().
     u0 : array_like, optional
@@ -202,13 +206,16 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     started at d = f_delta - A u0, at O(k) per step, with landweber_solve's
     rule for accepting a k. It then makes no damped solve, so the preconditioner,
     which contributes only a, factors nothing. When no k is accepted by 60
-    steps, and when the initial residual already meets the stop, each step
-    is the exact update above.
+    steps, on an A with min(m, n) > 60, and when the initial residual
+    already meets the stop, each step is the exact update above.
     """
-    op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
+    op, f_delta, config = _checked_inputs(precond.op if A is precond.op.A else A, f_delta, delta, config)
     if precond.op.shape != op.shape:
         rows, cols = precond.op.shape
         raise ValueError(f"preconditioner was built for a {rows}x{cols} operator, got {op.shape}")
+    if op is not precond.op and not np.array_equal(op.A, precond.op.A):
+        raise ValueError("preconditioner was built for an operator with other entries than A")
+    op = precond.op
     # ||T|| = s^2 / (s^2 + a) <= 1 also in floating point, so only h >= 2
     # can violate the bound, and the norm is needed only then.
     if config.h >= 2.0 and (h_t := config.h * precond.t_norm) >= 2.0:
@@ -345,19 +352,20 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     whole run, stop rule included, is taken on each B_k; the first k whose
     run has the step count and stop reason of the run on B_{k-5}, and whose
     solution and every history entry agree with that run's within 1e-12
-    relative, is accepted. The history is then ||A u_N - f_delta|| of the
-    projected iterates. On heat (n = 100-2000) and Volterra (n = 100-1000)
-    data at 0.1-5% noise, with h = 1 and 1/||A||^2 and up to 10,000
-    steps, a basis of 15-35 steps was accepted in every one of 42 runs,
-    with the iterate form's step counts and stop reasons, its solutions
-    within 5.2e-15 and its histories within 4.9e-14 relative. One call
+    relative, is accepted; so is the run on a complete basis, of min(m, n)
+    steps or an exhausted Krylov space, which is exact. The history is then
+    ||A u_N - f_delta|| of the projected iterates. On heat (n = 100-2000)
+    and Volterra (n = 100-1000) data at 0.1-5% noise, with h = 1 and
+    1/||A||^2 and up to 10,000 steps, a basis of 15-35 steps was accepted
+    in every one of 42 runs, with the iterate form's step counts and stop
+    reasons, its solutions within 5.2e-15 and its histories within 4.9e-14
+    relative. One call
     makes at most k + 1 products with A and k with A^T, for k <= 60, plus
     ||A||'s power iteration on an operator that has not taken it yet.
 
-    When no k is accepted by min(m, n, 60) steps, or the Krylov space is
-    exhausted (an exact zero in B_k), the run is exact: the loop carries
-    the residual, r_{n+1} = r_n - h A A^T r_n, and forms
-    u_N = u_0 - h A^T (r_0 + ... + r_{N-1}) once. Each of its steps is one
+    When no k is accepted by 60 steps, on an A with min(m, n) > 60, the
+    run is exact: the loop carries the residual, r_{n+1} = r_n - h A A^T r_n,
+    and forms u_N = u_0 - h A^T (r_0 + ... + r_{N-1}) once. Each of its steps is one
     dsymv on the lower triangle of A A^T, which this route forms on first
     use, or the FFT pair A (A^T r) of a ToeplitzOperator; its history is
     ||r_n|| as the recurrence carries it. An initial residual already small,

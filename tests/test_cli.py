@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dsmsolve import as_operator, choose_a, cli, op_norm, vr_newton
+from dsmsolve import DenseOperator, as_operator, choose_a, cli, linalg, op_norm, vr_newton
 from dsmsolve.cli import BENCH_HEADER, SUMMARY_HEADER, main
 from dsmsolve.linalg import cond_estimate
 from dsmsolve.problems import heat_instance, heat_matrix, load_vector, save_matrix, save_vector
@@ -90,11 +90,21 @@ def test_bench_is_deterministic(tmp_path, capsys):
     )
 
 
-def test_bench_forms_each_gram_once_per_size(tmp_path, capsys, formed_grams):
+def test_bench_forms_each_gram_once_per_size(tmp_path, capsys, formed_grams, monkeypatch):
     """heat_matrix(n) does not depend on the seed, so one operator serves
-    every seed of a size: its one Gram matrix, A A^T, is formed once."""
-    rc, _, _ = run(["bench", "--n-list", "12", "--seeds", "3", "--out", str(tmp_path / "b.csv")], capsys)
-    assert rc == 0
+    every seed of a size. At n = 12 every method settles on a complete
+    Golub-Kahan basis, so neither the ToeplitzOperator that as_operator
+    makes nor a DenseOperator forms a Gram matrix. With the basis capped at
+    5 steps, where every method takes its exact route, the DenseOperator
+    forms its one Gram matrix, A A^T, once."""
+    argv = ["bench", "--n-list", "12", "--seeds", "3", "--out", str(tmp_path / "b.csv")]
+    assert run(argv, capsys)[0] == 0
+    assert formed_grams == []
+    monkeypatch.setattr(cli, "as_operator", DenseOperator)
+    assert run(argv, capsys)[0] == 0
+    assert formed_grams == []
+    monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", 5)
+    assert run(argv, capsys)[0] == 0
     assert formed_grams == ["A A^T"]
 
 

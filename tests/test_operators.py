@@ -176,10 +176,13 @@ def _noisy_data(A, rng):
 
 def _assert_shared_operator_gives_the_array_s_bits(A, f, delta, kind):
     """One operator from as_operator, of type kind, shared by every call,
-    gives the bits of passing the array."""
-    a = choose_a(A, f, delta).chosen_a
-    landweber = SolveConfig(h=1.0 / op_norm(A) ** 2, max_iter=200)
-    op = as_operator(A)
+    gives the bits of passing the array. A DenseOperator of an A that
+    as_operator makes a ToeplitzOperator is built directly, and shared, and
+    gives the bits of a DenseOperator built for each call."""
+    fresh = (lambda: A) if type(as_operator(A)) is kind else (lambda: DenseOperator(A))
+    a = choose_a(fresh(), f, delta).chosen_a
+    landweber = SolveConfig(h=1.0 / op_norm(fresh()) ** 2, max_iter=200)
+    op = as_operator(fresh())
     assert type(op) is kind
     n = A.shape[1]
 
@@ -201,7 +204,7 @@ def _assert_shared_operator_gives_the_array_s_bits(A, f, delta, kind):
         lambda A: landweber_solve(A, f, delta, landweber),
         flow,
     ):
-        assert _outcome(lambda: call(op)) == _outcome(lambda: call(A))
+        assert _outcome(lambda: call(op)) == _outcome(lambda: call(fresh()))
 
 
 @given(
@@ -211,8 +214,9 @@ def _assert_shared_operator_gives_the_array_s_bits(A, f, delta, kind):
 )
 def test_operator_and_array_give_the_same_bits(shape, seed, scale):
     """One operator from as_operator, shared by every call, gives the bits of
-    passing the array; an 8 x 8 triangular Toeplitz A, below order 512,
-    shares a DenseOperator."""
+    passing the array; an 8 x 8 triangular Toeplitz A shares a
+    ToeplitzOperator, and a DenseOperator built directly on it gives the
+    bits of one built for each call."""
     rng = np.random.default_rng(seed)
     m, n = {"tall": (9, 5), "wide": (5, 9)}.get(shape, (8, 8))
     if shape == "rank_deficient":
@@ -224,7 +228,10 @@ def test_operator_and_array_give_the_same_bits(shape, seed, scale):
     else:
         A = rng.standard_normal((m, n))
     A *= scale
-    _assert_shared_operator_gives_the_array_s_bits(A, *_noisy_data(A, rng), DenseOperator)
+    f, delta = _noisy_data(A, rng)
+    if shape.endswith("toeplitz"):
+        _assert_shared_operator_gives_the_array_s_bits(A, f, delta, ToeplitzOperator)
+    _assert_shared_operator_gives_the_array_s_bits(A, f, delta, DenseOperator)
 
 
 @pytest.mark.parametrize("lower", (True, False))
@@ -275,19 +282,24 @@ def test_newton_factors_only_for_the_final_solve(monkeypatch):
 
 def test_one_operator_forms_each_gram_once(formed_grams):
     """On heat n = 30, and on the 45 x 30 stack of it on its first 15 rows,
-    every method settles on the Golub-Kahan basis the operator keeps, and
-    ||A|| and the Gram range check take A only through products and its
-    rows: no call forms a Gram matrix, not even the tall A's 45 x 45 one.
-    The first exact call, phi, forms A A^T, once, and the exact calls after
-    it reuse it."""
+    each a DenseOperator built directly, every method settles on the
+    Golub-Kahan basis the operator keeps, and ||A|| and the Gram range check
+    take A only through products and its rows: no call forms a Gram matrix,
+    not even the tall A's 45 x 45 one. The first exact call, phi, forms
+    A A^T, once, and the exact calls after it reuse it. The
+    ToeplitzOperator that as_operator makes of heat n = 30 forms none, phi
+    included, as its damped factor is the Schur algorithm's."""
     formed = formed_grams
     inst = heat_instance(30, 0.05, 0)
     tall = np.vstack((inst.A, inst.A[:15]))
     tall_f = np.concatenate((inst.b_noisy, inst.b_noisy[:15]))
     tall_delta = float(np.linalg.norm(tall_f - tall @ inst.u_exact))
-    for A, f, delta in ((inst.A, inst.b_noisy, inst.delta), (tall, tall_f, tall_delta)):
+    for A, f, delta, make, exact in ((inst.A, inst.b_noisy, inst.delta, DenseOperator, ["A A^T"]),
+                                     (tall, tall_f, tall_delta, DenseOperator, ["A A^T"]),
+                                     (inst.A, inst.b_noisy, inst.delta, as_operator, [])):
         formed.clear()
-        op = as_operator(A)
+        op = make(A)
+        assert type(op) is (DenseOperator if exact else ToeplitzOperator)
         a = choose_a(op, f, delta).chosen_a
         solve_dsm(op, f, delta, build_preconditioner(op, a))
         vr_solve(op, f, a)
@@ -296,13 +308,13 @@ def test_one_operator_forms_each_gram_once(formed_grams):
         assert formed == []
         phi(op, f, a)
         phi(op, f, 2.0 * a)
-        assert formed == ["A A^T"]
+        assert formed == exact
 
         # The CLI's dispatch, every method on one fresh operator, forms none
         # either, nor does the damped iteration's step-size guard (h >= 2
         # reads ||A||).
         formed.clear()
-        op = as_operator(A)
+        op = make(A)
         for method in cli.METHODS:
             cli._run_method(method, op, f, delta, SolveConfig(), a)
         with pytest.raises(ValueError, match="step size too large"):
@@ -455,20 +467,26 @@ def test_shared_operator_factors_once_per_damping(monkeypatch):
     basis the operator keeps, so none factors. With the basis capped at 5
     steps, where every method takes its exact route, the operator keeps the
     factor for its last damping: choose_a's accepting misfit, the dsm
-    preconditioner and vr_i share one Cholesky, and vr_n's final solve
-    makes the other."""
+    preconditioner and vr_i share one factor, and vr_n's final solve makes
+    the other. That holds for a DenseOperator built directly, which makes
+    LAPACK Cholesky factors, and for the ToeplitzOperator that as_operator
+    makes, whose factors are the Schur algorithm's, from a cold structure
+    entry."""
     factored = count_factorizations(monkeypatch)
     inst = heat_instance(100, 0.01, 1)
     for cap in (linalg._GOLUB_KAHAN_MAX_STEPS, 5):
         monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", cap)
-        factored.clear()
-        op = as_operator(inst.A)
-        trace = choose_a(op, inst.b_noisy, inst.delta)
-        assert trace.evaluations == 1
-        results = {method: cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
-                   for method in cli.METHODS}
-        expected = [] if cap > 5 else [trace.chosen_a, results["vr_n"].a_used]
-        assert [shift for shift, _ in factored] == expected
+        for make, kind in ((DenseOperator, DenseOperator), (as_operator, ToeplitzOperator)):
+            monkeypatch.setattr(linalg, "_last_structure", None)
+            factored.clear()
+            op = make(inst.A)
+            assert type(op) is kind
+            trace = choose_a(op, inst.b_noisy, inst.delta)
+            assert trace.evaluations == 1
+            results = {method: cli._run_method(method, op, inst.b_noisy, inst.delta, SolveConfig(), trace.chosen_a)
+                       for method in cli.METHODS}
+            expected = [] if cap > 5 else [trace.chosen_a, results["vr_n"].a_used]
+            assert [shift for shift, _ in factored] == expected
 
 
 def test_two_dampings_share_the_operator_svd_and_keep_their_bits(monkeypatch):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsmsolve import as_operator, choose_a, linalg, params, phi, vr_newton, vr_solve
-from dsmsolve.problems import heat_instance
+from dsmsolve import DenseOperator, as_operator, choose_a, linalg, params, phi, vr_newton, vr_solve
+from dsmsolve.problems import heat_instance, heat_matrix
 
 
 def diag_phi(sigmas, f, a):
@@ -30,6 +30,27 @@ def test_phi_zero_operator_returns_data_norm():
     f = np.array([3.0, 0.0, 4.0])
     for a in (1e-6, 1.0, 1e6):
         assert phi(A, f, a) == pytest.approx(5.0, rel=1e-14)
+
+
+def test_zero_data_with_a_tiny_damping_gives_zero():
+    """On zero data phi is 0 and vr_solve's u is 0 at any positive finite
+    damping, 1e-300 included, at which A A^T + a I of heat n = 50 cannot
+    be factored: the damped solve of a zero right-hand side is zero and
+    factors nothing, on the ToeplitzOperator that as_operator makes and on
+    a DenseOperator. a = 0 and a = nan still raise."""
+    A = heat_matrix(50)
+    zeros = np.zeros(50)
+    for op in (as_operator(A), DenseOperator(A)):
+        with mock.patch.object(linalg, "_cholesky") as cholesky, \
+                mock.patch.object(linalg, "_toeplitz_cholesky") as schur:
+            assert phi(op, zeros, 1e-300) == 0.0
+            assert np.array_equal(vr_solve(op, zeros, 1e-300), zeros)
+            assert np.array_equal(op.damped_solve(1e-300, zeros), zeros)
+        assert cholesky.call_count == schur.call_count == 0
+        for a in (0.0, np.nan):
+            for call in (phi, vr_solve):
+                with pytest.raises(ValueError, match="^damping parameter must be positive and finite"):
+                    call(op, zeros, a)
 
 
 def test_phi_rejects_nonpositive_damping():

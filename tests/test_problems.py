@@ -175,7 +175,7 @@ def test_heat_instance_consistency():
 @pytest.mark.parametrize("n", [1, 7, 512])
 def test_volterra_instance(n):
     """A = tril(ones(n, n)) / n exactly, lower-triangular Toeplitz, so
-    as_operator takes the FFT route from n = 512; the truth is
+    as_operator takes the FFT route at every order n >= 2; the truth is
     sin(pi t) + t at the midpoints, b = A u, and delta is delta_rel ||b||
     exactly, the norm of the noise to rounding."""
     inst = volterra_instance(n, 0.01, 5)
@@ -186,7 +186,7 @@ def test_volterra_instance(n):
     assert (inst.n, inst.delta_rel, inst.seed) == (n, 0.01, 5)
     assert inst.delta == 0.01 * float(np.linalg.norm(inst.b_exact))
     assert float(np.linalg.norm(inst.b_noisy - inst.b_exact)) == pytest.approx(inst.delta, rel=1e-12)
-    assert (type(as_operator(inst.A)) is ToeplitzOperator) == (n >= 512)
+    assert (type(as_operator(inst.A)) is ToeplitzOperator) == (n >= 2)
 
 
 def test_volterra_instance_rejects_bad_arguments():

@@ -32,6 +32,7 @@ from dsmsolve import (
 from dsmsolve import linalg, params, solvers
 from dsmsolve.linalg import ToeplitzOperator, _cholesky, _triangular_toeplitz
 from dsmsolve.problems import heat_instance, heat_matrix, volterra_instance
+from test_solvers import gradient_reference
 
 SHAPES = st.sampled_from(("tall", "wide", "rank_deficient"))
 SEEDS = st.integers(0, 2**32 - 1)
@@ -238,8 +239,8 @@ def test_structured_gram_names_overflow_and_underflow():
 
 
 def toeplitz_operator(A):
-    """A ToeplitzOperator on the triangular Toeplitz A at any order, with FFT
-    products, as as_operator builds one from order 512."""
+    """A ToeplitzOperator on the triangular Toeplitz A, with FFT products,
+    as as_operator builds one."""
     return ToeplitzOperator(A, *_triangular_toeplitz(A))
 
 
@@ -308,7 +309,7 @@ def test_schur_factor_keeps_its_bits_under_power_of_two_scaling(lower, n, seed, 
 @pytest.mark.parametrize("n, seed", ((600, 1), (1000, 2)))
 def test_heat_operator_is_factored_without_lapack_cholesky(n, seed):
     """choose_a, the dsm preconditioner, its solve and its first apply,
-    which factors, make no LAPACK Cholesky on heat_matrix from order 512,
+    which factors, make no LAPACK Cholesky on heat_matrix (n = 600, 1000),
     whose operator is a ToeplitzOperator; the same matrix with one entry
     moved by one ulp is no longer Toeplitz, and its preconditioner makes one
     at its first apply."""
@@ -351,9 +352,9 @@ def test_lapack_route_at_and_below_the_schur_floor(lower, n, seed, decay, log_ra
     assert cholesky.call_count == 0
 
 
-@given(lower=st.booleans(), n=st.integers(512, 1100), seed=SEEDS, decay=DECAYS)
+@given(lower=st.booleans(), n=st.integers(2, 1100), seed=SEEDS, decay=DECAYS)
 def test_fft_products_of_a_triangular_toeplitz_operator(lower, n, seed, decay):
-    """From n = 512 a triangular Toeplitz A is applied by zero-padded real
+    """A triangular Toeplitz A of any order is applied by zero-padded real
     FFTs of a power-of-two length N >= 2n - 1: matvec and rmatvec are within
     log2(N) eps ||A||_F ||x|| (c = 1) of numpy's A x and A^T y, normwise;
     300 probes reached 0.014 of that bound."""
@@ -370,15 +371,21 @@ def test_fft_products_of_a_triangular_toeplitz_operator(lower, n, seed, decay):
 
 @pytest.mark.parametrize("lower", (True, False))
 def test_products_below_the_fft_floor_are_numpy_s(lower):
-    """At n = 511 as_operator gives a triangular Toeplitz A a DenseOperator,
-    which applies it as any other A: matvec and rmatvec are numpy's A x and
-    A^T y, bit for bit."""
-    A, _ = triangular_toeplitz(lower, 511, 5, 0.02)
-    op = as_operator(A)
-    assert type(op) is DenseOperator
-    x = np.random.default_rng(5).standard_normal(511)
-    assert np.array_equal(op.matvec(x), A @ x)
-    assert np.array_equal(op.rmatvec(x), A.T @ x)
+    """as_operator has no size floor: at n = 2, 7 and 511 it gives a
+    triangular Toeplitz A a ToeplitzOperator, whose matvec and rmatvec are
+    within log2(N) eps ||A||_F ||x|| of numpy's A x and A^T y, normwise, as
+    from n = 512; a DenseOperator built directly on the same A gives
+    numpy's products bit for bit."""
+    for n in (2, 7, 511):
+        A, _ = triangular_toeplitz(lower, n, 5, 0.02)
+        op = as_operator(A)
+        assert type(op) is ToeplitzOperator
+        bound = np.log2(op._fft.length) * np.finfo(float).eps * np.linalg.norm(A)
+        dense = DenseOperator(A)
+        x = np.random.default_rng(5).standard_normal(n)
+        for product, exact, reference in ((op.matvec, dense.matvec, A @ x), (op.rmatvec, dense.rmatvec, A.T @ x)):
+            assert np.linalg.norm(product(x) - reference) <= bound * np.linalg.norm(x)
+            assert np.array_equal(exact(x), reference)
 
 
 @pytest.mark.parametrize("lower", (True, False))
@@ -613,3 +620,99 @@ def test_basis_route_gives_up_to_the_exact_route(family, monkeypatch):
             assert (run.iterations, run.stop_reason, run.residual_history) == (steps, stop_reason, history)
             assert np.array_equal(run.solution, solution)
     assert isinstance(op, ToeplitzOperator)
+
+
+def _small_systems():
+    """(id, A, f_delta, delta, operators) with min(m, n) <= 60: heat and
+    Volterra, on a DenseOperator and on the ToeplitzOperator that
+    as_operator makes, a random dense square A, heat_matrix(40) stacked on
+    its first 20 rows (60 x 40) and its transpose, on a DenseOperator."""
+    cases = []
+    for family, make in sorted(FAMILIES.items()):
+        for n, delta_rel in ((2, 0.01), (3, 0.05), (7, 0.001), (10, 0.01), (13, 0.05), (43, 0.001), (60, 0.01)):
+            inst = make(n, delta_rel, 104729)
+            cases.append((f"{family}-{n}-{delta_rel}", inst.A, inst.b_noisy, inst.delta,
+                          (DenseOperator, as_operator)))
+    rng = np.random.default_rng(104729)
+    tall = np.vstack((heat_matrix(40), heat_matrix(40)[:20]))
+    for name, A in [(f"random-{n}", rng.standard_normal((n, n))) for n in (2, 7, 30, 60)] + \
+            [("tall", tall), ("wide", np.ascontiguousarray(tall.T))]:
+        clean = A @ rng.standard_normal(A.shape[1])
+        noise = rng.standard_normal(A.shape[0])
+        noise *= 0.01 * np.linalg.norm(clean) / np.linalg.norm(noise)
+        cases.append((name, A, clean + noise, float(np.linalg.norm(noise)), (DenseOperator,)))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("A, f, delta, makes", _small_systems())
+def test_complete_bases_match_the_exact_primitives(A, f, delta, makes):
+    """An A with min(m, n) <= 60 takes a complete Golub-Kahan basis, which
+    is exact: choose_a, vr_solve, vr_newton, solve_dsm (h = 1 and 1.5,
+    either stopping rule) and landweber_solve (h = 1/||A||^2) agree with the
+    exact primitives within test_basis_route_matches_the_exact_route's
+    tolerances, with the same actions, step counts, stop reasons and Newton
+    iterations; Landweber against its iterate form, u within 1e-12 and its
+    history within 1e-12 relative plus 1e-13 ||f_delta||. Measured on these
+    cases: 9.5e-14 on the search, 1.3e-13 on vr_solve, 6.8e-13 on
+    vr_newton's a and 3.4e-13 on its u, 1.1e-13 on the damped iteration's
+    u, and histories within 0.05 of their bound, the largest on the random
+    matrices; on heat and Volterra at every n = 2-60 and 0.1-5% noise at
+    most 5.6e-14, 2.8e-13 and 1.6e-14 on the search, the root and the
+    damped iteration's u."""
+    norm_f = np.linalg.norm(f)
+    exact = DenseOperator(A)
+    reference = _exact_search(exact, f, delta)
+    a = reference.chosen_a
+    u_exact = _exact_solve(exact, f, a)
+    a_n_exact, u_n_exact, exact_iterations = _exact_newton(exact, f, delta)
+    dsm_exact = [_exact_dsm(exact, f, delta, build_preconditioner(exact, a), config) for config in _dsm_configs(1.5)]
+    landweber = SolveConfig(h=1.0 / exact.norm_squared, max_iter=3000)
+    u_landweber, steps, history, stop_reason = gradient_reference(exact, f, delta, landweber)
+    landweber_exact = (steps, stop_reason, history, u_landweber)
+    for make in makes:
+        op = make(A)
+        assert type(op) is (ToeplitzOperator if make is as_operator else DenseOperator)
+        trace, u, (a_n, u_n, iterations), runs = _basis_results(op, f, delta, 1.5)
+        assert [step.action for step in trace.steps] == [step.action for step in reference.steps]
+        assert _within(_trace_values(trace), _trace_values(reference))
+        assert np.linalg.norm(u - u_exact) <= 1e-12 * np.linalg.norm(u_exact)
+        assert iterations == exact_iterations
+        assert abs(a_n - a_n_exact) <= 1e-11 * a_n_exact
+        assert np.linalg.norm(u_n - u_n_exact) <= 1e-12 * np.linalg.norm(u_n_exact)
+        runs.append(landweber_solve(op, f, delta, landweber))
+        for run, (steps, stop_reason, history, solution) in zip(runs, dsm_exact + [landweber_exact]):
+            assert (run.iterations, run.stop_reason) == (steps, stop_reason)
+            assert np.linalg.norm(run.solution - solution) <= 1e-12 * np.linalg.norm(solution)
+            assert np.all(np.abs(np.array(run.residual_history) - history) <= 1e-12 * np.array(history) + 1e-13 * norm_f)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_small_systems_settle_on_their_basis(family, monkeypatch):
+    """On heat and Volterra data at every n = 2-60 and 5%, 1% and 0.1%
+    noise, on a DenseOperator and on the ToeplitzOperator that as_operator
+    makes, every call of linalg._settled_on_basis returns a result, from
+    choose_a, vr_solve, vr_newton, solve_dsm (h = 1 and a-priori at
+    h = 0.1), landweber_solve and the vr_solve inside vr_newton: a
+    complete basis never hands a call to the exact route."""
+    settled = []
+
+    def recording(*args, real=linalg._settled_on_basis):
+        result = real(*args)
+        settled.append(result is not None)
+        return result
+
+    monkeypatch.setattr(params, "_settled_on_basis", recording)
+    monkeypatch.setattr(solvers, "_settled_on_basis", recording)
+    for n in range(2, 61):
+        for delta_rel in (0.05, 0.01, 0.001):
+            inst = FAMILIES[family](n, delta_rel, 104729)
+            f, delta = inst.b_noisy, inst.delta
+            for op in (DenseOperator(inst.A), as_operator(inst.A)):
+                a = choose_a(op, f, delta).chosen_a
+                vr_solve(op, f, a)
+                vr_newton(op, f, delta)
+                precond = build_preconditioner(op, a)
+                solve_dsm(op, f, delta, precond)
+                solve_dsm(op, f, delta, precond, SolveConfig(h=0.1, stopping="apriori"))
+                landweber_solve(op, f, delta)
+    assert len(settled) == 59 * 3 * 2 * 7 and all(settled)

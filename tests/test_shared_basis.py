@@ -243,18 +243,25 @@ def test_threads_sharing_a_dense_operator_give_the_serial_bits():
 
 
 def test_an_exhausted_basis_replays_its_end():
-    """A Krylov space exhausted at the first step is remembered: on A = I,
-    applied exactly, from f = ones(1024), whose unit vector has norm 1
-    exactly, beta is 0 at step 1, and a second call takes no step and gives
-    the first call's bits by the exact route."""
+    """A Krylov space exhausted at the first step is remembered, and its
+    basis is complete: on A = I, applied exactly, from f = ones(1024),
+    whose unit vector has norm 1 exactly, beta is 0 at step 1, so the
+    basis keeps that step, B_1 = (1, 0), and vr_solve accepts it, with
+    u = f / (1 + a); a second call takes no step and gives the first
+    call's bits."""
     op = as_operator(np.eye(1024))
     op.matvec = op.rmatvec = lambda x: x.copy()
     f = np.ones(1024)
-    first = vr_solve(op, f, 0.5)
-    basis = linalg._last_structure.basis
-    assert basis.exhausted and basis.steps == 0
-    assert np.array_equal(vr_solve(op, f, 0.5), first)
-    assert linalg._last_structure.basis is basis
+    with mock.patch.object(linalg, "_cholesky") as cholesky, \
+            mock.patch.object(linalg, "_toeplitz_cholesky") as schur:
+        first = vr_solve(op, f, 0.5)
+        basis = linalg._last_structure.basis
+        assert basis.exhausted and basis.steps == 1
+        assert np.array_equal(basis.B[:2, :1], [[1.0], [0.0]])
+        assert np.allclose(first, f / 1.5, rtol=1e-15, atol=0.0)
+        assert np.array_equal(vr_solve(op, f, 0.5), first)
+    assert cholesky.call_count == schur.call_count == 0
+    assert linalg._last_structure.basis is basis and basis.steps == 1
 
 
 def test_each_projected_svd_is_taken_once_per_basis():

@@ -159,6 +159,39 @@ def test_solver_input_validation():
         solve_dsm(A, f, 0.01, precond, u0=np.ones(5))
 
 
+def test_solve_dsm_runs_on_the_preconditioner_s_operator():
+    """solve_dsm takes every product from precond.op. It accepts A as that
+    operator, its array object, an equal copy or list, or another operator
+    of the same entries, with the bits of the first, and runs no structure
+    test on the operator or its array. A preconditioner built on other
+    entries of the same shape is refused, by an error that names it, after
+    the checks on A, the data and delta and before any product."""
+    inst = heat_instance(30, 0.01, 1)
+    f, delta = inst.b_noisy, inst.delta
+    precond = build_preconditioner(inst.A, 1e-3)
+    reference = solve_dsm(precond.op, f, delta, precond)
+    for A in (precond.op, inst.A, inst.A.copy(), inst.A.tolist(), DenseOperator(inst.A), as_operator(inst.A)):
+        with mock.patch.object(linalg, "_triangular_toeplitz", wraps=linalg._triangular_toeplitz) as structure:
+            result = solve_dsm(A, f, delta, precond)
+        assert np.array_equal(result.solution, reference.solution)
+        assert (result.iterations, result.residual_history) == (reference.iterations, reference.residual_history)
+        if A is precond.op or A is inst.A:
+            assert structure.call_count == 0
+    other = inst.A.copy()
+    other[3, 1] *= 2.0
+    with mock.patch.object(precond.op, "matvec", wraps=precond.op.matvec) as matvec:
+        with pytest.raises(ValueError, match="^preconditioner was built for an operator with other entries than A$"):
+            solve_dsm(other, f, delta, precond)
+    assert matvec.call_count == 0
+    with pytest.raises(ValueError, match="^dimension mismatch: data has length 29, expected 30$"):
+        solve_dsm(other, f[:29], delta, precond)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_dsm(other, f, -0.1, precond)
+    other[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        solve_dsm(other, f, delta, precond)
+
+
 def test_step_size_guard_for_damped_iteration():
     A, f, precond = identity_setup()  # ||T|| = 0.5
     with pytest.raises(ValueError, match="step size too large"):
@@ -199,16 +232,16 @@ def test_infinite_noise_level_is_rejected_by_name(stopping):
 @pytest.mark.parametrize("n", [20, 600])
 def test_initial_guess_whose_residual_overflows_is_named(n):
     """An initial guess whose ||A u0 - f_delta||^2 overflows float64 (heat,
-    u0 = 1e160 ones, on a DenseOperator at n = 20 and a ToeplitzOperator at
-    n = 600) is refused by solve_dsm and landweber_solve with an error that
-    names it, before any Golub-Kahan basis is built; at 1e152 both still
-    run, with a finite history that starts at ||A u0 - f_delta||."""
+    u0 = 1e160 ones, on a ToeplitzOperator at n = 20 and at n = 600) is
+    refused by solve_dsm and landweber_solve with an error that names it,
+    before any Golub-Kahan basis is built; at 1e152 both still run, with a
+    finite history that starts at ||A u0 - f_delta||, A u0 taken by FFT."""
     inst = heat_instance(n, 0.01, 1)
     op = as_operator(inst.A)
-    assert isinstance(op, ToeplitzOperator) == (n == 600)
+    assert isinstance(op, ToeplitzOperator)
     config = SolveConfig(max_iter=200)
     precond = build_preconditioner(op, 1e-3)
-    for scale, first in ((1e160, None), (1e152, 1.4666312100312745e152 if n == 20 else 7.818338357443131e152)):
+    for scale, first in ((1e160, None), (1e152, 1.4666312100312747e152 if n == 20 else 7.818338357443131e152)):
         u0 = np.full(n, scale)
         for call in (lambda: solve_dsm(op, inst.b_noisy, inst.delta, precond, config, u0=u0),
                      lambda: landweber_solve(op, inst.b_noisy, inst.delta, config, u0=u0)):
@@ -299,15 +332,15 @@ def landweber_cases():
 @pytest.mark.parametrize("make, n, delta_rel, max_iter, unit_h", landweber_cases())
 def test_landweber_recurrence_matches_the_iterate_form(make, n, delta_rel, max_iter, unit_h):
     """landweber_solve takes its run on a Golub-Kahan basis; against the
-    iterate form on heat and Volterra data (dense below n = 512, FFT
-    products at 600) it takes the same steps and stops for the same reason,
+    iterate form on heat and Volterra data (a ToeplitzOperator, with FFT
+    products, at every n) it takes the same steps and stops for the same reason,
     its solution and every history entry agree within 1e-12 relative, and
     so does ||A u - f_delta|| of its solution, taken directly, with its last
     history entry."""
     inst = make(n, delta_rel, 104729)
     f, delta = inst.b_noisy, inst.delta
     op = as_operator(inst.A)
-    assert (type(op) is ToeplitzOperator) == (n >= 512)
+    assert type(op) is ToeplitzOperator
     config = SolveConfig(h=1.0 / op.norm_squared if unit_h else 1.0, max_iter=max_iter)
     result = landweber_solve(op, f, delta, config)
     u, steps, history, reason = gradient_reference(op, f, delta, config)
@@ -326,31 +359,31 @@ def test_landweber_makes_no_gram_product_per_step(n, formed_grams):
     no product with A A^T once ||A|| is known, where the residual
     recurrence makes one per step: it makes at most
     _GOLUB_KAHAN_MAX_STEPS + 1 products with A and as many with A^T, for
-    its basis and the initial residual. Neither a DenseOperator (n = 100)
-    nor a ToeplitzOperator (n = 600) forms a Gram matrix, as ||A|| needs
-    none."""
+    its basis and the initial residual. Neither a DenseOperator built
+    directly nor the ToeplitzOperator that as_operator makes of the array
+    forms a Gram matrix, as ||A|| needs none."""
     inst = heat_instance(n, 0.001, 1)
-    op = as_operator(inst.A)
-    op.norm
-    products = []
+    for op, kind in ((DenseOperator(inst.A), DenseOperator), (as_operator(inst.A), ToeplitzOperator)):
+        assert type(op) is kind
+        op.norm
+        products = []
 
-    def counting(shift, real=op._gram_product):
-        product = real(shift)
+        def counting(shift, real=op._gram_product):
+            product = real(shift)
 
-        def counted(x):
-            products.append(shift)
-            return product(x)
+            def counted(x):
+                products.append(shift)
+                return product(x)
 
-        return counted
+            return counted
 
-    with mock.patch.object(op, "_gram_product", counting), \
-            mock.patch.object(op, "matvec", wraps=op.matvec) as matvec, \
-            mock.patch.object(op, "rmatvec", wraps=op.rmatvec) as rmatvec:
-        result = landweber_solve(op, inst.b_noisy, inst.delta)
-    assert result.iterations > 1000
-    assert products == []
-    assert 0 < rmatvec.call_count < matvec.call_count <= linalg._GOLUB_KAHAN_MAX_STEPS + 1
-    assert type(op) is (DenseOperator if n < 512 else ToeplitzOperator)
+        with mock.patch.object(op, "_gram_product", counting), \
+                mock.patch.object(op, "matvec", wraps=op.matvec) as matvec, \
+                mock.patch.object(op, "rmatvec", wraps=op.rmatvec) as rmatvec:
+            result = landweber_solve(op, inst.b_noisy, inst.delta)
+        assert result.iterations > 1000
+        assert products == []
+        assert 0 < rmatvec.call_count < matvec.call_count <= linalg._GOLUB_KAHAN_MAX_STEPS + 1
     assert formed_grams == []
 
 
