@@ -7,9 +7,11 @@ The flow u'(t) = -T u(t) + P f has the closed form solution
 so it is propagated coefficient-wise in an eigenbasis of T. With the SVD
 A = U diag(s) V^T, T = A^T (A A^T + a I)^{-1} A and Q = (A A^T + a I)^{-1} A A^T
 share the spectrum s^2 / (s^2 + a), with eigenvectors V and U; one SVD of A,
-cached on the preconditioner's operator, gives both at every damping a. The
-flow is dense-only and test-scale: the SVD costs O(n^3) time and keeps two
-n x n factors, so it suits dimensions up to a few hundred.
+kept in the entry of the preconditioner's operator (for a triangular
+Toeplitz A, shared by every operator of its structure, and by every
+method's give-up), gives both at every damping a. The flow is dense-only
+and test-scale: the SVD costs O(n^3) time and keeps two n x n factors, so it
+suits dimensions up to a few hundred.
 """
 
 from __future__ import annotations

@@ -164,8 +164,9 @@ def _check_damping(a: float) -> None:
 
 
 def _check_max_iter(max_iter) -> None:
-    """Raise ValueError unless the iteration cap max_iter is an integer >= 1."""
-    if not isinstance(max_iter, numbers.Integral):
+    """Raise ValueError unless the iteration cap max_iter is an integer >= 1;
+    a bool, which Python counts as an integer, is not one."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -303,10 +304,10 @@ class EigenDecomposition:
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of x in the eigenvector basis."""
-        return self.eigenvectors.T @ as_vector(x)
+        return self.eigenvectors.T @ as_vector(x, self.dimension, name="vector")
 
     def from_basis(self, c: np.ndarray) -> np.ndarray:
-        return self.eigenvectors @ as_vector(c)
+        return self.eigenvectors @ as_vector(c, self.dimension, name="coefficients")
 
 
 def sym_eigen(M: np.ndarray) -> EigenDecomposition:
@@ -315,42 +316,6 @@ def sym_eigen(M: np.ndarray) -> EigenDecomposition:
     S = _require_symmetric(M, "sym_eigen")
     eigenvalues, eigenvectors = np.linalg.eigh(S)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def _eigen_coefficients(S: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the symmetric S, ascending and clamped at 0, and the
-    coefficients of b in the matching orthonormal eigenvectors.
-
-    S is reduced once to tridiagonal form Q^T S Q by Householder reflections
-    (dsytrd), Q^T b is applied from the stored reflectors (dormqr), and the
-    tridiagonal's eigenpairs come from the MRRR solver (stemr). Only the two
-    vectors leave the call; the m x m reflectors and eigenvectors are freed.
-    Roundoff can leave eigenvalues of a semidefinite S slightly negative,
-    hence the clamp. Only the lower triangle of S is read, and S is not
-    modified. Raises ValueError when a LAPACK routine or the eigensolver
-    fails.
-    """
-    m = S.shape[0]
-    lwork, info = scipy.linalg.lapack.dsytrd_lwork(m, lower=1)
-    if info == 0:
-        c, d, e, tau, info = scipy.linalg.lapack.dsytrd(S, lower=1, lwork=int(lwork))
-    if info != 0:
-        raise ValueError(f"tridiagonal reduction (dsytrd) failed with info={info}")
-    qb = b
-    if m > 1:
-        # With lower=1 the reflectors sit below the subdiagonal: Q acts on rows
-        # 1.. as the QR-form product of c[1:, :m-1] and leaves row 0 alone. A
-        # single column needs only the minimal workspace, lwork = 1.
-        tail, _, info = scipy.linalg.lapack.dormqr("L", "T", c[1:, : m - 1], tau, b[1:, None], lwork=1)
-        if info != 0:
-            raise ValueError(f"applying the tridiagonal reflectors (dormqr) failed with info={info}")
-        qb = np.concatenate((b[:1], tail[:, 0]))
-    del c
-    try:
-        eigenvalues, Z = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"tridiagonal eigensolver (stemr) failed: {exc}") from None
-    return np.maximum(eigenvalues, 0.0), Z.T @ qb
 
 
 def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -362,14 +327,14 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-# Golub-Kahan steps a basis takes at most before its caller falls back to
-# an exact route, on either operator: the eigenpairs of A A^T for
-# vr_newton's root, the residual recurrence for Landweber, the damped solves
-# for choose_a, vr_solve and solve_dsm. Heat data settle within it down to
-# 0.01% noise (k = 20 at 5%); by FFT products 60 steps cost 2-30% of the
-# tridiagonal route from n = 2000 down to n = 512, and the bound does not
-# grow with n. An A with min(m, n) <= 60 takes a complete basis, which is
-# exact, so only an A with min(m, n) > 60 can reach the exact route.
+# Golub-Kahan steps a basis takes at most before every method, on either
+# operator, gives up to the one complete spectrum left, A's SVD, kept in the
+# entry (_settled_on_basis). Heat data settle within it down to 0.01% noise
+# (k = 20 at 5%). The SVD costs O(mn min(m, n)), about 40 ms at n = 400 and
+# 0.45-0.56 s at n = 1000 on one thread, where 60 steps by FFT products,
+# with the SVDs of their B_k, take about 10 ms; the bound does not grow
+# with n. An A with min(m, n) <= 60 takes a complete basis, which is exact,
+# so only an A with min(m, n) > 60 can give up.
 _GOLUB_KAHAN_MAX_STEPS = 60
 
 
@@ -453,13 +418,15 @@ class _Bidiagonalization:
 
 @dataclass
 class _StructureEntry:
-    """What is kept of one A across calls (DenseOperator._entry): its ||A||,
-    once known, and the bidiagonalization from one start vector, keyed by
-    that vector's bytes. key is (lower, the bytes of c) for a triangular
-    Toeplitz structure, None for the entry of one DenseOperator."""
+    """What is kept of one A across calls (DenseOperator._entry): its ||A||
+    and its SVD (DenseOperator.ascending_svd), once known, and the
+    bidiagonalization from one start vector, keyed by that vector's bytes.
+    key is (lower, the bytes of c) for a triangular Toeplitz structure, None
+    for the entry of one DenseOperator. It holds no operator."""
 
     key: tuple[bool, bytes] | None = None
     norm: float | None = None
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     start: bytes | None = None
     basis: _Bidiagonalization | None = None
 
@@ -477,7 +444,9 @@ class _StructureEntry:
 
 # The one entry kept across operators, for the last triangular Toeplitz
 # structure a ToeplitzOperator asked for, and the lock that guards the slot
-# and every entry's start and basis, a DenseOperator's own included.
+# and every entry's start and basis, a DenseOperator's own included. ||A||
+# and the SVD are filled outside it: two threads that both find one missing
+# each compute the same bits.
 _last_structure: _StructureEntry | None = None
 _structure_lock = threading.Lock()
 
@@ -494,38 +463,58 @@ def _structure_entry(c: np.ndarray, lower: bool) -> _StructureEntry:
 
 
 def _settled_on_basis(op: DenseOperator, d: np.ndarray, evaluate, agree):
-    """The first settled result of a method taken as a filter on a
-    Golub-Kahan basis of op's A started at the nonzero d, or None when none
-    settles, so that the caller takes its exact route. The one acceptance
-    loop of every filter on the basis; its callers are choose_a's search,
-    vr_solve, vr_newton's root, and landweber_solve and solve_dsm (through
-    solvers._projected_run).
+    """The first settled result of a method taken as a filter on a spectrum
+    of op's A for the nonzero data d: on a Golub-Kahan basis started at d,
+    and, when its bases end without one, on A's SVD. The one acceptance
+    loop and the one give-up of every filter; its callers are choose_a's
+    search, vr_solve, vr_newton's root, and landweber_solve and solve_dsm
+    (through solvers._projected_run).
 
-    Every 5 steps and at the last (_Bidiagonalization.bases), with
-    B_k = P diag(s) Q^T and g = ||d|| P^T e_1, the result is
-    evaluate(s, g, V, Q^T), V holding V_k's columns as rows; evaluate
-    returns None, or raises ValueError, for "not yet". A result on a
-    complete basis, which is exact, is returned as it is; otherwise the
-    first result for which agree(result, result on B_{k-5}) holds is. None
-    comes once the bidiagonalization ends without either, after
-    _GOLUB_KAHAN_MAX_STEPS steps on an A with min(m, n) above it, or when
-    the method says "not yet" on a complete basis. An A A^T out of
+    A spectrum is (s, g, lift): singular values s, descending, the
+    coefficients g of d along the matching left singular vectors with the
+    floor, the norm of d's part outside their span, last, and lift, which
+    takes coefficients c along the matching right singular vectors to the
+    vector sum c_i v_i of length n. The result is evaluate(s, g, lift,
+    complete); on a spectrum that is not complete, evaluate returns None, or
+    raises ValueError, for "not yet". Every 5 steps and at the last
+    (_Bidiagonalization.bases), B_k = P diag(s) Q^T gives s,
+    g = ||d|| P^T e_1 and lift(c) = V_k Q c. The first result for which
+    agree(result, result on B_{k-5}) holds is returned. A complete basis,
+    of min(m, n) steps or an exhausted Krylov space, is exact, and so is
+    the SVD A = U diag(s) V^T, taken once the bidiagonalization ends after
+    _GOLUB_KAHAN_MAX_STEPS steps on an A with min(m, n) above it: g = U^T d,
+    its exact zeros in s folded into the floor, and lift(c) = V c. On
+    either the method is evaluated once, with complete true, and its
+    ValueError propagates, so a result always comes. An A A^T out of
     float64's range is named before any product (op._check_gram_range).
     The basis is op._basis(d), the one kept in op's entry for d, which this
-    call replays and extends.
+    call replays and extends, and the SVD the one kept in op's entry
+    (op.ascending_svd).
     """
     op._check_gram_range()
     norm_d = float(np.linalg.norm(d))
     previous = None
     for (P, s, Qt), V, complete in op._basis(d).bases(op.matvec, op.rmatvec):
+        def lift(c, V=V, Qt=Qt):
+            return V.T @ (Qt.T @ c)
+
+        if complete:
+            return evaluate(s, norm_d * P[0], lift, True)
         try:
-            result = evaluate(s, norm_d * P[0], V, Qt)
+            result = evaluate(s, norm_d * P[0], lift, False)
         except ValueError:
             result = None
-        if result is not None and (complete or previous is not None and agree(result, previous)):
+        if result is not None and previous is not None and agree(result, previous):
             return result
         previous = result
-    return None
+    s, U, V = op.ascending_svd
+    zeros = int(np.searchsorted(s, 0.0, side="right"))  # s ascends, so its zeros lead
+    rank = s.shape[0] - zeros
+    coefficients = U.T @ d
+    floor = _norm(coefficients[: U.shape[1] - rank])
+    right = V[:, V.shape[1] - rank:]
+    return evaluate(s[zeros:][::-1], np.append(coefficients[U.shape[1] - rank:][::-1], floor),
+                    lambda c: right @ c[::-1], True)
 
 
 def op_norm(M: np.ndarray) -> float:
@@ -544,15 +533,16 @@ class DenseOperator:
     basis take A only through them. gram_right holds the lower triangle of
     A A^T, the one Gram matrix, in Fortran order, its strict upper triangle
     zero, one dsyrk (_gram_lower); mirrored, it is numpy's A A^T bit for
-    bit. Only the exact routes read it: the damped solves, Landweber's
-    residual recurrence and vr_newton's exact misfit spectrum (the
-    eigenpairs of A A^T, _eigen_coefficients). A is validated and used as
-    given, flags untouched; it must not change while the operator is in
-    use.
+    bit. Only the damped factor reads it, and only the public exact callers
+    take that factor: phi, dsm_step, and the Preconditioner's products and
+    assembled matrices. The methods take their filters on the Golub-Kahan
+    basis, and give up to the SVD (_settled_on_basis), with no Gram matrix.
+    A is validated and used as given, flags untouched; it must not change
+    while the operator is in use.
 
-    ||A|| and the Golub-Kahan basis of the last data are kept in the
-    operator's own entry (_entry), which holds no operator and no A and is
-    filled on first use: every call on the same data replays and extends
+    ||A||, the SVD and the Golub-Kahan basis of the last data are kept in
+    the operator's own entry (_entry), which holds no operator and no A and
+    is filled on first use: every call on the same data replays and extends
     that basis, bit for bit as a fresh build (_StructureEntry.basis_at).
 
     Every A takes these dense products when the class is called directly, and
@@ -580,12 +570,6 @@ class DenseOperator:
         """A^T y for a float vector y of length m."""
         _check_operand(y, self.shape[0])
         return self.A.T @ y
-
-    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (A A^T + shift I) x by one dsymv on gram_right, formed once
-        per operator. The product refers to the triangle, never to the
-        operator. Raises the Gram matrix's overflow or underflow error."""
-        return _triangle_product(self.gram_right, shift)
 
     @cached_property
     def gram_right(self) -> np.ndarray:
@@ -735,18 +719,26 @@ class DenseOperator:
                 "for this operator at working precision"
             ) from None
 
-    @cached_property
+    @property
     def ascending_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(s, U, V) of the full SVD A = U diag(s) V^T, in ascending order.
+        """(s, U, V) of the full SVD A = U diag(s) V^T, in ascending order,
+        kept in the entry, where every operator that shares it reads it.
 
-        Computed once, on first use; dense and test-scale. s holds the
-        min(m, n) singular values ascending. The columns of U (m x m) and
-        V (n x n) are reordered to match, each copied once into contiguous
-        memory: their first m - len(s), respectively n - len(s), columns
-        lie in the null spaces of A^T and A, the rest pair with s in order.
+        Computed once per entry, on first use, in O(mn min(m, n)), with two
+        square factors kept; read-only. s holds the min(m, n) singular
+        values ascending. The columns of U (m x m) and V (n x n) are
+        reordered to match, each copied once into contiguous memory: their
+        first m - len(s), respectively n - len(s), columns lie in the null
+        spaces of A^T and A, the rest pair with s in order.
         """
-        U, s, Vt = np.linalg.svd(self.A, full_matrices=True)
-        return s[::-1], U[:, ::-1].copy(), Vt[::-1].copy().T
+        entry = self._entry()
+        if entry.svd is None:
+            U, s, Vt = np.linalg.svd(self.A, full_matrices=True)
+            svd = (s[::-1].copy(), U[:, ::-1].copy(), Vt[::-1].copy().T)
+            for factor in svd:
+                factor.flags.writeable = False
+            entry.svd = svd
+        return entry.svd
 
 
 class ToeplitzOperator(DenseOperator):
@@ -755,19 +747,20 @@ class ToeplitzOperator(DenseOperator):
     _triangular_toeplitz finds it; A is the validated matrix. as_operator
     makes one of every such A, at any order n >= 2.
 
-    A is applied by FFT in O(n log n), so neither ||A||, the damped factor
-    nor Landweber's exact route form A A^T: each takes A (A^T x) from the
-    FFT pair, and the Golub-Kahan basis takes its products from it too.
-    That basis, and ||A||, are kept across operators too: the entry
+    A is applied by FFT in O(n log n), so neither ||A|| nor the damped
+    factor form A A^T: each takes A (A^T x) from the FFT pair, and the
+    Golub-Kahan basis takes its products from it too. That basis, ||A|| and
+    the SVD are kept across operators too: the entry
     (_entry) is one module-level entry for the last structure, keyed by
     (lower, the bytes of c) (_structure_entry), so a call on the same A and
     data replays the stored steps and extends them with this operator's own
-    products. Another structure drops the entry, and its basis, before a
-    new one is made. The factor of A A^T + a I takes O(n^2) by the
+    products, and every give-up and continuous flow on the structure reads
+    one SVD. Another structure drops the entry, its basis and its SVD,
+    before a new one is made. The factor of A A^T + a I takes O(n^2) by the
     generalized Schur algorithm when a > eps (sum |c_i|)^2 (see _factor).
     The largest entry of A A^T, which the range check reads, is c . c
-    (_gram_peak), in O(n); the Gram triangle, when an exact route forms it,
-    is DenseOperator's, by dsyrk.
+    (_gram_peak), in O(n); the Gram triangle, which only a damped factor at
+    a tiny a forms, is DenseOperator's, by dsyrk.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray, lower: bool):
@@ -795,24 +788,21 @@ class ToeplitzOperator(DenseOperator):
         with np.errstate(over="ignore"):  # _gram_in_range names an overflow
             return float(self.c @ self.c)
 
-    def _gram_product(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> A (A^T x) + shift x by FFT; it forms no Gram matrix and refers
-        only to the FFT spectra."""
-        fft = self._fft
-        return lambda x: fft.matvec(fft.rmatvec(x)) + shift * x
-
     def _factor(self, a: float) -> SpdFactorization:
         """The factor of A A^T + a I in O(n^2) by the generalized Schur
         algorithm (_toeplitz_cholesky) when a > eps (sum |c_i|)^2, which
-        never fails; its solves refine against _gram_product(a), so it forms
-        no A A^T, with the bound (sum |c_i|)^2 + a, as
+        never fails; its solves refine against A (A^T x) + a x by FFT, a
+        product that refers only to the FFT spectra, so it forms no A A^T,
+        with the bound (sum |c_i|)^2 + a, as
         ||A||^2 <= ||A||_1 ||A||_inf = (sum |c_i|)^2.
         At or below eps times that, a floor that scales exactly with A by
         powers of two, roundoff in A A^T can swamp a, and A is factored as
         DenseOperator factors it."""
         l1 = float(np.sum(np.abs(self.c)))
         if a > np.finfo(float).eps * l1 * l1:
-            return _toeplitz_cholesky(self.c, self.lower, self._gram_product(a), a, float(l1 * l1 + a))
+            fft = self._fft
+            return _toeplitz_cholesky(self.c, self.lower, lambda x: fft.matvec(fft.rmatvec(x)) + a * x, a,
+                                      float(l1 * l1 + a))
         return super()._factor(a)
 
 

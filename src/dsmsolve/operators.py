@@ -16,8 +16,10 @@ class Preconditioner:
     is op.damped_solve(a, .), which reuses the factor the operator keeps for
     its last a. Construction only checks that a is positive and finite: the
     factor is built at the first apply, and an a the operator cannot take,
-    or an A A^T out of float64's range, fails there. So a solve_dsm that
-    settles on a Golub-Kahan basis factors nothing. T and Q are symmetric
+    or an A A^T out of float64's range, fails there. Only these exact
+    products, the assembled T and Q and solvers.dsm_step take it: solve_dsm
+    takes its run as a filter on a Golub-Kahan basis or, giving up, on A's
+    SVD, and reads only a, so it factors nothing. T and Q are symmetric
     positive semidefinite with spectral norm strictly below 1, which is what
     makes the damped iteration stable for unit step size.
     """

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_check_damping, _check_max_iter, _check_solution_bound, _eigen_coefficients, _norm,
-                     _settled_on_basis, as_operator)
+from .linalg import _check_damping, _check_max_iter, _check_solution_bound, _norm, _settled_on_basis, as_operator
 
 MAX_EVALUATIONS = 100
 
@@ -58,29 +57,30 @@ def vr_solve(A, f_delta, a: float) -> np.ndarray:
     solvers.landweber_solve): with B_k = P diag(s) Q^T and
     g = ||f_delta|| P^T e_1, it is V_k Q diag(s / (s^2 + a)) g_{1..k}, and the
     first k whose solution is within 1e-12 relative of the one on B_{k-5} is
-    accepted, or the one on a complete basis (linalg._settled_on_basis).
-    With none accepted by 60 steps, on an A with min(m, n) > 60, it is one
-    damped solve of the factored A A^T + a I; zero data give zero, with no
-    factor. Either way a must be positive and finite, and
-    ||f_delta|| / a finite."""
+    accepted, or the one on a complete basis. With none accepted by 60
+    steps, on an A with min(m, n) > 60, it is V diag(s / (s^2 + a)) U^T f_delta
+    on A's SVD (linalg._settled_on_basis); zero data give zero. Either way
+    a must be positive and finite, and ||f_delta|| / a finite."""
     op = as_operator(A)
     f_delta = op.check_data(f_delta)
     _check_damping(a)
-    op._check_gram_range()  # the exact route's error order: a, then A A^T, then ||f|| / a
+    op._check_gram_range()  # damped_solve's error order: a, then A A^T, then ||f|| / a
     _check_solution_bound(_norm(f_delta), a)
+    if not f_delta.any():
+        return np.zeros(op.shape[1])
 
-    def solve(s, g, V, Qt):
-        return V.T @ (Qt.T @ (s / (s * s + a) * g[: s.shape[0]]))
+    def solve(s, g, lift, complete):
+        return lift(s / (s * s + a) * g[: s.shape[0]])
 
-    u = _settled_on_basis(op, f_delta, solve, _vectors_agree) if f_delta.any() else None
-    return op.rmatvec(op.damped_solve(a, f_delta)) if u is None else u
+    return _settled_on_basis(op, f_delta, solve, _vectors_agree)
 
 
 def phi(A, f_delta, a: float) -> float:
     """Data misfit ||A u_a - f_delta|| of u_a = vr_solve(A, f_delta, a),
     increasing in a; taken as a ||z|| for z = (A A^T + a I)^{-1} f_delta, as
     A u_a - f_delta = -a z, so no two nearly equal vectors are subtracted.
-    Always exact: one damped solve of the factored A A^T + a I."""
+    Always exact: one damped solve of the factored A A^T + a I, which no
+    method here takes (choose_a searches on its filter spectra)."""
     op = as_operator(A)
     z = op.damped_solve(a, op.check_data(f_delta))
     return float(a) * _norm(z)
@@ -150,8 +150,10 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
     there counts as not yet. The first k whose trace has the actions of the
     trace on B_{k-5}, with every a and misfit within 1e-12 relative, is
     accepted, as is the trace on a complete basis, which is exact (an A with
-    min(m, n) <= 60, or an exhausted Krylov space). With none accepted the
-    search runs on phi.
+    min(m, n) <= 60, or an exhausted Krylov space). With none accepted by 60
+    steps the search runs on A's SVD, where gamma = U^T f_delta
+    (linalg._settled_on_basis). On either complete spectrum the floor does
+    not hold the search back, and its error is raised.
 
     Raises ValueError on zero data, a zero operator, or after 100 trials.
     """
@@ -167,13 +169,10 @@ def choose_a(A, f_delta, delta: float) -> ParamTrace:
 
     start = start_damping(delta, op.norm, norm_f)
 
-    def search(s, g, V, Qt):
-        return _search(_projected_misfit(s, g), start, delta) if abs(g[-1]) < delta else None
+    def search(s, g, lift, complete):
+        return _search(_projected_misfit(s, g), start, delta) if complete or abs(g[-1]) < delta else None
 
-    trace = _settled_on_basis(op, f_delta, search, _traces_agree)
-    if trace is not None:
-        return trace
-    return _search(lambda a: phi(op, f_delta, a), start, delta)
+    return _settled_on_basis(op, f_delta, search, _traces_agree)
 
 
 def _discrepancy_root(lam: np.ndarray, gamma: np.ndarray, target: float, s2: float,
@@ -183,8 +182,8 @@ def _discrepancy_root(lam: np.ndarray, gamma: np.ndarray, target: float, s2: flo
     by the bracket and safeguarded Newton search that vr_newton describes,
     from start clamped into the bracket; s2 is ||A||^2. Each probe costs
     O(len(lam)). The one root finder on a misfit spectrum: vr_newton runs
-    it on each Golub-Kahan spectrum until the root settles, and once more
-    on the spectrum it settled on, or on that of A A^T. Raises ValueError,
+    it on each Golub-Kahan spectrum until the root settles, or on A's SVD,
+    and once more on the spectrum it settled on. Raises ValueError,
     naming the reason, when there is no root or no convergence within
     max_iter Newton steps."""
 
@@ -251,11 +250,13 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     f_delta: lambda = (0, s^2) and gamma = ||f_delta|| P^T e_1, ordered
     alike, the damped misfit restricted to span(V_k), at or above the full
     one. The first k whose root agrees with B_{k-5}'s within 1e-12 relative,
-    or the root on a complete basis, is taken (linalg._settled_on_basis).
-    Otherwise, after 60 steps on an A with min(m, n) > 60, the spectrum is the
-    eigenpairs of A A^T, from one tridiagonal reduction. The root is then
-    taken once more on it. u_a is vr_solve's, which replays the same basis,
-    kept in the operator's entry, and factors nothing unless it falls back.
+    or the root on a complete basis, is taken. Otherwise, after 60 steps on
+    an A with min(m, n) > 60, the spectrum is A's SVD: lambda = (0, s^2) and
+    gamma = (floor, U^T f_delta) (linalg._settled_on_basis). A no-root error
+    on a complete spectrum is raised. The root is then taken once more on
+    the spectrum it settled on. u_a is vr_solve's, which replays the same
+    basis, or the same SVD, both kept in the operator's entry, and factors
+    nothing.
 
     Returns (a, u_a, iterations) with |phi(a) - C delta| <= 1e-8 * C delta.
     When C delta sits below the roundoff noise of the misfit itself, that
@@ -284,11 +285,10 @@ def vr_newton(A, f_delta, delta: float, C: float = 1.01,
     def root(lam: np.ndarray, gamma: np.ndarray) -> tuple[float, int]:
         return _discrepancy_root(lam, gamma, target, s2, start, max_iter)
 
-    def settle(s, g, V, Qt):
+    def settle(s, g, lift, complete):
         lam, gamma = np.concatenate(([0.0], s[::-1] ** 2)), g[::-1]
         return lam, gamma, root(lam, gamma)[0]
 
-    settled = _settled_on_basis(op, f_delta, settle, lambda new, old: abs(new[2] - old[2]) <= 1e-12 * new[2])
-    lam, gamma = settled[:2] if settled is not None else _eigen_coefficients(op.gram_right, f_delta)
+    lam, gamma, _ = _settled_on_basis(op, f_delta, settle, lambda new, old: abs(new[2] - old[2]) <= 1e-12 * new[2])
     a, iterations = root(lam, gamma)
     return a, vr_solve(op, f_delta, a), iterations

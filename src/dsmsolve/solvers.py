@@ -60,9 +60,8 @@ class SolveResult:
     relative of Landweber's iterate form, and within 7.5e-13 of the damped
     iteration's direct residuals, on heat and Volterra data. A complete
     basis, as every A with min(m, n) <= 60 takes, is accepted as it is.
-    When no basis is accepted, solve_dsm takes each one directly, and
-    landweber_solve takes them from its exact residual recurrence (see
-    landweber_solve).
+    When no basis is accepted, both take the run once on A's SVD, as
+    ||A u_k - f_delta|| of the filtered iterates (see landweber_solve).
     stop_reason is one of
     "discrepancy_met", "apriori_reached", "max_iter", "initial_already_small".
     """
@@ -143,28 +142,6 @@ def _stop_rule(delta, config) -> tuple[float, int, str]:
     return -math.inf, min(target, config.max_iter), finished
 
 
-def _run_iteration(step, finish, state, r, rule, a_used):
-    """Shared stopping logic: first discrepancy crossing, or a fixed step count.
-
-    r is the residual A u - f_delta of the iterate u = finish(state), the
-    one the history records. step(state, r) returns the next (state, r)
-    pair, and finish maps the last state to the solution. rule is
-    _stop_rule's (threshold, steps, finished).
-    """
-    residual = float(np.linalg.norm(r))
-    history = [residual]
-    threshold, steps, finished = rule
-    if residual <= threshold:
-        return SolveResult(finish(state), 0, history, "initial_already_small", a_used)
-    for n in range(1, steps + 1):
-        state, r = step(state, r)
-        residual = float(np.linalg.norm(r))
-        history.append(residual)
-        if residual <= threshold:
-            return SolveResult(finish(state), n, history, "discrepancy_met", a_used)
-    return SolveResult(finish(state), steps, history, finished, a_used)
-
-
 def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
               config: SolveConfig | None = None, u0=None) -> SolveResult:
     """Run the damped iteration u_{n+1} = u_n - h P (A u_n - f_delta).
@@ -204,10 +181,9 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
     filter 1 - (1 - h s^2 / (s^2 + a))^n to A's singular values s, so the
     whole run, stop rule included, is evaluated on a Golub-Kahan basis
     started at d = f_delta - A u0, at O(k) per step, with landweber_solve's
-    rule for accepting a k. It then makes no damped solve, so the preconditioner,
-    which contributes only a, factors nothing. When no k is accepted by 60
-    steps, on an A with min(m, n) > 60, and when the initial residual
-    already meets the stop, each step is the exact update above.
+    rule for accepting a k, and its give-up to A's SVD. It makes no damped
+    solve, so the preconditioner, which contributes only a, factors
+    nothing.
     """
     op, f_delta, config = _checked_inputs(precond.op if A is precond.op.A else A, f_delta, delta, config)
     if precond.op.shape != op.shape:
@@ -222,16 +198,8 @@ def solve_dsm(A, f_delta, delta: float, precond: Preconditioner,
         raise ValueError(f"step size too large: h * ||T|| = {h_t:.6g} >= 2")
 
     u, r = _start(op, f_delta, u0)
-    rule = _stop_rule(delta, config)
-    projected = _projected_run(op, u, -r, lambda s: config.h * s * s / (s * s + precond.a), rule, precond.a)
-    if projected is not None:
-        return projected
-
-    def step(u, r):
-        u = u - config.h * precond.apply_p(r)
-        return u, op.matvec(u) - f_delta
-
-    return _run_iteration(step, lambda u: u, u, r, rule, precond.a)
+    return _projected_run(op, u, -r, lambda s: config.h * s * s / (s * s + precond.a), _stop_rule(delta, config),
+                          precond.a)
 
 
 # Steps of a projected run whose residuals are evaluated at once: the first
@@ -304,30 +272,31 @@ def _landweber_filter(s, g, x, rule):
     return iterations, reason, history, phi * g[:k] / s
 
 
-def _projected_run(op, u0, d, fraction, rule, a_used) -> SolveResult | None:
+def _projected_run(op, u0, d, fraction, rule, a_used) -> SolveResult:
     """A run from u0 on the data A u0 + d whose steps keep 1 - fraction(s)
-    of each residual component, taken on a Golub-Kahan basis started at d
-    by _landweber_filter, with landweber_solve's rule for accepting a k
-    (linalg._settled_on_basis); None when no k is accepted, and, with no
-    basis built, when ||d|| already meets the stop or is zero. The history
-    starts at ||d||."""
+    of each residual component, taken by _landweber_filter on a
+    Golub-Kahan basis started at d, with landweber_solve's rule for
+    accepting a k, or on A's SVD (linalg._settled_on_basis). The history
+    starts at ||d||. With no spectrum taken, a ||d|| that already meets the
+    stop ends the run at u0, and a zero d under the a-priori rule keeps it
+    there for every step."""
+    threshold, steps, finished = rule
     norm_d = float(np.linalg.norm(d))
-    if norm_d <= max(rule[0], 0.0):
-        return None
+    if norm_d <= threshold:
+        return SolveResult(u0, 0, [norm_d], "initial_already_small", a_used)
+    if norm_d == 0.0:
+        return SolveResult(u0, steps, [0.0] * (steps + 1), finished, a_used)
 
-    def run(s, g, V, Qt):
+    def run(s, g, lift, complete):
         iterations, reason, history, coefficients = _landweber_filter(s, g, fraction(s), rule)
-        return iterations, reason, history, u0 + V.T @ (Qt.T @ coefficients)
+        return iterations, reason, history, u0 + lift(coefficients)
 
     def agree(new, old):
         iterations, reason, history, u = new
         return (old[:2] == (iterations, reason) and np.all(np.abs(history() - old[2]()) <= 1e-12 * history())
                 and np.linalg.norm(u - old[3]) <= 1e-12 * np.linalg.norm(u))
 
-    settled = _settled_on_basis(op, d, run, agree)
-    if settled is None:
-        return None
-    iterations, reason, history, u = settled
+    iterations, reason, history, u = _settled_on_basis(op, d, run, agree)
     return SolveResult(u, iterations, [norm_d, *history().tolist()], reason, a_used)
 
 
@@ -364,13 +333,11 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
     ||A||'s power iteration on an operator that has not taken it yet.
 
     When no k is accepted by 60 steps, on an A with min(m, n) > 60, the
-    run is exact: the loop carries the residual, r_{n+1} = r_n - h A A^T r_n,
-    and forms u_N = u_0 - h A^T (r_0 + ... + r_{N-1}) once. Each of its steps is one
-    dsymv on the lower triangle of A A^T, which this route forms on first
-    use, or the FFT pair A (A^T r) of a ToeplitzOperator; its history is
-    ||r_n|| as the recurrence carries it. An initial residual already small,
-    the step-size guard and the a-priori budget are settled before any
-    basis is built.
+    run is taken once on A's SVD A = U diag(s) V^T, which is exact: the
+    same filter with g = U^T d and the floor of d's part outside A's range
+    (linalg._settled_on_basis), still O(min(m, n)) per step. An initial
+    residual already small, the step-size guard and the a-priori budget are
+    settled before any basis is built.
     """
     op, f_delta, config = _checked_inputs(A, f_delta, delta, config)
     s2 = op.norm_squared
@@ -380,20 +347,7 @@ def landweber_solve(A, f_delta, delta: float, config: SolveConfig | None = None,
             f"use h < 2/||A||^2 = {2.0 / s2:.6g}"
         )
     u, r = _start(op, f_delta, u0)
-    rule = _stop_rule(delta, config)
-    projected = _projected_run(op, u, -r, lambda s: config.h * s * s, rule, None)
-    if projected is not None:
-        return projected
-    product = op._gram_product(0.0)
-
-    def step(total, r):
-        total += r
-        return total, r - config.h * product(r)
-
-    def finish(total):
-        return u - config.h * op.rmatvec(total)
-
-    return _run_iteration(step, finish, np.zeros_like(r), r, rule, None)
+    return _projected_run(op, u, -r, lambda s: config.h * s * s, _stop_rule(delta, config), None)
 
 
 def residuals_nonincreasing(history, slack: float = RESIDUAL_SLACK) -> bool:

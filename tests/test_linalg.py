@@ -379,6 +379,16 @@ def test_sym_eigen_basis_roundtrip():
     assert np.allclose(eig.from_basis(eig.to_basis(x)), x, rtol=1e-13, atol=1e-13)
 
 
+def test_sym_eigen_basis_names_a_length_mismatch():
+    """to_basis and from_basis check the length of their vector against the
+    dimension, and name it, before any product."""
+    eig = sym_eigen(np.eye(3))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: vector has length 4, expected 3$"):
+        eig.to_basis(np.ones(4))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: coefficients has length 2, expected 3$"):
+        eig.from_basis(np.ones(2))
+
+
 def test_sym_eigen_rejects_asymmetric():
     with pytest.raises(ValueError, match="square"):
         sym_eigen(np.ones((2, 3)))

@@ -1,4 +1,4 @@
-"""Tests for the entry that keeps ||A|| and one Golub-Kahan
+"""Tests for the entry that keeps ||A||, A's SVD and one Golub-Kahan
 bidiagonalization per (A, data) across calls, replayed and extended by every
 call on that data, bit for bit: one module-level entry per triangular
 Toeplitz structure for ToeplitzOperator, and each DenseOperator's own."""
@@ -21,6 +21,8 @@ from dsmsolve import (
     landweber_solve,
     linalg,
     solve_dsm,
+    spectral_q,
+    spectral_t,
     vr_newton,
     vr_solve,
 )
@@ -81,9 +83,8 @@ def test_results_do_not_depend_on_what_ran_before(family, n):
     vr_newton gives the same bits with no entry kept as after all the
     others, run in a shuffled order. L^T runs on f_delta reversed, its own
     system's data, and, so that L and L^T share data, on f_delta itself for
-    the calls that take a basis there: on that system the damping search
-    and the root fail on the exact route, and the discrepancy stop takes
-    thousands of exact steps."""
+    the calls that take a basis there; every call here settles on a
+    Golub-Kahan basis, with no give-up to A's SVD."""
     rng = np.random.default_rng([n, len(family)])
     for delta_rel in (0.05, 0.01, 0.001):
         inst = FAMILIES[family](n, delta_rel, 5)
@@ -281,3 +282,76 @@ def test_each_projected_svd_is_taken_once_per_basis():
     assert _bits(second) == _bits(first)
     for factors in basis._svds:
         assert not any(factor.flags.writeable for factor in factors)
+
+
+def test_one_structure_takes_one_svd_kept_without_an_operator(monkeypatch):
+    """With the step cap at 5, where every method gives up to A's SVD: two
+    ToeplitzOperators of one structure, the give-ups of choose_a and
+    vr_solve on one and of vr_newton and landweber_solve and the flow's
+    spectra on the other, take one SVD of A between them, kept in the
+    structure's entry. With the cyclic collector off, the operators and
+    their A are freed once dropped while the entry keeps the SVD, and a call
+    on another structure frees it."""
+    monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", 5)
+    shapes = []
+
+    def recording(M, *args, real=np.linalg.svd, **kwargs):
+        shapes.append(M.shape)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    inst = heat_instance(200, 0.01, 1)
+    f, delta = inst.b_noisy, inst.delta
+    gc.disable()
+    try:
+        A, B = inst.A.copy(), inst.A.copy()
+        first, second = as_operator(A), as_operator(B)
+        assert type(first) is type(second) is ToeplitzOperator
+        a = choose_a(first, f, delta).chosen_a
+        vr_solve(first, f, a)
+        vr_newton(second, f, delta)
+        landweber_solve(second, f, delta)
+        precond = build_preconditioner(second, a)
+        spectral_t(precond), spectral_q(precond)
+        assert shapes.count(A.shape) == 1
+        entry = linalg._last_structure
+        kept = [weakref.ref(factor) for factor in entry.svd]
+        refs = [weakref.ref(x) for x in (first, second, A, B, precond)]
+        del first, second, A, B, precond
+        assert [ref() for ref in refs] == [None] * 5
+        assert all(ref() is not None for ref in kept)
+        del entry
+        vr_solve(2.0 * inst.A, f, 1e-3)
+        assert [ref() for ref in kept] == [None] * 3
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_the_svd_give_the_serial_bits(monkeypatch):
+    """With the step cap at 5, where every call gives up to the structure's
+    SVD, two threads that call vr_newton, choose_a and landweber_solve on
+    heat n = 200 at two noise draws, and so both find the SVD missing at
+    first and fill the entry outside the lock: every result is bit-equal
+    to the serial one on a cold entry."""
+    monkeypatch.setattr(linalg, "_GOLUB_KAHAN_MAX_STEPS", 5)
+    first, second = heat_instance(200, 0.01, 1), heat_instance(200, 0.01, 2)
+    jobs = [(method, data) for data in (first, second, first, second)
+            for method in (vr_newton, choose_a, landweber_solve)]
+
+    def run(job):
+        method, inst = job
+        return _outcome(lambda: method(inst.A, inst.b_noisy, inst.delta))
+
+    serial = []
+    for job in jobs:
+        linalg._last_structure = None
+        serial.append(run(job))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            linalg._last_structure = None
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(run, jobs, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
